@@ -12,7 +12,8 @@ Defaults (flags override --config file entries, which override these):
     den-cap   10**6       boxes-per-shell 4     k0       3
     output    carlesonlab-<command>
 
-Every JSON artifact embeds the fully resolved configuration; identical
+Every JSON artifact except the bare ``cantor`` point list and the
+``cover`` certificate embeds the fully resolved configuration; identical
 configuration and seed reproduce identical bytes.
 """
 

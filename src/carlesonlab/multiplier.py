@@ -25,7 +25,9 @@ from fractions import Fraction
 import numpy as np
 import scipy.fft as sfft
 
-from .arithmetic import ReducedRational, enumerate_shell, gauss_sum, torus_delta
+from ._memo import BoundedCache
+from .arithmetic import (ReducedRational, _check_epsilon, enumerate_shell,
+                         gauss_sum, torus_delta)
 from .bumps import chi_s, psi_k
 from .oscillatory import h_j
 
@@ -45,6 +47,12 @@ __all__ = [
 
 J_CAP = 24
 _MASK26 = (1 << 26) - 1
+# per-j support and psi_j weights (up to j = 21), and the exact phase
+# reductions lam m^2 and beta m over that support, shared by the points
+# of a box that repeat a lam or a beta
+_SUPPORT = BoundedCache(max_bytes=32 * 2 ** 20, max_entries=1)
+_LAM_PHASES = BoundedCache(max_bytes=8 * 2 ** 20, max_entries=8)
+_BETA_PHASES = BoundedCache(max_bytes=8 * 2 ** 20, max_entries=8)
 
 
 def _limbs(x: float):
@@ -54,13 +62,16 @@ def _limbs(x: float):
     return k & _MASK26, (k >> 26) & _MASK26, k >> 52, 53 - e2
 
 
-def _frac_terms(k_limbs, e: int, s0: np.ndarray, s1: np.ndarray, shift1: int):
-    """fractional part of (sum_i k_i 2^{26 i}) * (s0 + s1*2^shift1) / 2^e."""
-    total = np.zeros(s0.shape, dtype=float)
+def _frac_terms(k_limbs, e: int, operands):
+    """fractional part of (sum_i k_i 2^{26 i}) * (sum of s * 2^off) / 2^e.
+
+    ``operands`` are (s, off) pairs of nonnegative int64 arrays and shifts.
+    """
+    total = np.zeros(operands[0][0].shape, dtype=float)
     for i, ki in enumerate(k_limbs):
         if ki == 0:
             continue
-        for s, off in ((s0, 0), (s1, shift1)):
+        for s, off in operands:
             c = 26 * i + off - e
             if c >= 0:
                 continue  # integer contribution
@@ -71,13 +82,19 @@ def _frac_terms(k_limbs, e: int, s0: np.ndarray, s1: np.ndarray, shift1: int):
     return total % 1.0
 
 
+def _check_range(m: np.ndarray, lo: int, hi: int, what: str) -> None:
+    if m.size and (m.min() < lo or m.max() > hi):
+        raise ValueError(f"{what} needs {lo} <= m <= {hi}, got m in "
+                         f"[{m.min()}, {m.max()}]")
+
+
 def frac_part_exact(x: float, m: np.ndarray) -> np.ndarray:
     """(x * m) mod 1 for int64 m with |m| < 2^25, exact up to final rounding."""
+    _check_range(m, 1 - 2 ** 25, 2 ** 25 - 1, "frac_part_exact")
     if x == 0.0:
         return np.zeros(m.shape, dtype=float)
     k0, k1, k2, e = _limbs(x)
-    am = np.abs(m)
-    f = _frac_terms((k0, k1, k2), e, am, np.zeros_like(am), 0)
+    f = _frac_terms((k0, k1, k2), e, ((np.abs(m), 0),))
     neg = (m < 0) != (x < 0)
     f = np.where(neg, (-f) % 1.0, f)
     return f
@@ -85,30 +102,34 @@ def frac_part_exact(x: float, m: np.ndarray) -> np.ndarray:
 
 def _frac_lam_msq(x: float, m: np.ndarray) -> np.ndarray:
     """(x * m^2) mod 1 for int64 m with |m| <= 2^24, exact up to rounding."""
+    _check_range(m, -2 ** 24, 2 ** 24, "_frac_lam_msq")
     if x == 0.0:
         return np.zeros(m.shape, dtype=float)
     k0, k1, k2, e = _limbs(x)
     sq = m.astype(np.int64) ** 2
     s0 = sq & ((1 << 24) - 1)
     s1 = sq >> 24
-    f = _frac_terms((k0, k1, k2), e, s0, s1, 24)
+    f = _frac_terms((k0, k1, k2), e, ((s0, 0), (s1, 24)))
     if x < 0.0:
         f = (-f) % 1.0
     return f
 
 
-def _m_support(j: int) -> np.ndarray:
-    return np.arange(2 ** (j - 2), 2 ** j + 1, dtype=np.int64)
+def _support(j: int):
+    """Read-only (m, psi_j(m)) over 2**(j-2) <= m <= 2**j."""
+    def build():
+        m = np.arange(2 ** (j - 2), 2 ** j + 1, dtype=np.int64)
+        return m, psi_k(j, m.astype(float))
+    return _SUPPORT.get(j, build)
 
 
 def m_j(j: int, lam: float, beta: float) -> complex:
     """Dyadic Weyl-sum piece by direct summation with exact phase reduction."""
     if not 0 <= j <= J_CAP:
         raise ValueError(f"j must lie in [0, {J_CAP}], got {j}")
-    m = _m_support(j)
-    w = psi_k(j, m.astype(float))
-    fl = _frac_lam_msq(lam, m)
-    fb = frac_part_exact(beta, m)
+    m, w = _support(j)
+    fl = _LAM_PHASES.get((j, lam), lambda: _frac_lam_msq(lam, m))
+    fb = _BETA_PHASES.get((j, beta), lambda: frac_part_exact(beta, m))
     # psi_j is odd: the m < 0 half contributes -e(lam m^2 + beta m) psi_j(m)
     pos = np.exp(2j * np.pi * ((fl - fb) % 1.0))
     neg = np.exp(2j * np.pi * ((fl + fb) % 1.0))
@@ -137,8 +158,7 @@ class _RowWorkspace:
     def __init__(self, j: int, G: int):
         self.j = j
         self.G = G
-        self.m = _m_support(j)
-        self.w = psi_k(j, self.m.astype(float))
+        self.m, self.w = _support(j)
         self.sq_mod = (self.m * self.m) % G
         self.roots = np.exp(2j * np.pi * np.arange(G) / G)
 
@@ -154,8 +174,7 @@ def m_j_grid(j: int, G: int) -> np.ndarray:
         raise ValueError(f"G must be a power of two, got {G}")
     if not 0 <= j <= J_CAP:
         raise ValueError(f"j must lie in [0, {J_CAP}], got {j}")
-    m = _m_support(j)
-    w = psi_k(j, m.astype(float))
+    m, w = _support(j)
     a = (m * m) % G
     b_pos = m % G
     b_neg = (-m) % G
@@ -230,7 +249,7 @@ def l_js(j: int, s: int, lam: float, beta: float,
 def big_l_j(j: int, lam: float, beta: float, epsilon: float,
             shells: dict | None = None, tol: float = 1e-10) -> complex:
     """L_j = sum of l_js over 1 <= s <= epsilon * j."""
-    _check_eps(epsilon)
+    _check_epsilon(epsilon)
     smax = math.floor(epsilon * j)
     acc = 0.0 + 0.0j
     for s in range(1, smax + 1):
@@ -240,10 +259,10 @@ def big_l_j(j: int, lam: float, beta: float, epsilon: float,
 
 
 def e_j(j: int, lam: float, beta: float, epsilon: float = 0.1,
-        tol: float = 1e-10) -> complex:
-    """Approximation error E_j = M_j - L_j."""
-    _check_eps(epsilon)
-    return m_j(j, lam, beta) - big_l_j(j, lam, beta, epsilon, tol=tol)
+        tol: float = 1e-10, shells: dict | None = None) -> complex:
+    """Approximation error E_j = M_j - L_j; ``shells`` as in big_l_j."""
+    _check_epsilon(epsilon)
+    return m_j(j, lam, beta) - big_l_j(j, lam, beta, epsilon, shells, tol)
 
 
 def l_super_s(s: int, lam: float, beta: float, epsilon: float,
@@ -253,7 +272,7 @@ def l_super_s(s: int, lam: float, beta: float, epsilon: float,
     Truncated at j_max, this reorders the double sum defining L; the two
     groupings agree pointwise on truncations.
     """
-    _check_eps(epsilon)
+    _check_epsilon(epsilon)
     if s < 1:
         raise ValueError(f"shell index must be >= 1, got {s}")
     j_min = math.ceil(s / epsilon)
@@ -262,11 +281,6 @@ def l_super_s(s: int, lam: float, beta: float, epsilon: float,
     for j in range(j_min, j_max + 1):
         acc += l_js(j, s, lam, beta, shell, tol)
     return complex(acc)
-
-
-def _check_eps(epsilon: float):
-    if not 0.0 < epsilon < 1.0 / 7.0:
-        raise ValueError(f"epsilon must lie in (0, 1/7), got {epsilon}")
 
 
 @dataclass(frozen=True)
@@ -415,7 +429,7 @@ def decay_report(j_list, epsilon: float = 0.1, grid: GridSpec | None = None,
         raise ValueError("j_list must be nonempty")
     if j_list[0] < 2 or j_list[-1] > J_CAP:
         raise ValueError(f"j range must lie in [2, {J_CAP}]")
-    _check_eps(epsilon)
+    _check_epsilon(epsilon)
     grid = grid or GridSpec()
     G, P = grid.G, grid.strata
     rng = np.random.default_rng(seed)
@@ -484,9 +498,9 @@ def decay_report(j_list, epsilon: float = 0.1, grid: GridSpec | None = None,
             lams, betas = _box_samples(j, epsilon, r, P if in_dec else major_strata)
             sgs = gauss_sum(r)
             for lam in lams:
+                dl = float(torus_delta(lam - r.A / r.Q))
                 for beta in betas:
                     mv = m_j(j, float(lam), float(beta))
-                    dl = float(torus_delta(lam - r.A / r.Q))
                     db = float(torus_delta(beta - r.B / r.Q))
                     model = sgs * h_j(j, dl, db, tol)
                     err = abs(mv - model)
@@ -506,10 +520,8 @@ def decay_report(j_list, epsilon: float = 0.1, grid: GridSpec | None = None,
         hstep = 2.0 ** (-2 * j - 8)
         dmax = 0.0
         for lam, beta in der_points:
-            ep = _e_j_cached(j, float(lam + hstep), float(beta), epsilon,
-                             shells, tol)
-            em = _e_j_cached(j, float(lam - hstep), float(beta), epsilon,
-                             shells, tol)
+            ep = e_j(j, float(lam + hstep), float(beta), epsilon, tol, shells)
+            em = e_j(j, float(lam - hstep), float(beta), epsilon, tol, shells)
             dmax = max(dmax, abs(ep - em) / (2 * hstep))
         per_j.append({
             "j": j,
@@ -546,7 +558,3 @@ def decay_report(j_list, epsilon: float = 0.1, grid: GridSpec | None = None,
     out["constants"]["derivative_ratio_max"] = max(r["derivative_ratio"]
                                                    for r in per_j)
     return out
-
-
-def _e_j_cached(j, lam, beta, epsilon, shells, tol):
-    return m_j(j, lam, beta) - big_l_j(j, lam, beta, epsilon, shells, tol)

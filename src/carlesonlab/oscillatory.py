@@ -31,6 +31,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft as sfft
 
+from ._memo import BoundedCache
 from .bumps import psi, phi_hat
 
 __all__ = [
@@ -50,6 +51,10 @@ TOL_MAX = 1e-6
 _DIRECT_BUDGET = 2 ** 14      # panel count below which direct quadrature is used
 _DUAL_MIN_X = 2 ** 12         # chirp strength above which the dual form is cheap
 _HARD_PANEL_CAP = 2 ** 21
+# panel rules of both quadrature paths, keyed by the exact panel count
+# (rounding counts up would change the quadrature's bits); a rule over the
+# bound, above ~52k dual panels, is computed and not kept
+_PANEL_RULES = BoundedCache(max_bytes=16 * 2 ** 20, max_entries=64)
 
 
 def osc_norm(j: int, x: float, y: float) -> float:
@@ -198,20 +203,35 @@ def _panel_nodes(lo: float, hi: float, panels: int):
     return nodes.ravel(), weights.ravel()
 
 
+def _direct_rule(panels: int):
+    """Read-only (v, weights, psi(v)) of the direct path's panel rule."""
+    def build():
+        v, w = _panel_nodes(0.25, 1.0, panels)
+        return v, w, psi(v)
+    return _PANEL_RULES.get(("direct", panels), build)
+
+
+def _dual_rule(panels: int):
+    """Read-only (u, weights, psi_hat(u)) of the dual path's panel rule."""
+    def build():
+        tab = _psi_hat_table()
+        u, wq = _panel_nodes(0.0, tab.u_cut, panels)
+        return u, wq, tab(u)
+    return _PANEL_RULES.get(("dual", panels), build)
+
+
 def _direct_scaled(X: float, Y: float, panels: int) -> complex:
     # folded over the odd symmetry of psi:
     #   integral = int_{1/4}^{1} e(X v^2) * (-2i sin(2 pi Y v)) psi(v) dv
-    v, w = _panel_nodes(0.25, 1.0, panels)
-    vals = np.exp(2j * np.pi * X * v * v) * (-2j * np.sin(2 * np.pi * Y * v)) * psi(v)
+    v, w, pv = _direct_rule(panels)
+    vals = np.exp(2j * np.pi * X * v * v) * (-2j * np.sin(2 * np.pi * Y * v)) * pv
     return complex(np.sum(vals * w))
 
 
 def _dual_scaled(X: float, Y: float, panels: int) -> complex:
     # H(X, Y) = e^{i pi/4}/sqrt(2X) * int e(-(Y-w)^2/(4X)) psi_hat(w) dw,
     # folded over the odd symmetry of psi_hat.
-    tab = _psi_hat_table()
-    u, wq = _panel_nodes(0.0, tab.u_cut, panels)
-    ph = tab(u)
+    u, wq, ph = _dual_rule(panels)
     q = 0.25 / X
     vals = (np.exp(-2j * np.pi * q * (Y - u) ** 2)
             - np.exp(-2j * np.pi * q * (Y + u) ** 2)) * ph

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carlesonlab.arithmetic import enumerate_shell, gauss_sum, ReducedRational
 from carlesonlab.multiplier import (
@@ -18,6 +20,7 @@ from carlesonlab.multiplier import (
     m_j_grid,
     m_j_rational_oracle,
     m_j_row,
+    _frac_lam_msq,
 )
 from carlesonlab.oscillatory import h_j, osc_norm
 
@@ -35,6 +38,46 @@ class TestExactPhases:
             ref = np.array([float((Fraction(x) * int(v)) % 1) for v in m])
             d = np.abs(got - ref)
             assert np.max(np.minimum(d, 1 - d)) <= 1e-14
+
+    # limits of the 26-bit limb products: |m| < 2^25 for beta m, |m| <= 2^24
+    # for lam m^2; hypothesis draws m at and inside those edges
+    @staticmethod
+    def _near(limit: int):
+        edge = st.integers(limit - 2 ** 10, limit)
+        return st.lists(st.one_of(edge, edge.map(lambda v: -v),
+                                  st.integers(-limit, limit)),
+                        min_size=1, max_size=8)
+
+    @staticmethod
+    def _assert_close(x, m, got, ref_of):
+        for g, v in zip(got, m):
+            ref = float(ref_of(Fraction(x), int(v)) % 1)
+            d = abs(float(g) - ref)
+            assert min(d, 1 - d) <= 2.0 ** -50, (x, int(v), float(g), ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           _near(2 ** 25 - 1))
+    def test_linear_phase_against_fraction_at_the_limit(self, x, m):
+        m = np.array(m, dtype=np.int64)
+        self._assert_close(x, m, frac_part_exact(x, m), lambda f, v: f * v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           _near(2 ** 24))
+    def test_square_phase_against_fraction_at_the_limit(self, x, m):
+        m = np.array(m, dtype=np.int64)
+        self._assert_close(x, m, _frac_lam_msq(x, m), lambda f, v: f * v * v)
+
+    @pytest.mark.parametrize("m", [2 ** 25, -2 ** 25, 2 ** 40])
+    def test_linear_phase_rejects_m_past_the_limit(self, m):
+        with pytest.raises(ValueError):
+            frac_part_exact(0.3, np.array([1, m], dtype=np.int64))
+
+    @pytest.mark.parametrize("m", [2 ** 24 + 1, -2 ** 24 - 1])
+    def test_square_phase_rejects_m_past_the_limit(self, m):
+        with pytest.raises(ValueError):
+            _frac_lam_msq(0.0, np.array([m], dtype=np.int64))
 
 
 class TestMj:
