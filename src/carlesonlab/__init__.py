@@ -11,7 +11,7 @@ Subpackages by concern:
 * ``cli``          -- artifact-emitting command-line interface
 """
 
-from .bumps import BumpFamily, bump_family, chi, chi_s, phi_hat, psi, psi_k
+from .bumps import chi, chi_s, phi_hat, psi, psi_k
 from .oscillatory import ScaleIndex, envelope_check, h_j, h_row, mu, osc_norm, phi_kl_hat
 from .arithmetic import (
     MajorBox,
@@ -20,10 +20,8 @@ from .arithmetic import (
     find_box_overlaps,
     gauss_row,
     gauss_sum,
-    in_major_box,
 )
 from .multiplier import (
-    FrequencyGrid,
     GridSpec,
     decay_report,
     e_j,
@@ -31,8 +29,6 @@ from .multiplier import (
     l_super_s,
     m_j,
     m_j_grid,
-    m_j_row,
-    sample_multiplier_grid,
 )
 from .lambda_sets import (
     CoveringCertificate,

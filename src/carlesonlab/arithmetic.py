@@ -32,7 +32,6 @@ __all__ = [
     "square_class_reps",
     "gauss_decay_scan",
     "odd_q_modulus_deviation",
-    "in_major_box",
     "find_box_overlaps",
     "torus_dist",
     "torus_delta",
@@ -234,12 +233,6 @@ class MajorBox:
         dl = torus_dist(lam - self.center.A / self.center.Q)
         db = torus_dist(beta - self.center.B / self.center.Q)
         return bool(dl <= self.half_width_lambda and db <= self.half_width_beta)
-
-
-def in_major_box(j: int, epsilon: float, point, center: ReducedRational) -> bool:
-    """Torus-metric membership of (lam, beta) in the j-th box at center."""
-    lam, beta = point
-    return MajorBox(center, j, epsilon).contains(lam, beta)
 
 
 def _farey(qmax: int):

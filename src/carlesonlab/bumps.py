@@ -13,14 +13,9 @@ All functions accept scalars or numpy arrays and are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
 
 __all__ = [
-    "BumpFamily",
-    "bump_family",
     "smooth_step",
     "eta",
     "rho",
@@ -104,23 +99,3 @@ def chi_s(s: int, t):
 def phi_hat(xi):
     """Frequency plateau: 1 for |xi| <= 1/8, 0 for |xi| >= 1/4."""
     return smooth_step((0.25 - np.abs(np.asarray(xi, dtype=float))) / 0.125)
-
-
-@dataclass(frozen=True)
-class BumpFamily:
-    """The three fixed profiles used by every kernel and cutoff.
-
-    ``smoothness_order`` records the number of continuous derivatives
-    certified for downstream use; the exp(-1/v) mollifier is smooth to
-    all orders, so any finite value is a conservative statement.
-    """
-
-    psi: Callable = field(default=psi)
-    chi: Callable = field(default=chi)
-    phi_hat: Callable = field(default=phi_hat)
-    smoothness_order: int = 100
-
-
-def bump_family() -> BumpFamily:
-    """Return the default bump family."""
-    return BumpFamily()

@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,6 +47,7 @@ DEFAULTS = {
 }
 
 CHECK_THRESHOLDS = {
+    "odd_q_modulus_deviation_max": 1e-12,
     "ej_decay_slope_max": -0.05,
     "major_arc_slope_max": -0.5,
     "norm_probe_top_growth_max": 1.10,
@@ -72,19 +74,16 @@ def _to_native(obj):
     return obj
 
 
-def _write_json(path: Path, payload: dict):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(_to_native(payload), indent=2, sort_keys=True)
-    path.write_text(text + "\n")
+def _json_text(payload: dict) -> str:
+    return json.dumps(_to_native(payload), indent=2, sort_keys=True) + "\n"
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _csv_text(header: list, rows) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(repr(x) if isinstance(x, float) else str(x)
                               for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 class ConfigError(Exception):
@@ -119,26 +118,56 @@ def _resolve(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _out_base(cfg: dict, command: str) -> Path:
-    return Path(cfg["output"] or f"carlesonlab-{command}")
-
-
 def _embed(cfg: dict) -> dict:
     """Config as recorded in artifacts: the artifact path itself is
     where a run lives, not part of what it computed."""
     return {k: v for k, v in cfg.items() if k != "output"}
 
 
-def _check(report: dict, checks: list) -> list:
-    failures = []
-    for name, ok in checks:
-        if not ok:
-            failures.append(name)
-    report["checks"] = {name: bool(ok) for name, ok in checks}
-    return failures
+@dataclass
+class Artifacts:
+    """What one command computed, to be written next to its base path.
+
+    ``report`` becomes ``<base>.json`` with the command and the resolved
+    config embedded; ``checks`` are (name, passed) pairs, recorded in the
+    report under ``checks``; ``csv`` is (header, rows) for ``<base>.csv``;
+    ``payloads`` maps a suffix to text written as it is.
+    """
+
+    report: dict | None = None
+    checks: list | None = None
+    csv: tuple | None = None
+    payloads: dict = field(default_factory=dict)
 
 
-def _load_lambda_set(cfg, args):
+def _emit(cfg: dict, command: str, out: Artifacts) -> int:
+    """Write the artifacts, print each failed check; return the exit code."""
+    base = Path(cfg["output"] or f"carlesonlab-{command}")
+    files = dict(out.payloads)
+    if out.report is not None:
+        out.report["config"] = _embed(cfg)
+        out.report["command"] = command
+        if out.checks is not None:
+            out.report["checks"] = {name: bool(ok) for name, ok in out.checks}
+        files[".json"] = _json_text(out.report)
+    if out.csv is not None:
+        files[".csv"] = _csv_text(*out.csv)
+    if files:
+        base.parent.mkdir(parents=True, exist_ok=True)
+    for suffix, text in files.items():
+        base.with_suffix(suffix).write_text(text)
+    failures = [name for name, ok in out.checks or () if not ok]
+    for name in failures:
+        print(f"FAILED check: {name}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+def _columns(rows: list, *keys) -> tuple:
+    """CSV (header, rows) of the given keys of each row dict."""
+    return list(keys), [tuple(r[k] for k in keys) for r in rows]
+
+
+def _load_lambda_set(args):
     from .lambda_sets import cantor_set, lambda_set_from_json
     if getattr(args, "cantor", None):
         d, depth = args.cantor
@@ -149,13 +178,12 @@ def _load_lambda_set(cfg, args):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each computes from the resolved config and returns Artifacts
 # ---------------------------------------------------------------------------
 
-def cmd_gauss(args) -> int:
+def cmd_gauss(cfg, args) -> Artifacts:
     from math import gcd
     from .arithmetic import gauss_row
-    cfg = _resolve(args)
     qmax = int(cfg["qmax"])
     rows = []
     worst_odd = 0.0
@@ -171,52 +199,38 @@ def cmd_gauss(args) -> int:
                              float(abs(s))))
                 if q % 2 == 1 and ga == 1:
                     worst_odd = max(worst_odd, abs(abs(s) - q ** -0.5))
-    base = _out_base(cfg, "gauss")
-    _write_csv(base.with_suffix(".csv"),
-               ["Q", "A", "B", "re_S", "im_S", "abs_S"], rows)
-    report = {"config": _embed(cfg), "command": "gauss", "n_rows": len(rows),
-              "max_odd_modulus_deviation": worst_odd}
-    failures = _check(report, [("odd_q_modulus_law", worst_odd <= 1e-12)])
-    _write_json(base.with_suffix(".json"), report)
-    return 1 if failures else 0
+    return Artifacts(
+        report={"n_rows": len(rows), "max_odd_modulus_deviation": worst_odd},
+        checks=[("odd_q_modulus_law",
+                 worst_odd <= CHECK_THRESHOLDS["odd_q_modulus_deviation_max"])],
+        csv=(["Q", "A", "B", "re_S", "im_S", "abs_S"], rows))
 
 
-def cmd_shell(args) -> int:
+def cmd_shell(cfg, args) -> Artifacts:
     from .arithmetic import enumerate_shell
-    cfg = _resolve(args)
     shell = enumerate_shell(int(args.s))
-    base = _out_base(cfg, "shell")
-    _write_csv(base.with_suffix(".csv"), ["Q", "A", "B"],
-               [(r.Q, r.A, r.B) for r in shell])
-    _write_json(base.with_suffix(".json"),
-                {"config": _embed(cfg), "command": "shell", "s": int(args.s),
-                 "count": len(shell)})
-    return 0
+    return Artifacts(report={"s": int(args.s), "count": len(shell)},
+                     csv=(["Q", "A", "B"], [(r.Q, r.A, r.B) for r in shell]))
 
 
-def cmd_multiplier_sample(args) -> int:
+def cmd_multiplier_sample(cfg, args) -> Artifacts:
     from .multiplier import m_j, l_js, e_j
-    cfg = _resolve(args)
     j = int(args.j)
     lam, beta = float(args.lam), float(args.beta)
     eps = float(cfg["epsilon"])
     per_shell = {}
     for s in range(1, math.floor(eps * j) + 1):
         per_shell[str(s)] = l_js(j, s, lam, beta, tol=cfg["tol"])
-    payload = {
-        "config": _embed(cfg), "command": "multiplier-sample",
+    return Artifacts(report={
         "j": j, "lam": lam, "beta": beta,
         "m_j": m_j(j, lam, beta),
         "l_js": per_shell,
         "e_j": e_j(j, lam, beta, eps, cfg["tol"]),
-    }
-    _write_json(_out_base(cfg, "multiplier-sample").with_suffix(".json"), payload)
-    return 0
+    })
 
 
-def cmd_approx_error(args) -> int:
+def cmd_approx_error(cfg, args) -> Artifacts:
     from .multiplier import decay_report, GridSpec
-    cfg = _resolve(args)
     rep = decay_report(
         range(int(cfg["jmin"]), int(cfg["jmax"]) + 1),
         epsilon=float(cfg["epsilon"]),
@@ -225,164 +239,178 @@ def cmd_approx_error(args) -> int:
         boxes_per_shell=int(cfg["boxes_per_shell"]),
         seed=int(cfg["seed"]),
     )
-    rep["config"] = _embed(cfg)
-    rep["command"] = "approx-error"
-    failures = _check(rep, [
-        ("ej_decay_slope",
-         rep["slopes"]["Ej"] is not None
-         and rep["slopes"]["Ej"] <= CHECK_THRESHOLDS["ej_decay_slope_max"]),
-        ("major_arc_slope",
-         rep["slopes"]["major_arc"] is not None
-         and rep["slopes"]["major_arc"] <= CHECK_THRESHOLDS["major_arc_slope_max"]),
-    ])
-    base = _out_base(cfg, "approx-error")
-    _write_json(base.with_suffix(".json"), rep)
-    _write_csv(base.with_suffix(".csv"),
-               ["j", "sup_abs_Ej", "sup_major_arc_error",
-                "sup_abs_Lj_off_boxes", "derivative_ratio"],
-               [(r["j"], r["sup_abs_Ej"], r["sup_major_arc_error"],
-                 r["sup_abs_Lj_off_boxes"], r["derivative_ratio"])
-                for r in rep["per_j"]])
-    for name in failures:
-        print(f"FAILED check: {name}", file=sys.stderr)
-    return 1 if failures else 0
+    return Artifacts(
+        report=rep,
+        checks=[
+            ("ej_decay_slope",
+             rep["slopes"]["Ej"] is not None
+             and rep["slopes"]["Ej"] <= CHECK_THRESHOLDS["ej_decay_slope_max"]),
+            ("major_arc_slope",
+             rep["slopes"]["major_arc"] is not None
+             and rep["slopes"]["major_arc"]
+             <= CHECK_THRESHOLDS["major_arc_slope_max"]),
+        ],
+        csv=_columns(rep["per_j"], "j", "sup_abs_Ej", "sup_major_arc_error",
+                     "sup_abs_Lj_off_boxes", "derivative_ratio"))
 
 
-def cmd_cantor(args) -> int:
+def cmd_cantor(cfg, args) -> Artifacts:
     from .lambda_sets import cantor_set, lambda_set_to_json
-    cfg = _resolve(args)
-    d, depth = int(args.d), int(args.depth)
-    lam_set = cantor_set(d, depth)
-    base = _out_base(cfg, "cantor")
-    base.parent.mkdir(parents=True, exist_ok=True)
-    base.with_suffix(".json").write_text(lambda_set_to_json(lam_set) + "\n")
-    return 0
+    lam_set = cantor_set(int(args.d), int(args.depth))
+    return Artifacts(payloads={".json": lambda_set_to_json(lam_set) + "\n"})
 
 
-def cmd_cover(args) -> int:
+def cmd_cover(cfg, args) -> Artifacts:
     from .lambda_sets import cover, certificate_to_json, CoverError
-    cfg = _resolve(args)
-    lam_set = _load_lambda_set(cfg, args)
+    lam_set = _load_lambda_set(args)
     t = Fraction(1, 2 ** int(args.t_exp))
-    base = _out_base(cfg, "cover")
     try:
         cert = cover(lam_set, t, den_cap=int(cfg["den_cap"]))
     except CoverError as exc:
-        print(f"FAILED check: covering_exists ({exc})", file=sys.stderr)
-        return 1
-    base.parent.mkdir(parents=True, exist_ok=True)
-    base.with_suffix(".json").write_text(certificate_to_json(cert) + "\n")
-    return 0
+        # no certificate to write; the check's name carries the reason
+        return Artifacts(checks=[(f"covering_exists ({exc})", False)])
+    return Artifacts(payloads={".json": certificate_to_json(cert) + "\n"})
 
 
-def cmd_maximal(args) -> int:
+def cmd_maximal(cfg, args) -> Artifacts:
     from .operators import Signal, carleson_max, signal_to_json
-    cfg = _resolve(args)
-    lam_set = _load_lambda_set(cfg, args)
+    lam_set = _load_lambda_set(args)
     L = int(args.length)
     R = int(args.radius if args.radius is not None
             else cfg["radius_factor"] * L)
     rng = np.random.default_rng(int(cfg["seed"]))
     f = Signal(rng.standard_normal(L) + 1j * rng.standard_normal(L))
     out = carleson_max(f, lam_set, R)
-    ratio = out.norm2() / f.norm2()
-    base = _out_base(cfg, "maximal")
-    base.parent.mkdir(parents=True, exist_ok=True)
-    base.with_suffix(".signal.json").write_text(signal_to_json(out) + "\n")
-    _write_json(base.with_suffix(".json"), {
-        "config": _embed(cfg), "command": "maximal", "length": L, "radius": R,
-        "n_lambda": len(lam_set), "l2_ratio": ratio,
-    })
-    return 0
+    return Artifacts(
+        report={"length": L, "radius": R, "n_lambda": len(lam_set),
+                "l2_ratio": out.norm2() / f.norm2()},
+        payloads={".signal.json": signal_to_json(out) + "\n"})
 
 
-def cmd_norm_probe(args) -> int:
+def cmd_norm_probe(cfg, args) -> Artifacts:
     from .operators import norm_probe
-    cfg = _resolve(args)
-    lam_set = _load_lambda_set(cfg, args)
+    lam_set = _load_lambda_set(args)
     lengths = [int(x) for x in args.lengths.split(",")]
     factor = int(cfg["radius_factor"])
     rep = norm_probe(lam_set, lengths, int(cfg["trials"]), int(cfg["seed"]),
                      radius_rule=lambda L: factor * L)
-    rep["config"] = _embed(cfg)
-    rep["command"] = "norm-probe"
     top_growth = max(rep["growth_ratios"][-2:]) if len(rep["growth_ratios"]) >= 2 \
         else (rep["growth_ratios"][-1] if rep["growth_ratios"] else 0.0)
-    failures = _check(rep, [
-        ("top_growth_below_10pct",
-         top_growth < CHECK_THRESHOLDS["norm_probe_top_growth_max"]),
-    ])
-    base = _out_base(cfg, "norm-probe")
-    _write_json(base.with_suffix(".json"), rep)
-    _write_csv(base.with_suffix(".csv"), ["length", "radius", "max_ratio"],
-               [(r["length"], r["radius"], r["max_ratio"]) for r in rep["rows"]])
-    for name in failures:
-        print(f"FAILED check: {name}", file=sys.stderr)
-    return 1 if failures else 0
+    return Artifacts(
+        report=rep,
+        checks=[("top_growth_below_10pct",
+                 top_growth < CHECK_THRESHOLDS["norm_probe_top_growth_max"])],
+        csv=_columns(rep["rows"], "length", "radius", "max_ratio"))
 
 
-def cmd_bourgain_growth(args) -> int:
+_GROWTH_COLUMNS = ("N", "max_ratio", "ratio_over_log2N")
+
+
+def cmd_bourgain_growth(cfg, args) -> Artifacts:
     from .operators import bourgain_growth_report
-    cfg = _resolve(args)
     n_list = [int(x) for x in args.n_list.split(",")]
     rep = bourgain_growth_report(n_list, int(cfg["grid"]), int(cfg["trials"]),
                                  int(cfg["seed"]))
-    rep["config"] = _embed(cfg)
-    rep["command"] = "bourgain-growth"
     vals = [(r["N"], r["ratio_over_log2N"]) for r in rep["rows"] if r["N"] >= 8]
     monotone = all(vals[i + 1][1] <= vals[i][1] for i in range(len(vals) - 1))
-    failures = _check(rep, [("ratio_over_log2N_non_increasing", monotone)])
-    base = _out_base(cfg, "bourgain-growth")
-    _write_json(base.with_suffix(".json"), rep)
-    _write_csv(base.with_suffix(".csv"), ["N", "max_ratio", "ratio_over_log2N"],
-               [(r["N"], r["max_ratio"], r["ratio_over_log2N"])
-                for r in rep["rows"]])
-    for name in failures:
-        print(f"FAILED check: {name}", file=sys.stderr)
-    return 1 if failures else 0
+    return Artifacts(report=rep,
+                     checks=[("ratio_over_log2N_non_increasing", monotone)],
+                     csv=_columns(rep["rows"], *_GROWTH_COLUMNS))
 
 
-def cmd_oscillatory_growth(args) -> int:
+def cmd_oscillatory_growth(cfg, args) -> Artifacts:
     from .operators import oscillatory_growth_report
-    cfg = _resolve(args)
     n_list = [int(x) for x in args.n_list.split(",")]
     rep = oscillatory_growth_report(n_list, int(cfg["grid"]), int(cfg["k0"]),
                                     int(cfg["trials"]), int(cfg["seed"]))
-    rep["config"] = _embed(cfg)
-    rep["command"] = "oscillatory-growth"
     finite = all(math.isfinite(r["max_ratio"]) for r in rep["rows"])
-    failures = _check(rep, [("ratios_finite", finite)])
-    base = _out_base(cfg, "oscillatory-growth")
-    _write_json(base.with_suffix(".json"), rep)
-    _write_csv(base.with_suffix(".csv"), ["N", "max_ratio", "ratio_over_log2N"],
-               [(r["N"], r["max_ratio"], r["ratio_over_log2N"])
-                for r in rep["rows"]])
-    for name in failures:
-        print(f"FAILED check: {name}", file=sys.stderr)
-    return 1 if failures else 0
+    return Artifacts(report=rep, checks=[("ratios_finite", finite)],
+                     csv=_columns(rep["rows"], *_GROWTH_COLUMNS))
 
 
-def cmd_single_l(args) -> int:
+def cmd_single_l(cfg, args) -> Artifacts:
     from .operators import single_l_report
-    cfg = _resolve(args)
     l_list = [int(x) for x in args.l_list.split(",")]
     rep = single_l_report(l_list, int(cfg["grid"]), int(cfg["trials"]),
                           int(cfg["seed"]))
-    rep["config"] = _embed(cfg)
-    rep["command"] = "single-l"
     slope = rep["slope_log2_ratio_vs_l"]
-    failures = _check(rep, [
+    return Artifacts(report=rep, checks=[
         ("single_l_decay_slope",
          slope is not None and slope <= CHECK_THRESHOLDS["single_l_slope_max"]),
     ])
-    base = _out_base(cfg, "single-l")
-    _write_json(base.with_suffix(".json"), rep)
-    for name in failures:
-        print(f"FAILED check: {name}", file=sys.stderr)
-    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
+
+def _flag(*names, **kwargs) -> tuple:
+    return names, kwargs
+
+
+_LAMBDA_SOURCE = [
+    _flag("--cantor", nargs=2, metavar=("D", "DEPTH")),
+    _flag("--input", help="lambda-set JSON file"),
+]
+
+_COMMON = [
+    _flag("--config", help="JSON config file"),
+    _flag("--output", "-o", help="artifact base path"),
+    _flag("--seed", type=int),
+    _flag("--epsilon", type=float),
+    _flag("--tol", type=float),
+    _flag("--grid", type=int),
+    _flag("--trials", type=int),
+]
+
+# command -> (help, own flags, runner); every command also takes _COMMON
+COMMANDS = {
+    "gauss": ("Gauss-sum table as CSV",
+              [_flag("--qmax", type=int)], cmd_gauss),
+    "shell": ("reduced rationals of one shell",
+              [_flag("--s", type=int, required=True)], cmd_shell),
+    "multiplier-sample": ("M_j, L_js, E_j at a point",
+                          [_flag("--j", type=int, required=True),
+                           _flag("--lam", type=float, required=True),
+                           _flag("--beta", type=float, required=True)],
+                          cmd_multiplier_sample),
+    "approx-error": ("decay report for E_j",
+                     [_flag("--jmin", type=int),
+                      _flag("--jmax", type=int),
+                      _flag("--strata", type=int),
+                      _flag("--boxes-per-shell", dest="boxes_per_shell",
+                            type=int)],
+                     cmd_approx_error),
+    "cantor": ("Cantor-type modulation set as JSON",
+               [_flag("--d", type=int, required=True),
+                _flag("--depth", type=int, required=True)], cmd_cantor),
+    "cover": ("arithmetic covering certificate",
+              _LAMBDA_SOURCE + [
+                  _flag("--t-exp", dest="t_exp", type=int, required=True,
+                        help="interval length 2**-T_EXP"),
+                  _flag("--den-cap", dest="den_cap", type=int)],
+              cmd_cover),
+    "maximal": ("apply the truncated maximal operator",
+                _LAMBDA_SOURCE + [_flag("--length", type=int, required=True),
+                                  _flag("--radius", type=int)],
+                cmd_maximal),
+    "norm-probe": ("l2 ratio growth over lengths",
+                   _LAMBDA_SOURCE + [
+                       _flag("--lengths", required=True,
+                             help="comma-separated lengths"),
+                       _flag("--radius-factor", dest="radius_factor",
+                             type=int)],
+                   cmd_norm_probe),
+    "bourgain-growth": ("multi-frequency growth curve",
+                        [_flag("--n-list", dest="n_list", required=True)],
+                        cmd_bourgain_growth),
+    "oscillatory-growth": ("oscillatory growth curve",
+                           [_flag("--n-list", dest="n_list", required=True),
+                            _flag("--k0", type=int)],
+                           cmd_oscillatory_growth),
+    "single-l": ("single-scale maximal decay in l",
+                 [_flag("--l-list", dest="l_list", required=True)],
+                 cmd_single_l),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -391,88 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "Carleson operator laboratory.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--output", "-o", help="artifact base path")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--epsilon", type=float)
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--grid", type=int)
-        sp.add_argument("--trials", type=int)
-
-    sp = sub.add_parser("gauss", help="Gauss-sum table as CSV")
-    sp.add_argument("--qmax", type=int)
-    common(sp)
-    sp.set_defaults(fn=cmd_gauss)
-
-    sp = sub.add_parser("shell", help="reduced rationals of one shell")
-    sp.add_argument("--s", type=int, required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_shell)
-
-    sp = sub.add_parser("multiplier-sample", help="M_j, L_js, E_j at a point")
-    sp.add_argument("--j", type=int, required=True)
-    sp.add_argument("--lam", type=float, required=True)
-    sp.add_argument("--beta", type=float, required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_multiplier_sample)
-
-    sp = sub.add_parser("approx-error", help="decay report for E_j")
-    sp.add_argument("--jmin", type=int)
-    sp.add_argument("--jmax", type=int)
-    sp.add_argument("--strata", type=int)
-    sp.add_argument("--boxes-per-shell", dest="boxes_per_shell", type=int)
-    common(sp)
-    sp.set_defaults(fn=cmd_approx_error)
-
-    sp = sub.add_parser("cantor", help="Cantor-type modulation set as JSON")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--depth", type=int, required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_cantor)
-
-    sp = sub.add_parser("cover", help="arithmetic covering certificate")
-    sp.add_argument("--cantor", nargs=2, metavar=("D", "DEPTH"))
-    sp.add_argument("--input", help="lambda-set JSON file")
-    sp.add_argument("--t-exp", dest="t_exp", type=int, required=True,
-                    help="interval length 2**-T_EXP")
-    sp.add_argument("--den-cap", dest="den_cap", type=int)
-    common(sp)
-    sp.set_defaults(fn=cmd_cover)
-
-    sp = sub.add_parser("maximal", help="apply the truncated maximal operator")
-    sp.add_argument("--cantor", nargs=2, metavar=("D", "DEPTH"))
-    sp.add_argument("--input", help="lambda-set JSON file")
-    sp.add_argument("--length", type=int, required=True)
-    sp.add_argument("--radius", type=int)
-    common(sp)
-    sp.set_defaults(fn=cmd_maximal)
-
-    sp = sub.add_parser("norm-probe", help="l2 ratio growth over lengths")
-    sp.add_argument("--cantor", nargs=2, metavar=("D", "DEPTH"))
-    sp.add_argument("--input", help="lambda-set JSON file")
-    sp.add_argument("--lengths", required=True, help="comma-separated lengths")
-    sp.add_argument("--radius-factor", dest="radius_factor", type=int)
-    common(sp)
-    sp.set_defaults(fn=cmd_norm_probe)
-
-    sp = sub.add_parser("bourgain-growth", help="multi-frequency growth curve")
-    sp.add_argument("--n-list", dest="n_list", required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_bourgain_growth)
-
-    sp = sub.add_parser("oscillatory-growth", help="oscillatory growth curve")
-    sp.add_argument("--n-list", dest="n_list", required=True)
-    sp.add_argument("--k0", type=int)
-    common(sp)
-    sp.set_defaults(fn=cmd_oscillatory_growth)
-
-    sp = sub.add_parser("single-l", help="single-scale maximal decay in l")
-    sp.add_argument("--l-list", dest="l_list", required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_single_l)
-
+    for name, (help_text, flags, _) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for names, kwargs in flags + _COMMON:
+            sp.add_argument(*names, **kwargs)
     return p
 
 
@@ -487,7 +437,9 @@ def main(argv=None) -> int:
     workers = int(os.environ.get("CARLESONLAB_WORKERS", "1"))
     try:
         with sfft.set_workers(max(1, workers)):
-            return args.fn(args)
+            cfg = _resolve(args)
+            run = COMMANDS[args.command][2]
+            return _emit(cfg, args.command, run(cfg, args))
     except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -32,12 +32,9 @@ from .bumps import chi_s, psi_k
 from .oscillatory import h_j
 
 __all__ = [
-    "FrequencyGrid",
     "GridSpec",
-    "sample_multiplier_grid",
     "m_j",
     "m_j_rational_oracle",
-    "m_j_row",
     "l_js",
     "big_l_j",
     "e_j",
@@ -152,17 +149,6 @@ def m_j_rational_oracle(j: int, lam: Fraction, beta: Fraction) -> complex:
     return acc
 
 
-class _RowWorkspace:
-    """Per-j cached tables for evaluating M_j along full grid rows."""
-
-    def __init__(self, j: int, G: int):
-        self.j = j
-        self.G = G
-        self.m, self.w = _support(j)
-        self.sq_mod = (self.m * self.m) % G
-        self.roots = np.exp(2j * np.pi * np.arange(G) / G)
-
-
 def m_j_grid(j: int, G: int) -> np.ndarray:
     """M_j(g/G, h/G) for the whole uniform grid, indexed [g, h].
 
@@ -182,37 +168,6 @@ def m_j_grid(j: int, G: int) -> np.ndarray:
     vals = np.concatenate([w, -w])
     t = np.bincount(idx, weights=vals, minlength=G * G).reshape(G, G)
     return sfft.fft(sfft.ifft(t, axis=0) * G, axis=1)
-
-def _fold_consecutive(vals: np.ndarray, start: int, G: int) -> np.ndarray:
-    """Sum values living at consecutive integer indices start.. into bins mod G."""
-    n = len(vals)
-    off = start % G
-    pad_tail = (-(off + n)) % G
-    padded = np.concatenate([np.zeros(off, vals.dtype), vals,
-                             np.zeros(pad_tail, vals.dtype)])
-    return padded.reshape(-1, G).sum(axis=0)
-
-
-def m_j_row(j: int, g: int, G: int, workspace: _RowWorkspace | None = None) -> np.ndarray:
-    """M_j(g/G, h/G) for all h at once (exact integer phases, one FFT).
-
-    For lam = g/G with G a power of two the phase lam m^2 mod 1 is
-    (g (m^2 mod G) mod G)/G, an exact table lookup; the DFT over h is the
-    defining sum evaluated jointly.
-    """
-    if G & (G - 1):
-        raise ValueError(f"G must be a power of two, got {G}")
-    if not 0 <= j <= J_CAP:
-        raise ValueError(f"j must lie in [0, {J_CAP}], got {j}")
-    ws = workspace if workspace is not None else _RowWorkspace(j, G)
-    G = ws.G
-    phase_idx = (g * ws.sq_mod) % G
-    vals = ws.roots[phase_idx] * ws.w
-    pos = _fold_consecutive(vals, int(ws.m[0]), G)
-    # m < 0 half: value at -m is -e(lam m^2) e(-beta (-m)) psi_j(m) -> place
-    # -vals reversed at indices -m_max .. -m_min
-    neg = _fold_consecutive(-vals[::-1], int(-ws.m[-1]), G)
-    return sfft.fft(pos + neg)
 
 
 # ---------------------------------------------------------------------------
@@ -305,40 +260,6 @@ class GridSpec:
                 f"under-resolved grid: {self.strata} samples per box axis "
                 "put the spacing above half the box minor dimension"
             )
-
-
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Sampled multiplier values on a (lam, beta) rectangle.
-
-    ``values[i, j]`` belongs to ``(lambda_samples[i], beta_samples[j])``;
-    samples are strictly increasing and every value is finite.
-    """
-
-    lambda_samples: np.ndarray
-    beta_samples: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lambda_samples, dtype=float)
-        beta = np.asarray(self.beta_samples, dtype=float)
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (len(lam), len(beta)):
-            raise ValueError("values shape must match the sample lists")
-        if np.any(np.diff(lam) <= 0) or np.any(np.diff(beta) <= 0):
-            raise ValueError("samples must be strictly increasing")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("all values must be finite")
-        object.__setattr__(self, "lambda_samples", lam)
-        object.__setattr__(self, "beta_samples", beta)
-        object.__setattr__(self, "values", vals)
-
-
-def sample_multiplier_grid(j: int, G: int) -> FrequencyGrid:
-    """M_j sampled on the uniform G x G torus grid as a FrequencyGrid."""
-    vals = m_j_grid(j, G)
-    ticks = np.arange(G) / G
-    return FrequencyGrid(lambda_samples=ticks, beta_samples=ticks, values=vals)
 
 
 def _box_samples(j: int, epsilon: float, center: ReducedRational, P: int):

@@ -107,6 +107,14 @@ def _lambda_floats(lam_values) -> np.ndarray:
     return np.unique(arr)
 
 
+def _kernel_sup(fh: np.ndarray, kernel_hats, out_len: int) -> np.ndarray:
+    """Pointwise max over the kernels of |F^-1(fh * kh)| on the output window."""
+    sup = np.zeros(out_len)
+    for kh in kernel_hats:
+        np.maximum(sup, np.abs(sfft.ifft(fh * kh)[:out_len]), out=sup)
+    return sup
+
+
 def carleson_max(f: Signal, lam_values, R: int) -> Signal:
     """Pointwise sup over the modulation set of |truncated convolution|.
 
@@ -120,11 +128,9 @@ def carleson_max(f: Signal, lam_values, R: int) -> Signal:
     if out_len > SIZE_CAP:
         raise ValueError(f"output length {out_len} exceeds cap {SIZE_CAP}")
     n = sfft.next_fast_len(out_len)
-    fh = sfft.fft(f.samples, n)
-    best = np.zeros(out_len)
-    for lam in lams:
-        kh = sfft.fft(kernel_taps(float(lam), R), n)
-        np.maximum(best, np.abs(sfft.ifft(fh * kh)[:out_len]), out=best)
+    best = _kernel_sup(sfft.fft(f.samples, n),
+                       (sfft.fft(kernel_taps(float(lam), R), n) for lam in lams),
+                       out_len)
     return Signal(samples=best.astype(complex), origin=f.origin - R)
 
 
@@ -170,10 +176,7 @@ def norm_probe(lam_values, lengths, trials: int, seed: int,
         best = 0.0
         best_family = None
         for family, sig in _trial_signals(L, lams, trials, rng):
-            fh = sfft.fft(sig, n)
-            sup = np.zeros(out_len)
-            for kh in kernel_hats:
-                np.maximum(sup, np.abs(sfft.ifft(fh * kh)[:out_len]), out=sup)
+            sup = _kernel_sup(sfft.fft(sig, n), kernel_hats, out_len)
             ratio = float(np.linalg.norm(sup) / np.linalg.norm(sig))
             if ratio > best:
                 best, best_family = ratio, family
@@ -219,6 +222,65 @@ def _sup_ratio(multipliers, fhat_rows) -> np.ndarray:
     return np.linalg.norm(sup, axis=1)
 
 
+def _probe_ratio(mults: list, f, G: int) -> float:
+    """||sup_lam |F^-1(mult * f^)|||_2 / ||f||_2 for one length-G signal.
+
+    The multipliers are built before this is called, so a zero signal
+    still has its lambda grid validated.
+    """
+    f = np.asarray(f, dtype=complex)
+    if f.shape != (G,):
+        raise ValueError(f"signal must have shape ({G},)")
+    norm = np.linalg.norm(f)
+    if norm == 0.0:
+        return 0.0
+    return float(_sup_ratio(mults, sfft.fft(f)[None, :])[0] / norm)
+
+
+def _bourgain_multipliers(theta: np.ndarray, lams, G: int) -> list:
+    """Per lam, sum_n phi_hat(lam * d(xi - theta_n)) at the grid frequencies.
+
+    The signed torus distances d do not depend on lam, so they are taken
+    once for all lam.
+    """
+    d = torus_delta(sfft.fftfreq(G)[None, :] - theta[:, None])
+    return [np.sum(phi_hat(lam * d), axis=0) for lam in lams]
+
+
+def _oscillatory_multipliers(theta: np.ndarray, tau: float, k0: int,
+                             k_max: int, lams, G: int) -> list:
+    """Per lam, sum_n [sum_{k0 <= k <= k_max} H_k(lam, .)] * phi_hat(tau .)
+    translated to the grid frequency nearest theta_n."""
+    window = phi_hat(tau * sfft.fftfreq(G))
+    shifts = [int(round(th * G)) % G for th in theta]
+    mults = []
+    for lam in lams:
+        base = np.zeros(G, dtype=complex)
+        for k in range(k0, k_max + 1):
+            base += h_row(k, float(lam), G)
+        base *= window
+        mult = np.zeros(G, dtype=complex)
+        for sh in shifts:
+            mult += np.roll(base, sh)
+        mults.append(mult)
+    return mults
+
+
+def _single_l_multipliers(l: int, lams, G: int) -> list:
+    """Per lam, the single-scale chirp multiplier H_{k(lam,l)}(lam, .)."""
+    kmax_fit = int(math.log2(G)) - 1
+    mults = []
+    for lam in lams:
+        scale = ScaleIndex.from_lambda(l, lam)
+        if scale.k < 2 or scale.k > kmax_fit:
+            raise ValueError(
+                f"lam = {lam:g} at l = {l} needs kernel scale k = {scale.k}, "
+                f"outside the grid-representable range [2, {kmax_fit}]"
+            )
+        mults.append(h_row(scale.k, lam, G))
+    return mults
+
+
 def bourgain_max_probe(theta, G: int, lam_grid, f: np.ndarray) -> float:
     """Multi-frequency averaging probe: sup over lam of the plateau multiplier.
 
@@ -229,23 +291,12 @@ def bourgain_max_probe(theta, G: int, lam_grid, f: np.ndarray) -> float:
     _check_grid(G)
     theta = np.asarray(theta, dtype=float) % 1.0
     tau = _theta_separation(theta)
-    lam_grid = np.asarray(sorted(float(x) for x in lam_grid))
-    if len(lam_grid) == 0:
-        raise ValueError("lambda grid must be nonempty")
-    if len(theta) > 1 and lam_grid[0] <= 1.0 / tau:
+    lams = _lambda_floats(lam_grid)
+    if len(theta) > 1 and lams[0] <= 1.0 / tau:
         raise ValueError(
             f"lambda grid must lie in (1/tau, inf) = ({1.0/tau:g}, inf)"
         )
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (G,):
-        raise ValueError(f"signal must have shape ({G},)")
-    xi = sfft.fftfreq(G)
-    mults = [np.sum(phi_hat(lam * torus_delta(xi[None, :] - theta[:, None])),
-                    axis=0) for lam in lam_grid]
-    norm = np.linalg.norm(f)
-    if norm == 0.0:
-        return 0.0
-    return float(_sup_ratio(mults, sfft.fft(f)[None, :])[0] / norm)
+    return _probe_ratio(_bourgain_multipliers(theta, lams, G), f, G)
 
 
 def _separated_theta(N: int, rng) -> np.ndarray:
@@ -267,7 +318,6 @@ def bourgain_growth_report(n_list, G: int, trials: int, seed: int,
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     lam_max = lam_max or 4.0 * G
-    xi = sfft.fftfreq(G)
     rows = []
     per_draw = max(1, trials // theta_draws)
     for N in sorted(int(n) for n in n_list):
@@ -276,8 +326,7 @@ def bourgain_growth_report(n_list, G: int, trials: int, seed: int,
             theta = _separated_theta(N, rng)
             tau = _theta_separation(theta)
             lams = _dyadic_lambdas(1.0 / tau, lam_max, per_octave)
-            mults = [np.sum(phi_hat(lam * torus_delta(
-                xi[None, :] - theta[:, None])), axis=0) for lam in lams]
+            mults = _bourgain_multipliers(theta, lams, G)
             sig = rng.standard_normal((per_draw, G)) \
                 + 1j * rng.standard_normal((per_draw, G))
             # adversarial rows: spectrum piled on the theta modes, where
@@ -321,29 +370,11 @@ def oscillatory_max_probe(theta, tau: float, k0: int, G: int, lam_grid,
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
     theta = np.asarray(theta, dtype=float) % 1.0
     _theta_separation(theta)
-    lam_grid = sorted(float(x) for x in lam_grid)
-    if not lam_grid or lam_grid[-1] > tau * tau:
+    lams = _lambda_floats(lam_grid)
+    if lams[-1] > tau * tau:
         raise ValueError("lambda grid must lie in (0, tau^2]")
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (G,):
-        raise ValueError(f"signal must have shape ({G},)")
-    norm = np.linalg.norm(f)
-    if norm == 0.0:
-        return 0.0
-    xi = sfft.fftfreq(G)
-    window = phi_hat(tau * xi)
-    shifts = [int(round(th * G)) % G for th in theta]
-    mults = []
-    for lam in lam_grid:
-        base = np.zeros(G, dtype=complex)
-        for k in range(k0, k_max + 1):
-            base += h_row(k, lam, G)
-        base *= window
-        mult = np.zeros(G, dtype=complex)
-        for sh in shifts:
-            mult += np.roll(base, sh)
-        mults.append(mult)
-    return float(_sup_ratio(mults, sfft.fft(f)[None, :])[0] / norm)
+    return _probe_ratio(
+        _oscillatory_multipliers(theta, tau, k0, k_max, lams, G), f, G)
 
 
 def oscillatory_growth_report(n_list, G: int, k0: int, trials: int,
@@ -356,24 +387,12 @@ def oscillatory_growth_report(n_list, G: int, k0: int, trials: int,
     _check_grid(G)
     k_max = int(math.log2(G)) - 2
     rng = np.random.default_rng(seed)
-    xi = sfft.fftfreq(G)
     rows = []
     for N in sorted(int(n) for n in n_list):
         theta = _separated_theta(N, rng)
         tau = 1.0 / (4.0 * N)
         lams = _dyadic_lambdas(tau * tau / 16.0, tau * tau, per_octave)
-        window = phi_hat(tau * xi)
-        shifts = [int(round(th * G)) % G for th in theta]
-        mults = []
-        for lam in lams:
-            base = np.zeros(G, dtype=complex)
-            for k in range(k0, k_max + 1):
-                base += h_row(k, float(lam), G)
-            base *= window
-            mult = np.zeros(G, dtype=complex)
-            for sh in shifts:
-                mult += np.roll(base, sh)
-            mults.append(mult)
+        mults = _oscillatory_multipliers(theta, tau, k0, k_max, lams, G)
         sig = rng.standard_normal((trials, G)) \
             + 1j * rng.standard_normal((trials, G))
         ratios = _sup_ratio(mults, sfft.fft(sig, axis=1)) \
@@ -389,26 +408,8 @@ def oscillatory_growth_report(n_list, G: int, k0: int, trials: int,
 def single_l_max_probe(l: int, G: int, lam_grid, f: np.ndarray) -> float:
     """sup over lam of the single-scale chirp multiplier H_{k(lam,l)}(lam, .)."""
     _check_grid(G)
-    lam_grid = sorted(float(x) for x in lam_grid)
-    if not lam_grid:
-        raise ValueError("lambda grid must be nonempty")
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (G,):
-        raise ValueError(f"signal must have shape ({G},)")
-    norm = np.linalg.norm(f)
-    if norm == 0.0:
-        return 0.0
-    kmax_fit = int(math.log2(G)) - 1
-    mults = []
-    for lam in lam_grid:
-        scale = ScaleIndex.from_lambda(l, lam)
-        if scale.k < 2 or scale.k > kmax_fit:
-            raise ValueError(
-                f"lam = {lam:g} at l = {l} needs kernel scale k = {scale.k}, "
-                f"outside the grid-representable range [2, {kmax_fit}]"
-            )
-        mults.append(h_row(scale.k, lam, G))
-    return float(_sup_ratio(mults, sfft.fft(f)[None, :])[0] / norm)
+    return _probe_ratio(_single_l_multipliers(l, _lambda_floats(lam_grid), G),
+                        f, G)
 
 
 def single_l_report(l_list, G: int, trials: int, seed: int,
@@ -441,11 +442,7 @@ def single_l_report(l_list, G: int, trials: int, seed: int,
             base = math.ldexp(1.0, l - 2 * k)
             lams.extend(base * 2.0 ** (i / per_octave) for i in range(per_octave))
         lams = [x for x in lams if x <= 1.0]
-        mults = []
-        for lam in lams:
-            scale = ScaleIndex.from_lambda(l, lam)
-            mults.append(h_row(scale.k, lam, G))
-        ratios = _sup_ratio(mults, fhat) / norms
+        ratios = _sup_ratio(_single_l_multipliers(l, lams, G), fhat) / norms
         rows.append({"l": l, "n_lambda": len(lams),
                      "max_ratio": float(ratios.max())})
     pts = [(r["l"], r["max_ratio"]) for r in rows if r["max_ratio"] > 0.0]

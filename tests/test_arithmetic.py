@@ -12,7 +12,6 @@ from carlesonlab.arithmetic import (
     gauss_decay_scan,
     gauss_row,
     gauss_sum,
-    in_major_box,
     odd_q_modulus_deviation,
     shell_size,
     square_class_reps,
@@ -140,16 +139,16 @@ class TestGaussSum:
 class TestMajorBoxes:
     def test_center_membership(self):
         c = ReducedRational(5, 2, 3)
-        assert in_major_box(9, 0.1, (2 / 5, 3 / 5), c)
+        assert MajorBox(c, 9, 0.1).contains(2 / 5, 3 / 5)
 
     def test_offset_outside(self):
         c = ReducedRational(5, 2, 3)
         lam = 2 / 5 + 2.0 ** (-19 + 1)
-        assert not in_major_box(10, 0.1, (lam, 3 / 5), c)
+        assert not MajorBox(c, 10, 0.1).contains(lam, 3 / 5)
 
     def test_torus_wrap(self):
         c = ReducedRational(1, 0, 0)
-        assert in_major_box(8, 0.1, (1.0 - 1e-9, 1e-9), c)
+        assert MajorBox(c, 8, 0.1).contains(1.0 - 1e-9, 1e-9)
 
     def test_epsilon_validated(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carlesonlab.bumps import BumpFamily, bump_family, chi, chi_s, phi_hat, psi, psi_k
+from carlesonlab.bumps import chi, chi_s, phi_hat, psi, psi_k
 
 
 class TestPsi:
@@ -91,9 +91,3 @@ def test_symmetries_at_random_points():
     assert np.max(np.abs(chi(-t) - chi(t))) <= 1e-14
     assert np.max(np.abs(phi_hat(-t) - phi_hat(t))) <= 1e-14
 
-
-def test_family_defaults():
-    fam = bump_family()
-    assert isinstance(fam, BumpFamily)
-    assert fam.smoothness_order >= 1
-    assert fam.psi(0.5) == psi(0.5)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from carlesonlab.cli import main
+from carlesonlab.cli import CHECK_THRESHOLDS, DEFAULTS, main
 
 
 def run(args):
@@ -121,6 +121,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "FAILED check" in err and "slope" in err
 
+    @pytest.mark.parametrize("argv, threshold, check", [
+        (["gauss", "--qmax", "8"], "odd_q_modulus_deviation_max",
+         "odd_q_modulus_law"),
+        (["single-l", "--l-list", "0,6", "--grid", "4096", "--trials", "2"],
+         "single_l_slope_max", "single_l_decay_slope"),
+    ])
+    def test_failed_check_is_named_on_stderr(self, tmp_path, capsys,
+                                             monkeypatch, argv, threshold,
+                                             check):
+        monkeypatch.setitem(CHECK_THRESHOLDS, threshold, -1e9)
+        assert run(argv + ["-o", str(tmp_path / "f")]) == 1
+        assert f"FAILED check: {check}" in capsys.readouterr().err
+        rep = json.loads((tmp_path / "f.json").read_text())
+        assert rep["checks"] == {check: False}
+
     def test_config_file_overridden_by_flag(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"qmax": 4}')
@@ -131,16 +146,44 @@ class TestExitCodes:
         assert rep["config"]["qmax"] == 2
 
 
+# one small run of each command
+SMALL = {
+    "gauss": ["--qmax", "12"],
+    "shell": ["--s", "3"],
+    "multiplier-sample": ["--j", "8", "--lam", "0.3", "--beta", "0.4"],
+    "approx-error": ["--jmin", "8", "--jmax", "9", "--grid", "64",
+                     "--strata", "3"],
+    "cantor": ["--d", "2", "--depth", "5"],
+    "cover": ["--cantor", "2", "5", "--t-exp", "3"],
+    "maximal": ["--cantor", "2", "4", "--length", "64", "--seed", "42"],
+    "norm-probe": ["--cantor", "3", "3", "--lengths", "64,128",
+                   "--trials", "6", "--seed", "42"],
+    "bourgain-growth": ["--n-list", "2,4", "--grid", "256", "--trials", "4",
+                        "--seed", "42"],
+    "oscillatory-growth": ["--n-list", "4,8", "--grid", "256",
+                           "--trials", "2", "--seed", "42"],
+    "single-l": ["--l-list", "0,6", "--grid", "4096", "--trials", "2",
+                 "--seed", "42"],
+}
+
+
+def test_reports_embed_command_and_config(tmp_path):
+    for command, flags in SMALL.items():
+        if command in ("cantor", "cover"):
+            continue  # their JSON is the bare payload
+        base = tmp_path / command
+        assert run([command, *flags, "-o", str(base)]) in (0, 1), command
+        rep = json.loads(base.with_suffix(".json").read_text())
+        assert rep["command"] == command
+        assert set(rep["config"]) == set(DEFAULTS) - {"output"}, command
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
-        ["gauss", "--qmax", "12"],
-        ["cover", "--cantor", "2", "5", "--t-exp", "3"],
-        ["norm-probe", "--cantor", "3", "3", "--lengths", "64,128",
-         "--trials", "6", "--seed", "42"],
-        ["bourgain-growth", "--n-list", "2,4", "--grid", "256",
-         "--trials", "4", "--seed", "42"],
-        ["single-l", "--l-list", "0,6", "--grid", "4096", "--trials", "2",
-         "--seed", "42"],
+        [command, *SMALL[command]]
+        for command in ("gauss", "cover", "norm-probe", "bourgain-growth",
+                        "single-l", "shell", "multiplier-sample", "cantor",
+                        "maximal", "oscillatory-growth")
     ])
     def test_byte_identical_reruns(self, tmp_path, argv):
         out1, out2 = tmp_path / "a", tmp_path / "b"

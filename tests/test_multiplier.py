@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from carlesonlab.arithmetic import enumerate_shell, gauss_sum, ReducedRational
 from carlesonlab.multiplier import (
-    FrequencyGrid,
     GridSpec,
-    sample_multiplier_grid,
     big_l_j,
     decay_report,
     e_j,
@@ -19,7 +17,6 @@ from carlesonlab.multiplier import (
     m_j,
     m_j_grid,
     m_j_rational_oracle,
-    m_j_row,
     _frac_lam_msq,
 )
 from carlesonlab.oscillatory import h_j, osc_norm
@@ -108,11 +105,9 @@ class TestMj:
 
     def test_row_and_grid_match_pointwise(self):
         G = 128
-        row = m_j_row(9, 37, G)
         grid = m_j_grid(9, G)
         for h in (0, 3, 64, 100):
             ref = m_j(9, 37 / G, h / G)
-            assert abs(row[h] - ref) <= 1e-10
             assert abs(grid[37, h] - ref) <= 1e-10
 
 
@@ -205,21 +200,3 @@ class TestDecayReport:
         b = decay_report([8, 9], **kw)
         assert a == b
 
-
-class TestFrequencyGridType:
-    def test_sampled_grid_valid(self):
-        fg = sample_multiplier_grid(8, 64)
-        assert fg.values.shape == (64, 64)
-        assert fg.values[5, 9] == m_j_grid(8, 64)[5, 9]
-
-    def test_validation(self):
-        import numpy as np
-        with pytest.raises(ValueError):
-            FrequencyGrid(np.array([0.0, 0.0]), np.array([0.0, 0.5]),
-                          np.zeros((2, 2), complex))
-        with pytest.raises(ValueError):
-            FrequencyGrid(np.array([0.0, 0.5]), np.array([0.0, 0.5]),
-                          np.full((2, 2), np.nan + 0j))
-        with pytest.raises(ValueError):
-            FrequencyGrid(np.array([0.0, 0.5]), np.array([0.0, 0.5]),
-                          np.zeros((3, 2), complex))

@@ -262,6 +262,16 @@ class TestSingleL:
         assert rep["slope_log2_ratio_vs_l"] < 0
 
 
+@pytest.mark.parametrize("probe", [
+    lambda f: bourgain_max_probe([0.0, 0.5], 256, [1.0], f),
+    lambda f: oscillatory_max_probe([0.0], 1 / 8, 3, 256, [0.5], f),
+    lambda f: single_l_max_probe(0, 256, [0.9], f),
+], ids=["bourgain", "oscillatory", "single_l"])
+def test_zero_signal_still_validates_lambda_grid(probe):
+    with pytest.raises(ValueError):
+        probe(np.zeros(256, complex))
+
+
 def test_signal_json_roundtrip():
     sig = Signal(np.array([1 + 2j, -0.5 + 0j]), origin=-3)
     back = signal_from_json(signal_to_json(sig))
