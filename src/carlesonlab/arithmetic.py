@@ -37,7 +37,9 @@ __all__ = [
     "torus_delta",
 ]
 
-DEFAULT_SHELL_CAP = 2 ** 16
+SHELL_CAP = 2 ** 16
+DECAY_EXPONENT = 0.45         # the Gauss decay scan's max of |S| * Q**exponent
+MAX_WITNESSES = 16            # overlap witnesses the box scan reports
 
 
 def torus_delta(x) -> np.ndarray | float:
@@ -72,12 +74,12 @@ class ReducedRational:
         return self.Q.bit_length()
 
 
-def enumerate_shell(s: int, cap: int = DEFAULT_SHELL_CAP) -> list[ReducedRational]:
+def enumerate_shell(s: int) -> list[ReducedRational]:
     """All reduced triples with 2**(s-1) <= Q < 2**s, lexicographic in (Q, A, B)."""
     if s < 1:
         raise ValueError(f"shell index must be >= 1, got {s}")
-    if 2 ** s > cap:
-        raise ValueError(f"shell 2^{s} exceeds cap {cap}")
+    if 2 ** s > SHELL_CAP:
+        raise ValueError(f"shell 2^{s} exceeds cap {SHELL_CAP}")
     out: list[ReducedRational] = []
     for q in range(2 ** (s - 1), 2 ** s):
         g_aq = np.gcd(np.arange(q, dtype=np.int64), q)
@@ -146,8 +148,8 @@ def square_class_reps(Q: int) -> list[int]:
     return reps
 
 
-def gauss_decay_scan(qmax: int, exponent: float = 0.45) -> dict:
-    """max over all reduced triples with Q <= qmax of |S| * Q**exponent.
+def gauss_decay_scan(qmax: int) -> dict:
+    """max over all reduced triples with Q <= qmax of |S| * Q**DECAY_EXPONENT.
 
     Rows are restricted to unit square-class representatives of A (exact
     symmetry) and to gcd(A, Q) = 1 (S vanishes identically otherwise --
@@ -155,7 +157,6 @@ def gauss_decay_scan(qmax: int, exponent: float = 0.45) -> dict:
     Returns the max, its argmax triple, and the per-Q max |S| table.
     """
     per_q = np.zeros(qmax + 1)
-    best = 0.0
     arg = (1, 0, 0)
     per_q[1] = 1.0
     best = 1.0
@@ -169,13 +170,13 @@ def gauss_decay_scan(qmax: int, exponent: float = 0.45) -> dict:
                 m = float(row[b])
                 am, bm = a, b
         per_q[q] = m
-        val = m * q ** exponent
+        val = m * q ** DECAY_EXPONENT
         if val > best:
             best = val
             arg = (q, am, bm)
     return {
         "qmax": qmax,
-        "exponent": exponent,
+        "exponent": DECAY_EXPONENT,
         "max_scaled": best,
         "argmax": {"Q": arg[0], "A": arg[1], "B": arg[2]},
         "per_q_max_abs": per_q,
@@ -210,6 +211,16 @@ def _check_epsilon(epsilon: float):
         raise ValueError(f"epsilon must lie in (0, 1/7), got {epsilon}")
 
 
+def _half_widths(j: int, epsilon: float) -> tuple[float, float]:
+    """(lambda, beta) half-widths 2**((eps-2)j), 2**((eps-1)j) of a major box."""
+    return 2.0 ** ((epsilon - 2.0) * j), 2.0 ** ((epsilon - 1.0) * j)
+
+
+def _collected_qmax(j: int, epsilon: float) -> int:
+    """Largest denominator of the collected box family Q <= 2**(6 eps j)."""
+    return int(2.0 ** (6.0 * epsilon * j) + 1e-9)
+
+
 @dataclass(frozen=True)
 class MajorBox:
     """Box at (A/Q, B/Q) with half-widths 2**((eps-2)j), 2**((eps-1)j)."""
@@ -221,18 +232,11 @@ class MajorBox:
     def __post_init__(self):
         _check_epsilon(self.epsilon)
 
-    @property
-    def half_width_lambda(self) -> float:
-        return 2.0 ** ((self.epsilon - 2.0) * self.j)
-
-    @property
-    def half_width_beta(self) -> float:
-        return 2.0 ** ((self.epsilon - 1.0) * self.j)
-
     def contains(self, lam: float, beta: float) -> bool:
+        wl, wb = _half_widths(self.j, self.epsilon)
         dl = torus_dist(lam - self.center.A / self.center.Q)
         db = torus_dist(beta - self.center.B / self.center.Q)
-        return bool(dl <= self.half_width_lambda and db <= self.half_width_beta)
+        return bool(dl <= wl and db <= wb)
 
 
 def _farey(qmax: int):
@@ -246,12 +250,12 @@ def _farey(qmax: int):
             yield a, b
 
 
-def _beta_centers(a: int, q: int, qmax: int):
-    """All beta centers B/(q m) of boxes whose lambda center equals a/q.
+def _beta_centers(q: int, qmax: int):
+    """All beta centers B/(q m) of boxes whose lambda center is a/q.
 
     Boxes with lambda center a/q are (a m, B, q m) for m <= qmax // q with
-    gcd(B, m) = 1 (gcd(am, qm) = m since gcd(a, q) = 1).  Returns sorted
-    values with their (m, B) labels.
+    gcd(B, m) = 1 (gcd(am, qm) = m since gcd(a, q) = 1), so the centers do
+    not depend on a.  Returns sorted values with their (m, B) labels.
     """
     kmax = qmax // q
     vals = []
@@ -270,8 +274,7 @@ def _beta_centers(a: int, q: int, qmax: int):
     return v[order], lab[order]
 
 
-def find_box_overlaps(j: int, epsilon: float, qmax: int | None = None,
-                      max_witnesses: int = 16) -> dict:
+def find_box_overlaps(j: int, epsilon: float, qmax: int | None = None) -> dict:
     """Scan every pair of distinct boxes with Q <= 2**(6 eps j) for overlap.
 
     Two closed boxes overlap iff their lambda-centers are within the sum
@@ -280,13 +283,12 @@ def find_box_overlaps(j: int, epsilon: float, qmax: int | None = None,
     checks (a) adjacent gaps between distinct lambda-center values
     against 2 w_lambda, and (b) within each lambda-center value, adjacent
     beta-center gaps against 2 w_beta.  Witness pairs are reported as
-    ((Q, A, B), (Q', A', B')).
+    ((Q, A, B), (Q', A', B')), at most MAX_WITNESSES of them.
     """
     _check_epsilon(epsilon)
     if qmax is None:
-        qmax = int(2.0 ** (6.0 * epsilon * j) + 1e-9)
-    w_lam = 2.0 ** ((epsilon - 2.0) * j)
-    w_beta = 2.0 ** ((epsilon - 1.0) * j)
+        qmax = _collected_qmax(j, epsilon)
+    w_lam, w_beta = _half_widths(j, epsilon)
     witnesses = []
     n_overlapping_adjacent = 0
     fracs = list(_farey(qmax))
@@ -308,17 +310,17 @@ def find_box_overlaps(j: int, epsilon: float, qmax: int | None = None,
                 min_beta_gap = gap
             if gap <= 2.0 * w_beta and q >= 2:
                 n_overlapping_adjacent += q
-                if len(witnesses) < max_witnesses:
+                if len(witnesses) < MAX_WITNESSES:
                     witnesses.append(((q, a, 0), (q, a, 1)))
             continue
-        v, lab = _beta_centers(a, q, qmax)
+        v, lab = _beta_centers(q, qmax)
         dv = np.diff(np.append(v, v[0] + 1.0))
         bad = np.nonzero(dv <= 2.0 * w_beta)[0]
         gmin = float(dv.min())
         if gmin < min_beta_gap:
             min_beta_gap = gmin
         n_overlapping_adjacent += len(bad)
-        for i in bad[: max(0, max_witnesses - len(witnesses))]:
+        for i in bad[: max(0, MAX_WITNESSES - len(witnesses))]:
             m1, b1 = lab[i]
             m2, b2 = lab[(i + 1) % len(v)]
             witnesses.append(
@@ -327,8 +329,8 @@ def find_box_overlaps(j: int, epsilon: float, qmax: int | None = None,
             )
     # cross-center pairs: only overlap if beta families also come close
     for (a1, q1), (a2, q2) in cross_pairs:
-        v1, lab1 = _beta_centers(a1, q1, qmax)
-        v2, lab2 = _beta_centers(a2, q2, qmax)
+        v1, lab1 = _beta_centers(q1, qmax)
+        v2, lab2 = _beta_centers(q2, qmax)
         i2 = np.searchsorted(v2, v1)
         for i1, i in enumerate(i2):
             for cand in (i - 1, i % len(v2)):
@@ -336,7 +338,7 @@ def find_box_overlaps(j: int, epsilon: float, qmax: int | None = None,
                 d = min(d, 1.0 - d)
                 if d <= 2.0 * w_beta:
                     n_overlapping_adjacent += 1
-                    if len(witnesses) < max_witnesses:
+                    if len(witnesses) < MAX_WITNESSES:
                         m1, b1 = lab1[i1]
                         m2, b2 = lab2[cand % len(v2)]
                         witnesses.append(
@@ -353,6 +355,6 @@ def find_box_overlaps(j: int, epsilon: float, qmax: int | None = None,
         "min_lambda_gap": min_lambda_gap,
         "min_beta_gap_same_center": min_beta_gap,
         "n_overlapping_adjacent_pairs": int(n_overlapping_adjacent),
-        "witnesses": witnesses[:max_witnesses],
+        "witnesses": witnesses[:MAX_WITNESSES],
         "disjoint": n_overlapping_adjacent == 0,
     }

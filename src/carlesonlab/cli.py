@@ -29,6 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .arithmetic import _check_epsilon
+
 DEFAULTS = {
     "epsilon": 0.1,
     "seed": 20240901,
@@ -105,8 +107,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    if not 0.0 < cfg["epsilon"] < 1.0 / 7.0:
-        raise ConfigError(f"epsilon must lie in (0, 1/7), got {cfg['epsilon']}")
+    _check_epsilon(cfg["epsilon"])
     for key in ("qmax", "jmin", "jmax", "grid", "strata", "trials",
                 "radius_factor", "den_cap"):
         if int(cfg[key]) < 1:
@@ -182,7 +183,6 @@ def _load_lambda_set(args):
 # ---------------------------------------------------------------------------
 
 def cmd_gauss(cfg, args) -> Artifacts:
-    from math import gcd
     from .arithmetic import gauss_row
     qmax = int(cfg["qmax"])
     rows = []
@@ -190,9 +190,9 @@ def cmd_gauss(cfg, args) -> Artifacts:
     for q in range(1, qmax + 1):
         for a in range(q):
             row = gauss_row(a, q)
-            ga = gcd(a, q)
+            ga = math.gcd(a, q)
             for b in range(q):
-                if gcd(ga, b) != 1 and not (q == 1):
+                if math.gcd(ga, b) != 1:
                     continue
                 s = row[b]
                 rows.append((q, a, b, float(s.real), float(s.imag),
@@ -291,9 +291,8 @@ def cmd_norm_probe(cfg, args) -> Artifacts:
     from .operators import norm_probe
     lam_set = _load_lambda_set(args)
     lengths = [int(x) for x in args.lengths.split(",")]
-    factor = int(cfg["radius_factor"])
     rep = norm_probe(lam_set, lengths, int(cfg["trials"]), int(cfg["seed"]),
-                     radius_rule=lambda L: factor * L)
+                     radius_factor=int(cfg["radius_factor"]))
     top_growth = max(rep["growth_ratios"][-2:]) if len(rep["growth_ratios"]) >= 2 \
         else (rep["growth_ratios"][-1] if rep["growth_ratios"] else 0.0)
     return Artifacts(

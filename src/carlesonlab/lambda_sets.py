@@ -39,7 +39,7 @@ __all__ = [
     "certificate_to_json",
 ]
 
-DEFAULT_POINT_CAP = 2 ** 20
+POINT_CAP = 2 ** 20
 DEFAULT_DEN_CAP = 10 ** 6
 
 
@@ -70,14 +70,14 @@ class LambdaSet:
         return len(self.points)
 
 
-def cantor_set(D: int, depth: int, cap: int = DEFAULT_POINT_CAP) -> LambdaSet:
+def cantor_set(D: int, depth: int) -> LambdaSet:
     """All subset sums of 2**(-D**j), j in {1..depth}; exactly 2**depth points."""
     if D < 2:
         raise ValueError(f"D must be >= 2, got {D}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    if 2 ** depth > cap:
-        raise ValueError(f"2^depth = {2**depth} exceeds cap {cap}")
+    if 2 ** depth > POINT_CAP:
+        raise ValueError(f"2^depth = {2**depth} exceeds cap {POINT_CAP}")
     top = D ** depth
     nums = [0]
     for j in range(1, depth + 1):

@@ -26,8 +26,8 @@ import numpy as np
 import scipy.fft as sfft
 
 from ._memo import BoundedCache
-from .arithmetic import (ReducedRational, _check_epsilon, enumerate_shell,
-                         gauss_sum, torus_delta)
+from .arithmetic import (ReducedRational, _check_epsilon, _collected_qmax,
+                         _half_widths, enumerate_shell, gauss_sum, torus_delta)
 from .bumps import chi_s, psi_k
 from .oscillatory import h_j
 
@@ -262,9 +262,19 @@ class GridSpec:
             )
 
 
+def _log2_slope(points) -> float | None:
+    """Least-squares slope of log2(v) against x over the (x, v) with v > 0;
+    None when fewer than two such points remain."""
+    pts = [(x, v) for x, v in points if v > 0.0]
+    if len(pts) < 2:
+        return None
+    xs = np.array([p[0] for p in pts], dtype=float)
+    vals = np.array([p[1] for p in pts])
+    return float(np.polyfit(xs, np.log2(vals), 1)[0])
+
+
 def _box_samples(j: int, epsilon: float, center: ReducedRational, P: int):
-    wl = 2.0 ** ((epsilon - 2.0) * j)
-    wb = 2.0 ** ((epsilon - 1.0) * j)
+    wl, wb = _half_widths(j, epsilon)
     c_l = center.A / center.Q
     c_b = center.B / center.Q
     lams = (c_l + np.linspace(-wl, wl, P)) % 1.0
@@ -281,9 +291,8 @@ def _grid_point_in_major_boxes(g: int, h: int, G: int, j: int,
     divide Q = dg*m <= qmax, and some B coprime-compatible center must
     sit within the beta half-width.
     """
-    qmax = int(2.0 ** (6.0 * epsilon * j) + 1e-9)
-    wl = 2.0 ** ((epsilon - 2.0) * j)
-    wb = 2.0 ** ((epsilon - 1.0) * j)
+    qmax = _collected_qmax(j, epsilon)
+    wl, wb = _half_widths(j, epsilon)
     gg = math.gcd(g, G)
     dg = G // gg
     if dg > qmax and wl < 0.5 / G:
@@ -362,7 +371,7 @@ def decay_report(j_list, epsilon: float = 0.1, grid: GridSpec | None = None,
         dec_centers = [r for sh in shells.values() for r in sh]
         # sampled centers from the full collected family Q <= 2^(6 eps j)
         smax_col = math.floor(6 * epsilon * j)
-        qmax_col = int(2.0 ** (6 * epsilon * j) + 1e-9)
+        qmax_col = _collected_qmax(j, epsilon)
         sampled = list(dec_centers)
         seen = {(r.Q, r.A, r.B) for r in sampled}
         for s in range(1, smax_col + 1):
@@ -469,13 +478,7 @@ def decay_report(j_list, epsilon: float = 0.1, grid: GridSpec | None = None,
     }
     for key, name in [("sup_abs_Ej", "Ej"), ("sup_major_arc_error", "major_arc"),
                       ("sup_abs_Lj_off_boxes", "Lj_off_boxes")]:
-        pts = [(r["j"], r[key]) for r in per_j if r[key] > 0.0]
-        if len(pts) >= 2:
-            js = np.array([p[0] for p in pts], dtype=float)
-            vals = np.array([p[1] for p in pts])
-            out["slopes"][name] = float(np.polyfit(js, np.log2(vals), 1)[0])
-        else:
-            out["slopes"][name] = None
+        out["slopes"][name] = _log2_slope((r["j"], r[key]) for r in per_j)
     out["constants"]["derivative_ratio_max"] = max(r["derivative_ratio"]
                                                    for r in per_j)
     return out

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .bumps import phi_hat
-from .multiplier import _frac_lam_msq
+from .multiplier import _frac_lam_msq, _log2_slope
 from .oscillatory import ScaleIndex, h_row
 from .arithmetic import torus_delta
 
@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 SIZE_CAP = 2 ** 24
+_PER_OCTAVE = 8               # growth-report lambda grid points per octave
+_SINGLE_L_K_LO = 4            # lowest kernel scale of the single-l report
 
 
 @dataclass(frozen=True)
@@ -78,13 +80,18 @@ def kernel_taps(lam: float, R: int) -> np.ndarray:
     return taps
 
 
-def apply_kernel(f: Signal, lam: float, R: int) -> Signal:
-    """Exact linear convolution with the truncated kernel via cyclic FFT."""
-    L = len(f.samples)
+def _conv_size(L: int, R: int) -> tuple[int, int]:
+    """(out_len, n): the linear-convolution length L + 2R and the cyclic FFT
+    length that holds it; raises past SIZE_CAP."""
     out_len = L + 2 * R
     if out_len > SIZE_CAP:
         raise ValueError(f"output length {out_len} exceeds cap {SIZE_CAP}")
-    n = sfft.next_fast_len(out_len)
+    return out_len, sfft.next_fast_len(out_len)
+
+
+def apply_kernel(f: Signal, lam: float, R: int) -> Signal:
+    """Exact linear convolution with the truncated kernel via cyclic FFT."""
+    out_len, n = _conv_size(len(f.samples), R)
     fh = sfft.fft(f.samples, n)
     kh = sfft.fft(kernel_taps(lam, R), n)
     conv = sfft.ifft(fh * kh)[:out_len]
@@ -123,11 +130,7 @@ def carleson_max(f: Signal, lam_values, R: int) -> Signal:
     output window of length L + 2R.
     """
     lams = _lambda_floats(lam_values)
-    L = len(f.samples)
-    out_len = L + 2 * R
-    if out_len > SIZE_CAP:
-        raise ValueError(f"output length {out_len} exceeds cap {SIZE_CAP}")
-    n = sfft.next_fast_len(out_len)
+    out_len, n = _conv_size(len(f.samples), R)
     best = _kernel_sup(sfft.fft(f.samples, n),
                        (sfft.fft(kernel_taps(float(lam), R), n) for lam in lams),
                        out_len)
@@ -151,27 +154,27 @@ def _trial_signals(L: int, lams: np.ndarray, trials: int, rng) -> list:
 
 
 def norm_probe(lam_values, lengths, trials: int, seed: int,
-               radius_rule=None) -> dict:
+               radius_factor: int = 4) -> dict:
     """Empirical l2 -> l2 ratio of the truncated Carleson operator.
 
-    For each length the trial family is an impulse, a chirp aligned with
-    each modulation parameter, and seeded Gaussian noise, ``trials``
-    signals in total; the statistic is the max ratio ||C f||_2 / ||f||_2.
-    Ratios are lower bounds on the truncated operator norm.
+    For each length L the radius is ``radius_factor * L`` and the trial
+    family is an impulse, a chirp aligned with each modulation parameter,
+    and seeded Gaussian noise, ``trials`` signals in total; the statistic
+    is the max ratio ||C f||_2 / ||f||_2.  Ratios are lower bounds on the
+    truncated operator norm.  Every length is sized against SIZE_CAP
+    before any transform runs.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     lengths = [int(x) for x in lengths]
     if not lengths or any(x < 1 for x in lengths):
         raise ValueError("lengths must be positive")
-    radius_rule = radius_rule or (lambda L: 4 * L)
     lams = _lambda_floats(lam_values)
+    radii = [radius_factor * L for L in lengths]
+    sizes = [_conv_size(L, R) for L, R in zip(lengths, radii)]
     rng = np.random.default_rng(seed)
     rows = []
-    for L in lengths:
-        R = int(radius_rule(L))
-        out_len = L + 2 * R
-        n = sfft.next_fast_len(out_len)
+    for L, R, (out_len, n) in zip(lengths, radii, sizes):
         kernel_hats = [sfft.fft(kernel_taps(float(lam), R), n) for lam in lams]
         best = 0.0
         best_family = None
@@ -243,6 +246,11 @@ def _bourgain_multipliers(theta: np.ndarray, lams, G: int) -> list:
     The signed torus distances d do not depend on lam, so they are taken
     once for all lam.
     """
+    tau = _theta_separation(theta)
+    if len(theta) > 1 and min(lams) <= 1.0 / tau:
+        raise ValueError(
+            f"lambda grid must lie in (1/tau, inf) = ({1.0/tau:g}, inf)"
+        )
     d = torus_delta(sfft.fftfreq(G)[None, :] - theta[:, None])
     return [np.sum(phi_hat(lam * d), axis=0) for lam in lams]
 
@@ -251,6 +259,17 @@ def _oscillatory_multipliers(theta: np.ndarray, tau: float, k0: int,
                              k_max: int, lams, G: int) -> list:
     """Per lam, sum_n [sum_{k0 <= k <= k_max} H_k(lam, .)] * phi_hat(tau .)
     translated to the grid frequency nearest theta_n."""
+    if k0 < 2:
+        raise ValueError(f"k0 must be >= 2 (kernel must span a grid cell), got {k0}")
+    if 2 ** (k_max + 1) > G:
+        raise ValueError(f"k_max = {k_max} kernel does not fit grid G = {G}")
+    if k0 > k_max:
+        raise ValueError(f"empty scale range: k0 = {k0} > k_max = {k_max}")
+    if not 0 < tau < 1:
+        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    _theta_separation(theta)
+    if max(lams) > tau * tau:
+        raise ValueError("lambda grid must lie in (0, tau^2]")
     window = phi_hat(tau * sfft.fftfreq(G))
     shifts = [int(round(th * G)) % G for th in theta]
     mults = []
@@ -290,13 +309,8 @@ def bourgain_max_probe(theta, G: int, lam_grid, f: np.ndarray) -> float:
     """
     _check_grid(G)
     theta = np.asarray(theta, dtype=float) % 1.0
-    tau = _theta_separation(theta)
-    lams = _lambda_floats(lam_grid)
-    if len(theta) > 1 and lams[0] <= 1.0 / tau:
-        raise ValueError(
-            f"lambda grid must lie in (1/tau, inf) = ({1.0/tau:g}, inf)"
-        )
-    return _probe_ratio(_bourgain_multipliers(theta, lams, G), f, G)
+    return _probe_ratio(
+        _bourgain_multipliers(theta, _lambda_floats(lam_grid), G), f, G)
 
 
 def _separated_theta(N: int, rng) -> np.ndarray:
@@ -304,20 +318,22 @@ def _separated_theta(N: int, rng) -> np.ndarray:
     return (np.arange(N) + 0.35 + 0.3 * rng.random(N)) / N % 1.0
 
 
-def _dyadic_lambdas(lo: float, hi: float, per_octave: int = 8) -> np.ndarray:
-    n = max(1, math.ceil(math.log2(hi / lo) * per_octave))
-    return lo * 2.0 ** ((np.arange(n) + 1.0) / per_octave)
+def _dyadic_lambdas(lo: float, hi: float) -> np.ndarray:
+    n = max(1, math.ceil(math.log2(hi / lo) * _PER_OCTAVE))
+    return lo * 2.0 ** ((np.arange(n) + 1.0) / _PER_OCTAVE)
 
 
 def bourgain_growth_report(n_list, G: int, trials: int, seed: int,
-                           theta_draws: int = 5, lam_max: float | None = None,
-                           per_octave: int = 8) -> dict:
-    """Growth of the multi-frequency maximal ratio against log^2 N."""
+                           theta_draws: int = 5) -> dict:
+    """Growth of the multi-frequency maximal ratio against log^2 N.
+
+    Per theta draw the lambda grid runs dyadically from 1/tau to 4G.
+    """
     _check_grid(G)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    lam_max = lam_max or 4.0 * G
+    lam_max = 4.0 * G
     rows = []
     per_draw = max(1, trials // theta_draws)
     for N in sorted(int(n) for n in n_list):
@@ -325,7 +341,7 @@ def bourgain_growth_report(n_list, G: int, trials: int, seed: int,
         for _ in range(theta_draws):
             theta = _separated_theta(N, rng)
             tau = _theta_separation(theta)
-            lams = _dyadic_lambdas(1.0 / tau, lam_max, per_octave)
+            lams = _dyadic_lambdas(1.0 / tau, lam_max)
             mults = _bourgain_multipliers(theta, lams, G)
             sig = rng.standard_normal((per_draw, G)) \
                 + 1j * rng.standard_normal((per_draw, G))
@@ -346,7 +362,7 @@ def bourgain_growth_report(n_list, G: int, trials: int, seed: int,
         rows.append({"N": N, "max_ratio": best,
                      "ratio_over_log2N": best / log2n ** 2})
     return {"G": G, "seed": seed, "trials": trials,
-            "theta_draws": theta_draws, "per_octave": per_octave,
+            "theta_draws": theta_draws, "per_octave": _PER_OCTAVE,
             "lam_max": lam_max, "rows": rows}
 
 
@@ -359,26 +375,15 @@ def oscillatory_max_probe(theta, tau: float, k0: int, G: int, lam_grid,
     k_max defaults to log2(G) - 2 (the largest kernel fitting the grid).
     """
     _check_grid(G)
-    if k0 < 2:
-        raise ValueError(f"k0 must be >= 2 (kernel must span a grid cell), got {k0}")
     k_max = k_max if k_max is not None else int(math.log2(G)) - 2
-    if 2 ** (k_max + 1) > G:
-        raise ValueError(f"k_max = {k_max} kernel does not fit grid G = {G}")
-    if k0 > k_max:
-        raise ValueError(f"empty scale range: k0 = {k0} > k_max = {k_max}")
-    if not 0 < tau < 1:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
     theta = np.asarray(theta, dtype=float) % 1.0
-    _theta_separation(theta)
-    lams = _lambda_floats(lam_grid)
-    if lams[-1] > tau * tau:
-        raise ValueError("lambda grid must lie in (0, tau^2]")
     return _probe_ratio(
-        _oscillatory_multipliers(theta, tau, k0, k_max, lams, G), f, G)
+        _oscillatory_multipliers(theta, tau, k0, k_max,
+                                 _lambda_floats(lam_grid), G), f, G)
 
 
 def oscillatory_growth_report(n_list, G: int, k0: int, trials: int,
-                              seed: int, per_octave: int = 8) -> dict:
+                              seed: int) -> dict:
     """Growth of the oscillatory maximal ratio with tau = 1/(4N).
 
     Multiplier tables are built once per N and shared across the trial
@@ -391,7 +396,7 @@ def oscillatory_growth_report(n_list, G: int, k0: int, trials: int,
     for N in sorted(int(n) for n in n_list):
         theta = _separated_theta(N, rng)
         tau = 1.0 / (4.0 * N)
-        lams = _dyadic_lambdas(tau * tau / 16.0, tau * tau, per_octave)
+        lams = _dyadic_lambdas(tau * tau / 16.0, tau * tau)
         mults = _oscillatory_multipliers(theta, tau, k0, k_max, lams, G)
         sig = rng.standard_normal((trials, G)) \
             + 1j * rng.standard_normal((trials, G))
@@ -402,7 +407,7 @@ def oscillatory_growth_report(n_list, G: int, k0: int, trials: int,
         rows.append({"N": N, "tau": tau, "max_ratio": best,
                      "ratio_over_log2N": best / log2n ** 2})
     return {"G": G, "k0": k0, "k_max": k_max, "seed": seed,
-            "trials": trials, "per_octave": per_octave, "rows": rows}
+            "trials": trials, "per_octave": _PER_OCTAVE, "rows": rows}
 
 
 def single_l_max_probe(l: int, G: int, lam_grid, f: np.ndarray) -> float:
@@ -412,26 +417,24 @@ def single_l_max_probe(l: int, G: int, lam_grid, f: np.ndarray) -> float:
                         f, G)
 
 
-def single_l_report(l_list, G: int, trials: int, seed: int,
-                    k_lo: int = 4, k_hi: int | None = None,
-                    per_octave: int = 8) -> dict:
+def single_l_report(l_list, G: int, trials: int, seed: int) -> dict:
     """Decay of the single-l maximal ratio in l.
 
     The unit-spaced grid represents frequencies up to 1/2, and the
     single-l multiplier concentrates near |xi| ~ 2**(l-k), so only
     kernel scales k >= l + 2 act on the grid; the lambda grid covers
-    k in [max(k_lo, l+2), k_hi] with ``per_octave`` points per octave
-    of lam in [2^(l-2k), 2^(l-2k+1)).
+    k in [max(k_lo, l+2), k_hi], k_lo = 4 and k_hi = log2(G) - 2, with
+    8 points per octave of lam in [2^(l-2k), 2^(l-2k+1)).
     """
     _check_grid(G)
-    k_hi = k_hi if k_hi is not None else int(math.log2(G)) - 2
+    k_hi = int(math.log2(G)) - 2
     rng = np.random.default_rng(seed)
     sig = rng.standard_normal((trials, G)) + 1j * rng.standard_normal((trials, G))
     fhat = sfft.fft(sig, axis=1)
     norms = np.linalg.norm(sig, axis=1)
     rows = []
     for l in sorted(int(x) for x in l_list):
-        klo = max(k_lo, l + 2)
+        klo = max(_SINGLE_L_K_LO, l + 2)
         if klo > k_hi:
             raise ValueError(
                 f"l = {l} needs kernel scale k >= {klo} > {k_hi}; "
@@ -440,20 +443,16 @@ def single_l_report(l_list, G: int, trials: int, seed: int,
         lams = []
         for k in range(klo, k_hi + 1):
             base = math.ldexp(1.0, l - 2 * k)
-            lams.extend(base * 2.0 ** (i / per_octave) for i in range(per_octave))
+            lams.extend(base * 2.0 ** (i / _PER_OCTAVE)
+                        for i in range(_PER_OCTAVE))
         lams = [x for x in lams if x <= 1.0]
         ratios = _sup_ratio(_single_l_multipliers(l, lams, G), fhat) / norms
         rows.append({"l": l, "n_lambda": len(lams),
                      "max_ratio": float(ratios.max())})
-    pts = [(r["l"], r["max_ratio"]) for r in rows if r["max_ratio"] > 0.0]
-    slope = None
-    if len(pts) >= 2:
-        ls = np.array([p[0] for p in pts], dtype=float)
-        vals = np.array([p[1] for p in pts])
-        slope = float(np.polyfit(ls, np.log2(vals), 1)[0])
-    return {"G": G, "seed": seed, "trials": trials, "k_lo": k_lo,
-            "k_hi": k_hi, "per_octave": per_octave, "rows": rows,
-            "slope_log2_ratio_vs_l": slope}
+    return {"G": G, "seed": seed, "trials": trials, "k_lo": _SINGLE_L_K_LO,
+            "k_hi": k_hi, "per_octave": _PER_OCTAVE, "rows": rows,
+            "slope_log2_ratio_vs_l": _log2_slope(
+                (r["l"], r["max_ratio"]) for r in rows)}
 
 
 # ---------------------------------------------------------------------------

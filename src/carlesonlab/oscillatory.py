@@ -32,7 +32,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from ._memo import BoundedCache
-from .bumps import psi, phi_hat
+from .bumps import psi, psi_k, phi_hat
 
 __all__ = [
     "ScaleIndex",
@@ -51,6 +51,10 @@ TOL_MAX = 1e-6
 _DIRECT_BUDGET = 2 ** 14      # panel count below which direct quadrature is used
 _DUAL_MIN_X = 2 ** 12         # chirp strength above which the dual form is cheap
 _HARD_PANEL_CAP = 2 ** 21
+_GL_ORDER = 10                # Gauss-Legendre nodes per panel
+_PSI_DT_LOG2 = -13            # psi-hat table: psi sampled at step 2**-13,
+_PSI_PAD_LOG2 = 21            # zero-padded to an FFT of length 2**21
+_H_ROW_OVERSAMPLE = 8         # h_row's chirp samples per bandwidth unit
 # panel rules of both quadrature paths, keyed by the exact panel count
 # (rounding counts up would change the quadrature's bits); a rule over the
 # bound, above ~52k dual panels, is computed and not kept
@@ -122,10 +126,10 @@ class _PsiHatTable:
     psi-hat is odd and purely imaginary; the table stores u >= 0.
     """
 
-    def __init__(self, dt_log2: int = -13, pad_log2: int = 21):
-        dt = 2.0 ** dt_log2
+    def __init__(self):
+        dt = 2.0 ** _PSI_DT_LOG2
         n = int(round(2.0 / dt))          # samples covering [-1, 1)
-        nfft = 2 ** pad_log2
+        nfft = 2 ** _PSI_PAD_LOG2
         t = (np.arange(n) - n // 2) * dt
         vals = psi(t)
         buf = np.zeros(nfft, dtype=complex)
@@ -133,14 +137,10 @@ class _PsiHatTable:
         buf[idx] = vals
         spec = sfft.fft(buf) * dt
         self.du = 1.0 / (nfft * dt)
-        nkeep = nfft // 2
-        self.imag = spec.imag[:nkeep].copy()   # psi-hat = 1j * imag, odd
-        self.u_max = (nkeep - 1) * self.du
+        self.imag = spec.imag[:nfft // 2].copy()   # psi-hat = 1j * imag, odd
         # effective support: beyond u_cut the transform is below 5e-16
-        mags = np.abs(self.imag)
-        above = np.nonzero(mags > 5e-16)[0]
+        above = np.nonzero(np.abs(self.imag) > 5e-16)[0]
         self.u_cut = (above[-1] + 1) * self.du if len(above) else 0.0
-        self.abs_integral = float(np.sum(mags) * self.du)
 
     def __call__(self, u):
         """Interpolated psi-hat(u) (complex, odd, purely imaginary)."""
@@ -188,9 +188,8 @@ def psi_hat(u):
 
 
 @lru_cache(maxsize=1)
-def _gl_nodes(order: int = 10):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+def _gl_nodes():
+    return np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
 def _panel_nodes(lo: float, hi: float, panels: int):
@@ -278,9 +277,7 @@ def h_j(j: int, x: float, y: float, tol: float = 1e-10) -> complex:
     """The scale-j oscillatory integral, to absolute accuracy ``tol``."""
     if j < 0:
         raise ValueError(f"scale j must be >= 0, got {j}")
-    if not TOL_MIN <= tol <= TOL_MAX:
-        raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
-    return _osc_scaled(x * 4.0 ** j, y * 2.0 ** j, tol)
+    return h_scaled(x * 4.0 ** j, y * 2.0 ** j, tol)
 
 
 def h_scaled(X: float, Y: float, tol: float = 1e-10) -> complex:
@@ -294,14 +291,14 @@ def h_scaled(X: float, Y: float, tol: float = 1e-10) -> complex:
     return _osc_scaled(X, Y, tol)
 
 
-def h_row(k: int, lam: float, G: int, oversample: int = 8) -> np.ndarray:
+def h_row(k: int, lam: float, G: int) -> np.ndarray:
     """H_k(lam, xi) for all grid frequencies xi_g, FFT layout.
 
     ``xi_g = g/G`` for ``g < G/2`` and ``(g-G)/G`` for ``g >= G/2``; the
     result aligns index-by-index with ``scipy.fft.fft`` of a length-G
     signal.  The integral is evaluated by trapezoid summation of the
-    chirp at ``oversample`` times its bandwidth; the integrand is smooth
-    and compactly supported, so the only error is spectral aliasing.
+    chirp at ``_H_ROW_OVERSAMPLE`` times its bandwidth; the integrand is
+    smooth and compactly supported, so the only error is spectral aliasing.
 
     Requires ``2**(k+1) <= G`` so the kernel support fits one period.
     """
@@ -310,7 +307,7 @@ def h_row(k: int, lam: float, G: int, oversample: int = 8) -> np.ndarray:
     if k < 0 or 2 ** (k + 1) > G:
         raise ValueError(f"kernel scale 2^{k} does not fit grid G={G}")
     bandwidth = 2.0 * lam * 2.0 ** k + 0.5
-    p = max(0, math.ceil(math.log2(oversample * bandwidth)))
+    p = max(0, math.ceil(math.log2(_H_ROW_OVERSAMPLE * bandwidth)))
     # at least 32 samples across the support of psi_k
     p = max(p, 5 - (k - 2))
     h = 2.0 ** (-p)
@@ -318,7 +315,7 @@ def h_row(k: int, lam: float, G: int, oversample: int = 8) -> np.ndarray:
     half = int(round(2 ** k / h))
     n = np.arange(-half, half + 1, dtype=np.int64)
     t = n * h
-    vals = np.exp(2j * np.pi * (lam * t * t)) * _psi_k_vals(k, t) * h
+    vals = np.exp(2j * np.pi * (lam * t * t)) * psi_k(k, t) * h
     buf = np.zeros(nfft, dtype=complex)
     buf[n % nfft] = vals  # 2^(k+1) <= G guarantees unique indices
     spec = sfft.fft(buf)
@@ -327,11 +324,6 @@ def h_row(k: int, lam: float, G: int, oversample: int = 8) -> np.ndarray:
     out[:half_g] = spec[:half_g]
     out[half_g:] = spec[nfft - G + half_g:]
     return out
-
-
-def _psi_k_vals(k: int, t: np.ndarray) -> np.ndarray:
-    s = 2.0 ** (-k)
-    return s * psi(s * t)
 
 
 def mu(scale: ScaleIndex, tol: float = 1e-10) -> complex:

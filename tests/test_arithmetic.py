@@ -55,7 +55,7 @@ class TestShells:
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            enumerate_shell(20, cap=2 ** 10)
+            enumerate_shell(17)  # 2^17 exceeds the 2^16 shell cap
         with pytest.raises(ValueError):
             enumerate_shell(0)
 
@@ -175,7 +175,8 @@ class TestMajorBoxes:
 
     def test_scan_is_sound_on_witnesses(self):
         # every reported witness pair really does overlap in both axes
-        rep = find_box_overlaps(12, 0.1, max_witnesses=8)
+        rep = find_box_overlaps(12, 0.1)
+        assert len(rep["witnesses"]) == 16
         wl, wb = rep["half_width_lambda"], rep["half_width_beta"]
         for (q1, a1, b1), (q2, a2, b2) in rep["witnesses"]:
             for (a, b, q) in ((a1, b1, q1), (a2, b2, q2)):

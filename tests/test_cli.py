@@ -108,6 +108,21 @@ class TestExitCodes:
         assert run(["gauss", "--qmax", "4", "--config", str(cfg),
                     "-o", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("k0", ["1", "9"])
+    def test_oscillatory_scale_range(self, tmp_path, capsys, k0):
+        # grid 256 fits kernel scales 2..6: k0 = 1 is below the grid cell,
+        # k0 = 9 leaves an empty scale range
+        assert run(["oscillatory-growth", "--n-list", "4", "--grid", "256",
+                    "--k0", k0, "--trials", "1",
+                    "-o", str(tmp_path / "x")]) == 2
+        assert "k0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_norm_probe_length_cap(self, tmp_path, capsys):
+        assert run(["norm-probe", "--cantor", "2", "2",
+                    "--lengths", "8388608", "-o", str(tmp_path / "x")]) == 2
+        assert "exceeds cap" in capsys.readouterr().err
+
     def test_missing_lambda_source(self, tmp_path):
         assert run(["norm-probe", "--lengths", "64",
                     "-o", str(tmp_path / "x")]) == 2

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -13,6 +15,7 @@ from carlesonlab.operators import (
     carleson_max,
     kernel_taps,
     norm_probe,
+    oscillatory_growth_report,
     oscillatory_max_probe,
     signal_from_json,
     signal_to_json,
@@ -155,6 +158,22 @@ class TestNormProbe:
         b = norm_probe(cantor_set(3, 3), [64, 128], trials=6, seed=11)
         assert a == b
 
+    def test_radius_factor(self):
+        rep = norm_probe([0.1], [16, 32], trials=1, seed=0, radius_factor=2)
+        assert [r["radius"] for r in rep["rows"]] == [32, 64]
+
+    @pytest.mark.parametrize("lengths", [[2 ** 23], [64, 2 ** 23]])
+    def test_size_cap_checked_before_any_transform(self, lengths):
+        # 2^23 + 2 * 4 * 2^23 exceeds SIZE_CAP; every length is sized first
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds cap"):
+                norm_probe([0.1], lengths, trials=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
 
 class TestBourgainProbe:
     def test_single_frequency_ratio_one(self):
@@ -233,6 +252,15 @@ class TestOscillatoryProbe:
             oscillatory_max_probe([0.0], 1 / 8, 9, 256, [1e-4],
                                   np.ones(256, complex))
 
+    @pytest.mark.parametrize("k0", [1, 7, 9])
+    def test_report_rejects_what_the_probe_rejects(self, k0):
+        # G = 256 fits kernel scales 2 <= k <= 6
+        with pytest.raises(ValueError, match="k0"):
+            oscillatory_max_probe([0.0], 1 / 8, k0, 256, [1e-4],
+                                  np.ones(256, complex))
+        with pytest.raises(ValueError, match="k0"):
+            oscillatory_growth_report([4], G=256, k0=k0, trials=1, seed=0)
+
 
 class TestSingleL:
     def test_singleton_grid(self):
@@ -270,6 +298,16 @@ class TestSingleL:
 def test_zero_signal_still_validates_lambda_grid(probe):
     with pytest.raises(ValueError):
         probe(np.zeros(256, complex))
+
+
+def test_growth_reports_record_their_fixed_grids():
+    # these keys are artifact bytes: the values the reports always used
+    bg = bourgain_growth_report([2], G=256, trials=2, seed=0)
+    og = oscillatory_growth_report([4], G=256, k0=3, trials=1, seed=0)
+    sl = single_l_report([0], G=1024, trials=1, seed=0)
+    assert (bg["per_octave"], bg["lam_max"]) == (8, 1024.0)
+    assert og["per_octave"] == 8
+    assert (sl["per_octave"], sl["k_lo"], sl["k_hi"]) == (8, 4, 8)
 
 
 def test_signal_json_roundtrip():
