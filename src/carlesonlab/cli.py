@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -425,17 +426,28 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _worker_count() -> int:
+    """FFT workers from CARLESONLAB_WORKERS (default 1), an integer >= 1."""
+    text = os.environ.get("CARLESONLAB_WORKERS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError("CARLESONLAB_WORKERS must be an integer >= 1, "
+                          f"got {text!r}")
+    return workers
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    import os
     import scipy.fft as sfft
-    workers = int(os.environ.get("CARLESONLAB_WORKERS", "1"))
     try:
-        with sfft.set_workers(max(1, workers)):
+        with sfft.set_workers(_worker_count()):
             cfg = _resolve(args)
             run = COMMANDS[args.command][2]
             return _emit(cfg, args.command, run(cfg, args))

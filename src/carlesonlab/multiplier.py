@@ -11,9 +11,12 @@ float64 product lam * m**2 at j ~ 20 carries absolute error far above
 lam with 26-bit limb products that never overflow int64.
 
 The major-arc model is S(A/Q, B/Q) * H_j(lam - A/Q, beta - B/Q) summed
-against shrinking cutoffs chi_s over the shell rationals; E_j is the
-difference, and ``decay_report`` measures its decay in j over a
-stratified grid (uniform grid plus sub-grids inside each major box).
+against shrinking cutoffs chi_s over the shell rationals (one term,
+``_shell_sum``); E_j is the difference.  ``decay_report`` measures its
+decay in j in four stages per j: the sampled box centers, the uniform
+grid (M_j by one transform, L_j at the grid points of the chi_s
+windows), the sub-grids inside each sampled box, and a lambda-derivative
+probe.
 """
 
 from __future__ import annotations
@@ -174,6 +177,38 @@ def m_j_grid(j: int, G: int) -> np.ndarray:
 # major-arc approximants
 # ---------------------------------------------------------------------------
 
+def _chi_radius(s: int) -> float:
+    """chi_s(s, t) vanishes for |t| >= this radius."""
+    return 0.2 * 10.0 ** (-s)
+
+
+def _shell_sum(j: int, s: int, lam: float, beta: float,
+               shell: list[ReducedRational], tol: float,
+               h_at: dict | None = None) -> complex:
+    """Sum over ``shell`` of S(r) H_j(lam - A/Q, beta - B/Q) chi_s chi_s.
+
+    Each H_j it evaluates is also stored as ``h_at[r]`` when ``h_at`` is
+    given, so a caller that needs S(r) H_j at the same point reuses it.
+    """
+    radius = _chi_radius(s)
+    acc = 0.0 + 0.0j
+    for r in shell:
+        dl = float(torus_delta(lam - r.A / r.Q))
+        if abs(dl) >= radius:
+            continue
+        db = float(torus_delta(beta - r.B / r.Q))
+        if abs(db) >= radius:
+            continue
+        cut = float(chi_s(s, dl)) * float(chi_s(s, db))
+        if cut == 0.0:
+            continue
+        h = h_j(j, dl, db, tol)
+        if h_at is not None:
+            h_at[r] = h
+        acc += gauss_sum(r) * h * cut
+    return complex(acc)
+
+
 def l_js(j: int, s: int, lam: float, beta: float,
          shell: list[ReducedRational] | None = None, tol: float = 1e-10) -> complex:
     """Shell-s major-arc approximant at (lam, beta).
@@ -185,19 +220,16 @@ def l_js(j: int, s: int, lam: float, beta: float,
         raise ValueError(f"shell index must be >= 1, got {s}")
     if shell is None:
         shell = enumerate_shell(s)
-    support = 0.2 * 10.0 ** (-s)
+    return _shell_sum(j, s, lam, beta, shell, tol)
+
+
+def _l_j(j: int, lam: float, beta: float, epsilon: float, shells: dict | None,
+         tol: float, h_at: dict | None = None) -> complex:
+    """big_l_j without the epsilon check; ``h_at`` as in _shell_sum."""
     acc = 0.0 + 0.0j
-    for r in shell:
-        dl = float(torus_delta(lam - r.A / r.Q))
-        if abs(dl) >= support:
-            continue
-        db = float(torus_delta(beta - r.B / r.Q))
-        if abs(db) >= support:
-            continue
-        cut = float(chi_s(s, dl)) * float(chi_s(s, db))
-        if cut == 0.0:
-            continue
-        acc += gauss_sum(r) * h_j(j, dl, db, tol) * cut
+    for s in range(1, math.floor(epsilon * j) + 1):
+        shell = shells[s] if shells is not None else enumerate_shell(s)
+        acc += _shell_sum(j, s, lam, beta, shell, tol, h_at)
     return complex(acc)
 
 
@@ -205,12 +237,7 @@ def big_l_j(j: int, lam: float, beta: float, epsilon: float,
             shells: dict | None = None, tol: float = 1e-10) -> complex:
     """L_j = sum of l_js over 1 <= s <= epsilon * j."""
     _check_epsilon(epsilon)
-    smax = math.floor(epsilon * j)
-    acc = 0.0 + 0.0j
-    for s in range(1, smax + 1):
-        shell = shells[s] if shells is not None else None
-        acc += l_js(j, s, lam, beta, shell, tol)
-    return complex(acc)
+    return _l_j(j, lam, beta, epsilon, shells, tol)
 
 
 def e_j(j: int, lam: float, beta: float, epsilon: float = 0.1,
@@ -330,17 +357,121 @@ def _sample_shell_centers(s: int, count: int, rng) -> list[ReducedRational]:
     return out
 
 
+def _sampled_centers(j: int, epsilon: float, shells: dict,
+                     boxes_per_shell: int, rng) -> list[ReducedRational]:
+    """Stage 1: the decomposition centers (every center of the shells
+    s <= eps j), then ``boxes_per_shell`` seeded centers from each shell
+    of the collected family Q <= 2**(6 eps j) that are not listed yet."""
+    sampled = [r for shell in shells.values() for r in shell]
+    seen = set(sampled)
+    qmax = _collected_qmax(j, epsilon)
+    for s in range(1, math.floor(6 * epsilon * j) + 1):
+        for r in _sample_shell_centers(s, boxes_per_shell, rng):
+            if r.Q <= qmax and r not in seen:
+                seen.add(r)
+                sampled.append(r)
+    return sampled
+
+
+def _grid_stage(j: int, epsilon: float, G: int, shells: dict, tol: float):
+    """Stage 2: E_j = M_j - L_j on the uniform G x G grid.
+
+    L_j vanishes outside the chi_s windows of the decomposition centers,
+    so big_l_j is evaluated only at the grid points of those windows.
+    Returns (E_j indexed [g, h], (sup |E_j|, argmax), sup |L_j| over the
+    grid points outside the collected boxes).
+    """
+    e = m_j_grid(j, G)
+    window = np.zeros((G, G), dtype=bool)
+    for s, shell in shells.items():
+        radius = _chi_radius(s)
+        for r in shell:
+            g, h = (np.arange(math.floor((c - radius) * G),
+                              math.ceil((c + radius) * G) + 1) % G
+                    for c in (r.A / r.Q, r.B / r.Q))
+            window[np.ix_(g, h)] = True
+    sup_l_off = 0.0
+    for g, h in zip(*np.nonzero(window)):
+        g, h = int(g), int(h)
+        lval = big_l_j(j, g / G, h / G, epsilon, shells, tol)
+        e[g, h] -= lval
+        if abs(lval) > sup_l_off and \
+                not _grid_point_in_major_boxes(g, h, G, j, epsilon):
+            sup_l_off = abs(lval)
+    mat = np.abs(e)
+    i_flat = int(np.argmax(mat))
+    sup_e = (float(mat.flat[i_flat]), (i_flat // G / G, i_flat % G / G))
+    return e, sup_e, sup_l_off
+
+
+def _box_stage(j: int, epsilon: float, centers: list[ReducedRational],
+               shells: dict, P: int, major_strata: int, tol: float):
+    """Stage 3: sup |E_j| and sup |M_j - S H_j| over the box strata.
+
+    A decomposition center's box carries P x P samples and adds to
+    sup |E_j|; any other center's box carries major_strata x major_strata
+    samples and adds to sup |E_j| over uncovered boxes instead (L_j does
+    not reach it, so |E_j| there is of order |S| until eps j reaches its
+    shell).  At a decomposition center the model's H_j is the one its
+    L_j term evaluated at the same point.
+
+    Returns ((sup |E_j|, argmax), sup |E_j| uncovered,
+    (sup |M_j - S H_j|, argmax)); an argmax is None while its sup is 0.
+    """
+    dec = {r for shell in shells.values() for r in shell}
+    sup_e, arg_e = 0.0, None
+    sup_uncovered = 0.0
+    sup_major, arg_major = 0.0, None
+    for r in centers:
+        in_dec = r in dec
+        lams, betas = _box_samples(j, epsilon, r, P if in_dec else major_strata)
+        sgs = gauss_sum(r)
+        for lam in lams:
+            dl = float(torus_delta(lam - r.A / r.Q))
+            for beta in betas:
+                lam_f, beta_f = float(lam), float(beta)
+                mv = m_j(j, lam_f, beta_f)
+                h_at = {}
+                ev = abs(mv - _l_j(j, lam_f, beta_f, epsilon, shells, tol, h_at))
+                h = h_at.get(r)
+                if h is None:
+                    h = h_j(j, dl, float(torus_delta(beta - r.B / r.Q)), tol)
+                err = abs(mv - sgs * h)
+                if err > sup_major:
+                    sup_major = err
+                    arg_major = (lam_f, beta_f, [r.Q, r.A, r.B])
+                if in_dec:
+                    if ev > sup_e:
+                        sup_e, arg_e = ev, (lam_f, beta_f)
+                elif ev > sup_uncovered:
+                    sup_uncovered = ev
+    return (sup_e, arg_e), sup_uncovered, (sup_major, arg_major)
+
+
+def _derivative_stage(j: int, epsilon: float, points, shells: dict,
+                      tol: float) -> float:
+    """Stage 4: max |dE_j/dlam| / 4**j by central differences at ``points``."""
+    hstep = 2.0 ** (-2 * j - 8)
+    dmax = 0.0
+    for lam, beta in points:
+        ep = e_j(j, float(lam + hstep), float(beta), epsilon, tol, shells)
+        em = e_j(j, float(lam - hstep), float(beta), epsilon, tol, shells)
+        dmax = max(dmax, abs(ep - em) / (2 * hstep))
+    return dmax / 4.0 ** j
+
+
 def decay_report(j_list, epsilon: float = 0.1, grid: GridSpec | None = None,
                  tol: float = 1e-10, n_derivative_samples: int = 50,
                  boxes_per_shell: int = 4, major_strata: int = 3,
                  seed: int = 20240901) -> dict:
     """Measure the decay of sup |E_j| and friends over a stratified grid.
 
-    Per j the report records:
+    Per j four stages run: the sampled box centers, the uniform grid,
+    the box strata and the derivative probe.  The report records:
 
-    * ``sup_abs_Ej``: sup |E_j| over the uniform GxG grid plus all box
-      strata (boxes are far below grid resolution, so each sampled box
-      carries its own ``strata x strata`` sub-grid).
+    * ``sup_abs_Ej``: sup |E_j| over the uniform GxG grid plus the strata
+      of the decomposition boxes (boxes are far below grid resolution,
+      so each box carries its own ``strata x strata`` sub-grid).
     * ``sup_major_arc_error``: sup over box strata of |M_j - S H_j|.
       Boxes come from every shell of the collected family Q <= 2**(6
       eps j), ``boxes_per_shell`` seeded random centers per shell (the
@@ -366,93 +497,14 @@ def decay_report(j_list, epsilon: float = 0.1, grid: GridSpec | None = None,
     der_points = rng.random((n_derivative_samples, 2))
     per_j = []
     for j in j_list:
-        smax_dec = math.floor(epsilon * j)
-        shells = {s: enumerate_shell(s) for s in range(1, smax_dec + 1)}
-        dec_centers = [r for sh in shells.values() for r in sh]
-        # sampled centers from the full collected family Q <= 2^(6 eps j)
-        smax_col = math.floor(6 * epsilon * j)
-        qmax_col = _collected_qmax(j, epsilon)
-        sampled = list(dec_centers)
-        seen = {(r.Q, r.A, r.B) for r in sampled}
-        for s in range(1, smax_col + 1):
-            for r in _sample_shell_centers(s, boxes_per_shell, rng):
-                if r.Q <= qmax_col and (r.Q, r.A, r.B) not in seen:
-                    seen.add((r.Q, r.A, r.B))
-                    sampled.append(r)
-        # uniform grid: full matrix of M_j, then L_j corrections near cutoffs
-        cmat = m_j_grid(j, G)
-        sup_l_off = 0.0
-        for s, shell in shells.items():
-            supp = 0.2 * 10.0 ** (-s)
-            for r in shell:
-                sgs = gauss_sum(r)
-                cl = r.A / r.Q
-                cb = r.B / r.Q
-                g_lo = math.floor((cl - supp) * G)
-                g_hi = math.ceil((cl + supp) * G)
-                h_lo = math.floor((cb - supp) * G)
-                h_hi = math.ceil((cb + supp) * G)
-                for g in range(g_lo, g_hi + 1):
-                    dl = float(torus_delta(g / G - cl))
-                    cut_l = float(chi_s(s, dl))
-                    if cut_l == 0.0:
-                        continue
-                    for h in range(h_lo, h_hi + 1):
-                        db = float(torus_delta(h / G - cb))
-                        cut_b = float(chi_s(s, db))
-                        if cut_b == 0.0:
-                            continue
-                        lval = sgs * h_j(j, dl, db, tol) * cut_l * cut_b
-                        gg, hh = g % G, h % G
-                        # the chi_s supports are disjoint across centers,
-                        # so each grid point receives one correction
-                        cmat[gg, hh] -= lval
-                        if abs(lval) > sup_l_off and \
-                                not _grid_point_in_major_boxes(gg, hh, G, j, epsilon):
-                            sup_l_off = max(sup_l_off, abs(lval))
-        mat = np.abs(cmat)
-        i_flat = int(np.argmax(mat))
-        sup_e = float(mat.flat[i_flat])
-        arg_e = (i_flat // G / G, i_flat % G / G)
-        # box strata: E_j over the decomposition boxes (those are the grid's
-        # strata), major-arc error over the full sampled family.  E_j at
-        # sampled boxes in shells above eps*j is reported separately: L_j
-        # does not cover them, so |E_j| there is order |S| and does not
-        # decay until eps*j reaches their shell.
-        dec_keys = {(r.Q, r.A, r.B) for r in dec_centers}
-        sup_major = 0.0
-        arg_major = None
-        sup_e_uncovered = 0.0
-        for r in sampled:
-            in_dec = (r.Q, r.A, r.B) in dec_keys
-            lams, betas = _box_samples(j, epsilon, r, P if in_dec else major_strata)
-            sgs = gauss_sum(r)
-            for lam in lams:
-                dl = float(torus_delta(lam - r.A / r.Q))
-                for beta in betas:
-                    mv = m_j(j, float(lam), float(beta))
-                    db = float(torus_delta(beta - r.B / r.Q))
-                    model = sgs * h_j(j, dl, db, tol)
-                    err = abs(mv - model)
-                    if err > sup_major:
-                        sup_major = err
-                        arg_major = (float(lam), float(beta),
-                                     [r.Q, r.A, r.B])
-                    ev = abs(mv - big_l_j(j, float(lam), float(beta), epsilon,
-                                          shells, tol))
-                    if in_dec:
-                        if ev > sup_e:
-                            sup_e = ev
-                            arg_e = (float(lam), float(beta))
-                    elif ev > sup_e_uncovered:
-                        sup_e_uncovered = ev
-        # lambda-derivative probe
-        hstep = 2.0 ** (-2 * j - 8)
-        dmax = 0.0
-        for lam, beta in der_points:
-            ep = e_j(j, float(lam + hstep), float(beta), epsilon, tol, shells)
-            em = e_j(j, float(lam - hstep), float(beta), epsilon, tol, shells)
-            dmax = max(dmax, abs(ep - em) / (2 * hstep))
+        shells = {s: enumerate_shell(s)
+                  for s in range(1, math.floor(epsilon * j) + 1)}
+        sampled = _sampled_centers(j, epsilon, shells, boxes_per_shell, rng)
+        _, grid_sup, sup_l_off = _grid_stage(j, epsilon, G, shells, tol)
+        box_sup, sup_e_uncovered, (sup_major, arg_major) = _box_stage(
+            j, epsilon, sampled, shells, P, major_strata, tol)
+        # ties keep the grid point
+        sup_e, arg_e = max(grid_sup, box_sup, key=lambda pair: pair[0])
         per_j.append({
             "j": j,
             "sup_abs_Ej": sup_e,
@@ -462,7 +514,8 @@ def decay_report(j_list, epsilon: float = 0.1, grid: GridSpec | None = None,
             "argmax_major": arg_major,
             "sup_abs_Lj_off_boxes": sup_l_off,
             "n_boxes_sampled": len(sampled),
-            "derivative_ratio": dmax / 4.0 ** j,
+            "derivative_ratio": _derivative_stage(j, epsilon, der_points,
+                                                  shells, tol),
         })
     out = {
         "epsilon": epsilon,

@@ -315,6 +315,8 @@ def bourgain_max_probe(theta, G: int, lam_grid, f: np.ndarray) -> float:
 
 def _separated_theta(N: int, rng) -> np.ndarray:
     """N points on the torus with pairwise gaps >= 0.3/N (jittered lattice)."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     return (np.arange(N) + 0.35 + 0.3 * rng.random(N)) / N % 1.0
 
 

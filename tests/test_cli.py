@@ -118,6 +118,23 @@ class TestExitCodes:
         assert "k0" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["bourgain-growth", "--n-list", "0,2", "--grid", "64"],
+        ["oscillatory-growth", "--n-list", "0,4", "--grid", "256"],
+    ])
+    def test_growth_n_below_one(self, tmp_path, capsys, argv):
+        assert run(argv + ["--trials", "1", "-o", str(tmp_path / "x")]) == 2
+        assert "N must be >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("workers", ["x", "0"])
+    def test_bad_worker_count(self, tmp_path, capsys, monkeypatch, workers):
+        monkeypatch.setenv("CARLESONLAB_WORKERS", workers)
+        assert run(["shell", "--s", "2", "-o", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "WORKERS" in err
+        assert not list(tmp_path.iterdir())
+
     def test_norm_probe_length_cap(self, tmp_path, capsys):
         assert run(["norm-probe", "--cantor", "2", "2",
                     "--lengths", "8388608", "-o", str(tmp_path / "x")]) == 2

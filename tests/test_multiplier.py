@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carlesonlab import multiplier
 from carlesonlab.arithmetic import enumerate_shell, gauss_sum, ReducedRational
 from carlesonlab.multiplier import (
     GridSpec,
@@ -17,7 +18,9 @@ from carlesonlab.multiplier import (
     m_j,
     m_j_grid,
     m_j_rational_oracle,
+    _box_stage,
     _frac_lam_msq,
+    _grid_stage,
 )
 from carlesonlab.oscillatory import h_j, osc_norm
 
@@ -200,3 +203,33 @@ class TestDecayReport:
         b = decay_report([8, 9], **kw)
         assert a == b
 
+
+
+class TestDecayStages:
+    @pytest.mark.parametrize("j", [10, 20])
+    def test_grid_stage_subtracts_l_j_at_every_point(self, j):
+        # j = 10 has shell 1, whose window around (0, 0) wraps to negative
+        # g and h; j = 20 adds shell 2.  Off the windows E_j must be M_j
+        G, eps = 64, 0.1
+        shells = {s: enumerate_shell(s) for s in range(1, int(eps * j) + 1)}
+        e, _, _ = _grid_stage(j, eps, G, shells, 1e-10)
+        lj = np.array([[big_l_j(j, g / G, h / G, eps, shells)
+                        for h in range(G)] for g in range(G)])
+        assert np.array_equal(e, m_j_grid(j, G) - lj)
+        # H_j(dl, 0) = 0 (psi_j is odd), so the wrapped points checked
+        # sit one step off the beta axis
+        assert lj[G - 1, 1] != 0.0 and lj[1, G - 1] != 0.0
+
+    def test_box_stage_evaluates_h_j_once_per_point(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return h_j(*args)
+
+        args = (12, 0.1, [ReducedRational(1, 0, 0)],
+                {1: enumerate_shell(1)}, 3, 3, 1e-10)
+        plain = _box_stage(*args)
+        monkeypatch.setattr(multiplier, "h_j", counted)
+        assert _box_stage(*args) == plain
+        assert len(calls) == 9
