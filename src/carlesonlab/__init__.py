@@ -19,6 +19,7 @@ from .arithmetic import (
     enumerate_shell,
     find_box_overlaps,
     gauss_row,
+    gauss_rows,
     gauss_sum,
 )
 from .multiplier import (

@@ -7,10 +7,11 @@ normalized complete Gauss sum is
     S(A/Q, B/Q) = (1/Q) * sum_{r=0}^{Q-1} e(A r^2 / Q - B r / Q).
 
 ``gauss_sum`` is the direct O(Q) summation and doubles as the oracle for
-the batched paths: ``gauss_row`` evaluates one (A, Q) against every B at
-once (the DFT over B is the same sum evaluated jointly), and the decay
-sweep additionally quotients by the exact unit-orbit symmetry
-S(A u^2, B u, Q) = S(A, B, Q).
+the batched path: ``gauss_rows`` evaluates many A against every B at
+once (the DFT over B is the same sum evaluated jointly, with the phases
+gathered from one table of Q-th roots of unity).  The odd-Q modulus law
+and the decay sweep both run on it; the sweep additionally quotients by
+the exact unit-orbit symmetry S(A u^2, B u, Q) = S(A, B, Q).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "shell_size",
     "gauss_sum",
     "gauss_row",
+    "gauss_rows",
     "square_class_reps",
     "gauss_decay_scan",
     "odd_q_modulus_deviation",
@@ -116,15 +118,23 @@ def gauss_sum(r: ReducedRational) -> complex:
     return complex(np.exp(2j * np.pi * phase / q).sum() / q)
 
 
-def gauss_row(A: int, Q: int) -> np.ndarray:
-    """S(A/Q, B/Q) for every B in [0, Q) at once.
+def gauss_rows(A, Q: int) -> np.ndarray:
+    """S(a/Q, B/Q) for every a in A (rows) and every B in [0, Q) (columns).
 
     The DFT over B is exactly the defining sum: row[B] =
-    (1/Q) sum_r e(A r^2/Q) e(-B r/Q).
+    (1/Q) sum_r e(a r^2/Q) e(-B r/Q).  The phases e(a r^2/Q) are gathered
+    from one table of Q-th roots of unity and every row is transformed in
+    one batched FFT.
     """
     n = np.arange(Q, dtype=np.int64)
-    g = np.exp(2j * np.pi * ((A * ((n * n) % Q)) % Q) / Q)
-    return sfft.fft(g) / Q
+    roots = np.exp(2j * np.pi * n / Q)
+    a = np.asarray(A, dtype=np.int64).reshape(-1, 1)
+    return sfft.fft(roots[(a * ((n * n) % Q)) % Q], axis=1) / Q
+
+
+def gauss_row(A: int, Q: int) -> np.ndarray:
+    """S(A/Q, B/Q) for every B in [0, Q) at once: one row of gauss_rows."""
+    return gauss_rows([A], Q)[0]
 
 
 def square_class_reps(Q: int) -> list[int]:
@@ -161,19 +171,14 @@ def gauss_decay_scan(qmax: int) -> dict:
     per_q[1] = 1.0
     best = 1.0
     for q in range(2, qmax + 1):
-        m = 0.0
-        am, bm = 0, 0
-        for a in square_class_reps(q):
-            row = np.abs(gauss_row(a, q))
-            b = int(np.argmax(row))
-            if row[b] > m:
-                m = float(row[b])
-                am, bm = a, b
-        per_q[q] = m
-        val = m * q ** DECAY_EXPONENT
+        reps = square_class_reps(q)
+        mods = np.abs(gauss_rows(reps, q))
+        i = int(np.argmax(mods))
+        per_q[q] = mods.flat[i]
+        val = per_q[q] * q ** DECAY_EXPONENT
         if val > best:
-            best = val
-            arg = (q, am, bm)
+            best = float(val)
+            arg = (q, reps[i // q], i % q)
     return {
         "qmax": qmax,
         "exponent": DECAY_EXPONENT,
@@ -188,13 +193,8 @@ def odd_q_modulus_deviation(qmax: int = 999) -> dict:
     worst = 0.0
     arg = None
     for q in range(1, qmax + 1, 2):
-        target = q ** -0.5
         units = np.nonzero(np.gcd(np.arange(q, dtype=np.int64), q) == 1)[0]
-        n = np.arange(q, dtype=np.int64)
-        sq = (n * n) % q
-        rows = np.exp(2j * np.pi * ((units[:, None] * sq[None, :]) % q) / q)
-        s_abs = np.abs(sfft.fft(rows, axis=1)) / q
-        dev = np.abs(s_abs - target)
+        dev = np.abs(np.abs(gauss_rows(units, q)) - q ** -0.5)
         i = int(np.argmax(dev))
         if dev.flat[i] > worst:
             worst = float(dev.flat[i])

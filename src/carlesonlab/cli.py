@@ -29,8 +29,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import scipy.fft as sfft
 
-from .arithmetic import _check_epsilon
+from .arithmetic import (_check_epsilon, enumerate_shell, gauss_rows,
+                         odd_q_modulus_deviation)
+from .lambda_sets import (CoverError, cantor_set, certificate_to_json, cover,
+                          lambda_set_from_json, lambda_set_to_json)
+from .multiplier import GridSpec, decay_report, e_j, l_js, m_j
+from .operators import (Signal, bourgain_growth_report, carleson_max,
+                        norm_probe, oscillatory_growth_report, signal_to_json,
+                        single_l_report)
 
 DEFAULTS = {
     "epsilon": 0.1,
@@ -93,6 +101,20 @@ class ConfigError(Exception):
     pass
 
 
+def _has_config_type(key: str, val) -> bool:
+    """Whether a config-file value has its default's type: str or null for
+    ``output``, int or float where the default is a float, else int (a
+    JSON true/false is no number)."""
+    default = DEFAULTS[key]
+    if default is None:
+        return val is None or isinstance(val, str)
+    if isinstance(val, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(val, (int, float))
+    return isinstance(val, int)
+
+
 def _resolve(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
@@ -100,9 +122,15 @@ def _resolve(args: argparse.Namespace) -> dict:
             file_cfg = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}")
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config file {args.config} is not a JSON object")
         unknown = set(file_cfg) - set(cfg)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, val in file_cfg.items():
+            if not _has_config_type(key, val):
+                raise ConfigError(f"config key {key} has the wrong type: "
+                                  f"{val!r}")
         cfg.update(file_cfg)
     for key in cfg:
         val = getattr(args, key, None)
@@ -170,7 +198,6 @@ def _columns(rows: list, *keys) -> tuple:
 
 
 def _load_lambda_set(args):
-    from .lambda_sets import cantor_set, lambda_set_from_json
     if getattr(args, "cantor", None):
         d, depth = args.cantor
         return cantor_set(int(d), int(depth))
@@ -184,22 +211,19 @@ def _load_lambda_set(args):
 # ---------------------------------------------------------------------------
 
 def cmd_gauss(cfg, args) -> Artifacts:
-    from .arithmetic import gauss_row
     qmax = int(cfg["qmax"])
     rows = []
-    worst_odd = 0.0
     for q in range(1, qmax + 1):
+        table = gauss_rows(np.arange(q), q)
         for a in range(q):
-            row = gauss_row(a, q)
             ga = math.gcd(a, q)
             for b in range(q):
                 if math.gcd(ga, b) != 1:
                     continue
-                s = row[b]
+                s = table[a, b]
                 rows.append((q, a, b, float(s.real), float(s.imag),
                              float(abs(s))))
-                if q % 2 == 1 and ga == 1:
-                    worst_odd = max(worst_odd, abs(abs(s) - q ** -0.5))
+    worst_odd = odd_q_modulus_deviation(qmax)["max_deviation"]
     return Artifacts(
         report={"n_rows": len(rows), "max_odd_modulus_deviation": worst_odd},
         checks=[("odd_q_modulus_law",
@@ -208,14 +232,12 @@ def cmd_gauss(cfg, args) -> Artifacts:
 
 
 def cmd_shell(cfg, args) -> Artifacts:
-    from .arithmetic import enumerate_shell
     shell = enumerate_shell(int(args.s))
     return Artifacts(report={"s": int(args.s), "count": len(shell)},
                      csv=(["Q", "A", "B"], [(r.Q, r.A, r.B) for r in shell]))
 
 
 def cmd_multiplier_sample(cfg, args) -> Artifacts:
-    from .multiplier import m_j, l_js, e_j
     j = int(args.j)
     lam, beta = float(args.lam), float(args.beta)
     eps = float(cfg["epsilon"])
@@ -231,7 +253,6 @@ def cmd_multiplier_sample(cfg, args) -> Artifacts:
 
 
 def cmd_approx_error(cfg, args) -> Artifacts:
-    from .multiplier import decay_report, GridSpec
     rep = decay_report(
         range(int(cfg["jmin"]), int(cfg["jmax"]) + 1),
         epsilon=float(cfg["epsilon"]),
@@ -256,15 +277,13 @@ def cmd_approx_error(cfg, args) -> Artifacts:
 
 
 def cmd_cantor(cfg, args) -> Artifacts:
-    from .lambda_sets import cantor_set, lambda_set_to_json
     lam_set = cantor_set(int(args.d), int(args.depth))
     return Artifacts(payloads={".json": lambda_set_to_json(lam_set) + "\n"})
 
 
 def cmd_cover(cfg, args) -> Artifacts:
-    from .lambda_sets import cover, certificate_to_json, CoverError
     lam_set = _load_lambda_set(args)
-    t = Fraction(1, 2 ** int(args.t_exp))
+    t = Fraction(1, 2) ** int(args.t_exp)
     try:
         cert = cover(lam_set, t, den_cap=int(cfg["den_cap"]))
     except CoverError as exc:
@@ -274,7 +293,6 @@ def cmd_cover(cfg, args) -> Artifacts:
 
 
 def cmd_maximal(cfg, args) -> Artifacts:
-    from .operators import Signal, carleson_max, signal_to_json
     lam_set = _load_lambda_set(args)
     L = int(args.length)
     R = int(args.radius if args.radius is not None
@@ -289,7 +307,6 @@ def cmd_maximal(cfg, args) -> Artifacts:
 
 
 def cmd_norm_probe(cfg, args) -> Artifacts:
-    from .operators import norm_probe
     lam_set = _load_lambda_set(args)
     lengths = [int(x) for x in args.lengths.split(",")]
     rep = norm_probe(lam_set, lengths, int(cfg["trials"]), int(cfg["seed"]),
@@ -307,7 +324,6 @@ _GROWTH_COLUMNS = ("N", "max_ratio", "ratio_over_log2N")
 
 
 def cmd_bourgain_growth(cfg, args) -> Artifacts:
-    from .operators import bourgain_growth_report
     n_list = [int(x) for x in args.n_list.split(",")]
     rep = bourgain_growth_report(n_list, int(cfg["grid"]), int(cfg["trials"]),
                                  int(cfg["seed"]))
@@ -319,7 +335,6 @@ def cmd_bourgain_growth(cfg, args) -> Artifacts:
 
 
 def cmd_oscillatory_growth(cfg, args) -> Artifacts:
-    from .operators import oscillatory_growth_report
     n_list = [int(x) for x in args.n_list.split(",")]
     rep = oscillatory_growth_report(n_list, int(cfg["grid"]), int(cfg["k0"]),
                                     int(cfg["trials"]), int(cfg["seed"]))
@@ -329,7 +344,6 @@ def cmd_oscillatory_growth(cfg, args) -> Artifacts:
 
 
 def cmd_single_l(cfg, args) -> Artifacts:
-    from .operators import single_l_report
     l_list = [int(x) for x in args.l_list.split(",")]
     rep = single_l_report(l_list, int(cfg["grid"]), int(cfg["trials"]),
                           int(cfg["seed"]))
@@ -445,7 +459,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    import scipy.fft as sfft
     try:
         with sfft.set_workers(_worker_count()):
             cfg = _resolve(args)

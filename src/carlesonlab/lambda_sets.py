@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 POINT_CAP = 2 ** 20
+# bits held by a Cantor set's numerators: 2**depth points over 2**(D**depth)
+DIGIT_CAP = 2 ** 24
 DEFAULT_DEN_CAP = 10 ** 6
 
 
@@ -78,6 +80,10 @@ def cantor_set(D: int, depth: int) -> LambdaSet:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if 2 ** depth > POINT_CAP:
         raise ValueError(f"2^depth = {2**depth} exceeds cap {POINT_CAP}")
+    bits = 2 ** depth * D ** depth
+    if bits > DIGIT_CAP:
+        raise ValueError(f"2^depth * D^depth = {bits} numerator bits exceeds "
+                         f"cap {DIGIT_CAP}")
     top = D ** depth
     nums = [0]
     for j in range(1, depth + 1):

@@ -313,27 +313,30 @@ def _grid_point_in_major_boxes(g: int, h: int, G: int, j: int,
                                epsilon: float) -> bool:
     """Membership of (g/G, h/G) in the union of boxes with Q <= 2^(6 eps j).
 
-    The lambda half-width is far below 1/G, so membership forces the
-    lambda center to equal g/G exactly; its reduced denominator dg must
-    divide Q = dg*m <= qmax, and some B coprime-compatible center must
-    sit within the beta half-width.
+    A box (A, B, Q) has its lambda center A/Q = a/q0 in lowest terms,
+    with Q = q0*m for some m <= qmax // q0.  Since 2 wl qmax < 1, each q0
+    has at most one a within the lambda half-width wl of g/G, its nearest
+    numerator; every such reduced a/q0 is taken (there may be several
+    once G*qmax*wl >= 1), and then some B compatible with gcd(A, B, Q) = 1
+    must sit within the beta half-width of h/G.
     """
     qmax = _collected_qmax(j, epsilon)
     wl, wb = _half_widths(j, epsilon)
-    gg = math.gcd(g, G)
-    dg = G // gg
-    if dg > qmax and wl < 0.5 / G:
-        return False
-    a = g // gg
+    lam = g / G
+    qs = np.arange(1, qmax + 1, dtype=np.int64)
+    nums = np.floor(lam * qs + 0.5).astype(np.int64) % qs
+    near = (np.abs(torus_delta(lam - nums / qs)) <= wl) & \
+        (np.gcd(nums, qs) == 1)
     beta = h / G
-    for mult in range(1, qmax // dg + 1):
-        q = dg * mult
-        b0 = math.floor(beta * q)
-        for b in (b0 - 1, b0, b0 + 1, b0 + 2):
-            # gcd(A, B, Q) for (a*mult, b, dg*mult) reduces to gcd(b, mult)
-            if abs(torus_delta(beta - b / q)) <= wb and \
-                    math.gcd(b % q, mult) == 1:
-                return True
+    for q0 in qs[near].tolist():
+        for mult in range(1, qmax // q0 + 1):
+            q = q0 * mult
+            b0 = math.floor(beta * q)
+            for b in (b0 - 1, b0, b0 + 1, b0 + 2):
+                # gcd(A, B, Q) for (a*mult, b, q0*mult) reduces to gcd(b, mult)
+                if abs(torus_delta(beta - b / q)) <= wb and \
+                        math.gcd(b % q, mult) == 1:
+                    return True
     return False
 
 

@@ -114,11 +114,13 @@ def _lambda_floats(lam_values) -> np.ndarray:
     return np.unique(arr)
 
 
-def _kernel_sup(fh: np.ndarray, kernel_hats, out_len: int) -> np.ndarray:
-    """Pointwise max over the kernels of |F^-1(fh * kh)| on the output window."""
-    sup = np.zeros(out_len)
-    for kh in kernel_hats:
-        np.maximum(sup, np.abs(sfft.ifft(fh * kh)[:out_len]), out=sup)
+def _pointwise_sup(mults, fhat_rows: np.ndarray, out_len: int) -> np.ndarray:
+    """Per row, the max over the multipliers of |F^-1(mult * fhat)| on the
+    first out_len points."""
+    sup = np.zeros((fhat_rows.shape[0], out_len))
+    for mult in mults:
+        vals = np.abs(sfft.ifft(fhat_rows * mult[None, :], axis=1)[:, :out_len])
+        np.maximum(sup, vals, out=sup)
     return sup
 
 
@@ -131,9 +133,9 @@ def carleson_max(f: Signal, lam_values, R: int) -> Signal:
     """
     lams = _lambda_floats(lam_values)
     out_len, n = _conv_size(len(f.samples), R)
-    best = _kernel_sup(sfft.fft(f.samples, n),
-                       (sfft.fft(kernel_taps(float(lam), R), n) for lam in lams),
-                       out_len)
+    best = _pointwise_sup(
+        (sfft.fft(kernel_taps(float(lam), R), n) for lam in lams),
+        sfft.fft(f.samples, n)[None, :], out_len)[0]
     return Signal(samples=best.astype(complex), origin=f.origin - R)
 
 
@@ -179,7 +181,8 @@ def norm_probe(lam_values, lengths, trials: int, seed: int,
         best = 0.0
         best_family = None
         for family, sig in _trial_signals(L, lams, trials, rng):
-            sup = _kernel_sup(sfft.fft(sig, n), kernel_hats, out_len)
+            sup = _pointwise_sup(kernel_hats, sfft.fft(sig, n)[None, :],
+                                 out_len)[0]
             ratio = float(np.linalg.norm(sup) / np.linalg.norm(sig))
             if ratio > best:
                 best, best_family = ratio, family
@@ -218,11 +221,8 @@ def _theta_separation(theta) -> float:
 
 def _sup_ratio(multipliers, fhat_rows) -> np.ndarray:
     """||sup_lam |F^-1(mult * fhat)|||_2 per trial row."""
-    sup = np.zeros(fhat_rows.shape)
-    for mult in multipliers:
-        vals = np.abs(sfft.ifft(fhat_rows * mult[None, :], axis=1))
-        np.maximum(sup, vals, out=sup)
-    return np.linalg.norm(sup, axis=1)
+    return np.linalg.norm(
+        _pointwise_sup(multipliers, fhat_rows, fhat_rows.shape[1]), axis=1)
 
 
 def _probe_ratio(mults: list, f, G: int) -> float:

@@ -11,6 +11,7 @@ from carlesonlab.arithmetic import (
     find_box_overlaps,
     gauss_decay_scan,
     gauss_row,
+    gauss_rows,
     gauss_sum,
     odd_q_modulus_deviation,
     shell_size,
@@ -88,13 +89,17 @@ class TestGaussSum:
             assert abs(raw_gauss(a, b + q, q) - base) <= 1e-12
 
     def test_row_matches_direct(self):
+        # each row of one batched call is bitwise the single-row result
         rng = np.random.default_rng(3)
         for _ in range(20):
             q = int(rng.integers(2, 700))
-            a = int(rng.integers(0, q))
+            a_list = np.unique(rng.integers(0, q, size=4))
             b = int(rng.integers(0, q))
-            row = gauss_row(a, q)
-            assert abs(row[b] - raw_gauss(a, b, q)) <= 1e-12
+            rows = gauss_rows(a_list, q)
+            assert rows.shape == (len(a_list), q)
+            for a, row in zip(a_list.tolist(), rows):
+                assert np.array_equal(row, gauss_row(a, q))
+                assert abs(row[b] - raw_gauss(a, b, q)) <= 1e-12
 
     def test_unit_orbit_invariance(self):
         # S(A u^2, B u, Q) = S(A, B, Q) exactly (index substitution)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from carlesonlab.arithmetic import odd_q_modulus_deviation
 from carlesonlab.cli import CHECK_THRESHOLDS, DEFAULTS, main
 
 
@@ -20,6 +21,12 @@ class TestCommands:
         assert float(row.split(",")[5]) <= 1e-12  # |S(1,0,2)| = 0
         rep = json.loads((tmp_path / "g.json").read_text())
         assert rep["checks"]["odd_q_modulus_law"]
+
+    def test_gauss_check_value_is_the_modulus_law(self, tmp_path):
+        assert run(["gauss", "--qmax", "40", "-o", str(tmp_path / "g")]) == 0
+        rep = json.loads((tmp_path / "g.json").read_text())
+        assert rep["max_odd_modulus_deviation"] == \
+            odd_q_modulus_deviation(40)["max_deviation"]
 
     def test_shell(self, tmp_path):
         base = tmp_path / "s"
@@ -107,6 +114,30 @@ class TestExitCodes:
         cfg.write_text('{"frobnicate": 1}')
         assert run(["gauss", "--qmax", "4", "--config", str(cfg),
                     "-o", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("text", [
+        '{"epsilon": "0.1"}', '{"grid": null}', '{"tol": "1e-10"}',
+        '{"qmax": 4.0}', '{"seed": true}', '{"output": 3}', '[1]',
+    ])
+    def test_mistyped_config_value(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run(["gauss", "--qmax", "4", "--config", str(cfg),
+                    "-o", str(out / "x")]) == 2
+        assert capsys.readouterr().err.startswith("configuration error")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["cover", "--cantor", "2", "3", "--t-exp", "0"],
+        ["cover", "--cantor", "2", "3", "--t-exp", "-1"],
+        ["cantor", "--d", "4", "--depth", "12"],
+        ["cantor", "--d", "3", "--depth", "16"],
+    ])
+    def test_out_of_range_lambda_arguments(self, tmp_path, capsys, argv):
+        assert run(argv + ["-o", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("configuration error")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("k0", ["1", "9"])
     def test_oscillatory_scale_range(self, tmp_path, capsys, k0):

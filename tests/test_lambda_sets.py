@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,18 @@ class TestCantorSet:
             cantor_set(2, 25)
         with pytest.raises(ValueError):
             cantor_set(1, 3)
+
+    @pytest.mark.parametrize("D,depth", [(4, 12), (3, 16)])
+    def test_digit_cap_before_allocation(self, D, depth):
+        # both pass POINT_CAP; their numerators would need GBs of digits
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="numerator bits"):
+                cantor_set(D, depth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestCover:

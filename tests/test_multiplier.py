@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carlesonlab import multiplier
-from carlesonlab.arithmetic import enumerate_shell, gauss_sum, ReducedRational
+from carlesonlab.arithmetic import (MajorBox, ReducedRational, _collected_qmax,
+                                    _half_widths, enumerate_shell, gauss_sum,
+                                    torus_dist)
 from carlesonlab.multiplier import (
     GridSpec,
     big_l_j,
@@ -20,6 +22,7 @@ from carlesonlab.multiplier import (
     m_j_rational_oracle,
     _box_stage,
     _frac_lam_msq,
+    _grid_point_in_major_boxes,
     _grid_stage,
 )
 from carlesonlab.oscillatory import h_j, osc_norm
@@ -203,6 +206,44 @@ class TestDecayReport:
         b = decay_report([8, 9], **kw)
         assert a == b
 
+
+def _grid_points_in_boxes(j: int, eps: float, G: int) -> set:
+    """Brute force: every grid point of every box with Q <= qmax, found box
+    by box with MajorBox.contains."""
+    qmax = _collected_qmax(j, eps)
+    wl, wb = _half_widths(j, eps)
+    grid = np.arange(G) / G
+    inside = set()
+    for q in range(1, qmax + 1):
+        for a in range(q):
+            gs = np.nonzero(torus_dist(grid - a / q) <= wl)[0]
+            if len(gs) == 0:
+                continue
+            for b in range(q):
+                if np.gcd.reduce([a, b, q]) != 1:
+                    continue
+                box = MajorBox(ReducedRational(q, a, b), j, eps)
+                hs = np.nonzero(torus_dist(grid - b / q) <= wb)[0]
+                inside.update((int(g), int(h)) for g in gs for h in hs
+                              if box.contains(g / G, h / G))
+    return inside
+
+
+class TestGridMembership:
+    @pytest.mark.parametrize("j,eps,G", [(8, 0.13, 512), (10, 0.1, 128)])
+    def test_matches_brute_force_box_scan(self, j, eps, G):
+        # at (8, 0.13, 512) G * qmax * wl >= 1, so a grid point can sit in a
+        # box whose lambda center is not g/G itself; the probes are every
+        # point inside, the beta steps just outside, and random points
+        inside = _grid_points_in_boxes(j, eps, G)
+        assert inside
+        rng = np.random.default_rng(j)
+        probes = inside | {(g, (h + dh) % G) for g, h in inside
+                           for dh in (-1, 1)}
+        probes |= {(int(g), int(h)) for g, h in rng.integers(0, G, (2000, 2))}
+        wrong = [p for p in sorted(probes)
+                 if _grid_point_in_major_boxes(*p, G, j, eps) != (p in inside)]
+        assert wrong == []
 
 
 class TestDecayStages:

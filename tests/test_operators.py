@@ -36,7 +36,7 @@ class TestApplyKernel:
         f = Signal(np.array([1.0 + 0j]))
         out = apply_kernel(f, 0.0, 4)
         m = np.arange(-4, 5, dtype=float)
-        expect = np.where(m == 0, 0.0, np.divide(1.0, m, where=m != 0))
+        expect = np.divide(1.0, m, out=np.zeros_like(m), where=m != 0)
         assert out.origin == -4
         assert np.max(np.abs(out.samples - expect)) <= 1e-14
 
@@ -106,6 +106,16 @@ class TestCarlesonMax:
         got = carleson_max(f, [0.37], 64)
         ref = np.abs(apply_kernel(f, 0.37, 64).samples)
         assert np.max(np.abs(got.samples.real - ref)) == 0.0
+
+    def test_three_lambdas_match_brute_force_max(self):
+        rng = np.random.default_rng(7)
+        f = Signal(rng.standard_normal(48) + 1j * rng.standard_normal(48))
+        lams = [0.125, 0.37, 0.81]
+        got = carleson_max(f, lams, 40)
+        ref = np.max([np.abs(apply_kernel_brute(f, lam, 40).samples)
+                      for lam in lams], axis=0)
+        assert got.origin == f.origin - 40
+        assert np.max(np.abs(got.samples.real - ref)) <= 1e-12
 
     def test_monotone_in_modulation_set(self):
         rng = np.random.default_rng(5)
