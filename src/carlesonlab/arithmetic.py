@@ -16,7 +16,6 @@ the exact unit-orbit symmetry S(A u^2, B u, Q) = S(A, B, Q).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from math import gcd
 
@@ -239,15 +238,19 @@ class MajorBox:
         return bool(dl <= wl and db <= wb)
 
 
-def _farey(qmax: int):
-    """Reduced fractions a/q in [0, 1) with q <= qmax, ascending."""
-    a, b, c, d = 0, 1, 1, qmax
-    yield 0, 1
-    while c < qmax:
-        k = (qmax + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
-        if not (a == 1 and b == 1):
-            yield a, b
+def _farey(qmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduced fractions a/q in [0, 1) with q <= qmax, ascending, as arrays
+    (a, q, a/q).  int64 true division rounds exactly as Python's ``a / q``,
+    and distinct fractions differ by at least 1/qmax**2, so the float order
+    is the exact order."""
+    q = np.repeat(np.arange(1, qmax + 1, dtype=np.int64),
+                  np.arange(1, qmax + 1))
+    a = np.arange(len(q), dtype=np.int64) - q * (q - 1) // 2
+    keep = np.gcd(a, q) == 1
+    a, q = a[keep], q[keep]
+    vals = a / q
+    order = np.argsort(vals)
+    return a[order], q[order], vals[order]
 
 
 def _beta_centers(q: int, qmax: int):
@@ -274,6 +277,24 @@ def _beta_centers(q: int, qmax: int):
     return v[order], lab[order]
 
 
+def _same_center_summary(q: int, qmax: int, w_beta: float):
+    """Beta-gap summary shared by every lambda center a/q: the minimum
+    adjacent (torus) gap, the number of adjacent pairs within 2 w_beta, and
+    the (m, B) labels of the first MAX_WITNESSES such pairs."""
+    if qmax // q < 2:
+        # single multiple: beta centers are B/q, adjacent gap exactly 1/q
+        gap = 1.0 / q
+        if gap <= 2.0 * w_beta and q >= 2:
+            return gap, q, [((1, 0), (1, 1))]
+        return gap, 0, []
+    v, lab = _beta_centers(q, qmax)
+    dv = np.diff(np.append(v, v[0] + 1.0))
+    bad = np.nonzero(dv <= 2.0 * w_beta)[0]
+    first = bad[:MAX_WITNESSES]
+    pairs = list(zip(lab[first].tolist(), lab[(first + 1) % len(v)].tolist()))
+    return float(dv.min()), len(bad), pairs
+
+
 def find_box_overlaps(j: int, epsilon: float, qmax: int | None = None) -> dict:
     """Scan every pair of distinct boxes with Q <= 2**(6 eps j) for overlap.
 
@@ -282,79 +303,60 @@ def find_box_overlaps(j: int, epsilon: float, qmax: int | None = None) -> dict:
     triples have distinct center pairs, so the scan is complete if it
     checks (a) adjacent gaps between distinct lambda-center values
     against 2 w_lambda, and (b) within each lambda-center value, adjacent
-    beta-center gaps against 2 w_beta.  Witness pairs are reported as
-    ((Q, A, B), (Q', A', B')), at most MAX_WITNESSES of them.
+    beta-center gaps against 2 w_beta.  The beta centers over a/q do not
+    depend on a, so (b) is summarized once per denominator q and counted
+    once per fraction.  Witness pairs are reported as
+    ((Q, A, B), (Q', A', B')), at most MAX_WITNESSES of them: same-center
+    pairs first, in Farey order of their lambda center.
     """
     _check_epsilon(epsilon)
     if qmax is None:
         qmax = _collected_qmax(j, epsilon)
     w_lam, w_beta = _half_widths(j, epsilon)
-    witnesses = []
-    n_overlapping_adjacent = 0
-    fracs = list(_farey(qmax))
-    vals = np.array([a / q for a, q in fracs])
+    a_f, q_f, vals = _farey(qmax)
     # cross-center lambda gaps (torus): adjacent plus the wrap pair
     gaps = np.diff(np.append(vals, 1.0))
     min_lambda_gap = float(gaps.min()) if len(gaps) else 1.0
-    cross_pairs = []
-    if min_lambda_gap <= 2.0 * w_lam:
-        idx = np.nonzero(gaps <= 2.0 * w_lam)[0]
-        cross_pairs = [(fracs[i], fracs[(i + 1) % len(fracs)]) for i in idx]
-    # same lambda-center beta scan
-    min_beta_gap = math.inf
-    for a, q in fracs:
-        if qmax // q < 2:
-            # single multiple: beta centers are B/q, adjacent gap exactly 1/q
-            gap = 1.0 / q
-            if gap < min_beta_gap:
-                min_beta_gap = gap
-            if gap <= 2.0 * w_beta and q >= 2:
-                n_overlapping_adjacent += q
-                if len(witnesses) < MAX_WITNESSES:
-                    witnesses.append(((q, a, 0), (q, a, 1)))
-            continue
-        v, lab = _beta_centers(q, qmax)
-        dv = np.diff(np.append(v, v[0] + 1.0))
-        bad = np.nonzero(dv <= 2.0 * w_beta)[0]
-        gmin = float(dv.min())
-        if gmin < min_beta_gap:
-            min_beta_gap = gmin
-        n_overlapping_adjacent += len(bad)
-        for i in bad[: max(0, MAX_WITNESSES - len(witnesses))]:
-            m1, b1 = lab[i]
-            m2, b2 = lab[(i + 1) % len(v)]
-            witnesses.append(
-                ((int(q * m1), int(a * m1), int(b1)),
-                 (int(q * m2), int(a * m2), int(b2)))
-            )
+    # same lambda-center beta scan: one summary per q, counted per a/q
+    summaries = [_same_center_summary(q, qmax, w_beta)
+                 for q in range(1, qmax + 1)]
+    min_beta_gap = min(gap for gap, _, _ in summaries)
+    pairs_per_q = np.array([0] + [n for _, n, _ in summaries], dtype=np.int64)
+    n_overlapping_adjacent = int(
+        np.bincount(q_f, minlength=qmax + 1) @ pairs_per_q)
+    witnesses = []
+    for i in np.nonzero(pairs_per_q[q_f])[0]:
+        if len(witnesses) >= MAX_WITNESSES:
+            break
+        a, q = int(a_f[i]), int(q_f[i])
+        for (m1, b1), (m2, b2) in summaries[q - 1][2]:
+            witnesses.append(((q * m1, a * m1, b1), (q * m2, a * m2, b2)))
+    del witnesses[MAX_WITNESSES:]
     # cross-center pairs: only overlap if beta families also come close
-    for (a1, q1), (a2, q2) in cross_pairs:
+    for i in np.nonzero(gaps <= 2.0 * w_lam)[0]:
+        k = (i + 1) % len(vals)
+        a1, q1, a2, q2 = int(a_f[i]), int(q_f[i]), int(a_f[k]), int(q_f[k])
         v1, lab1 = _beta_centers(q1, qmax)
         v2, lab2 = _beta_centers(q2, qmax)
         i2 = np.searchsorted(v2, v1)
-        for i1, i in enumerate(i2):
-            for cand in (i - 1, i % len(v2)):
-                d = abs(v1[i1] - v2[cand % len(v2)])
-                d = min(d, 1.0 - d)
-                if d <= 2.0 * w_beta:
-                    n_overlapping_adjacent += 1
-                    if len(witnesses) < MAX_WITNESSES:
-                        m1, b1 = lab1[i1]
-                        m2, b2 = lab2[cand % len(v2)]
-                        witnesses.append(
-                            ((int(q1 * m1), int(a1 * m1), int(b1)),
-                             (int(q2 * m2), int(a2 * m2), int(b2)))
-                        )
+        cand = np.stack([(i2 - 1) % len(v2), i2 % len(v2)], axis=1)
+        d = np.abs(v1[:, None] - v2[cand])
+        hit1, hit2 = np.nonzero(np.minimum(d, 1.0 - d) <= 2.0 * w_beta)
+        n_overlapping_adjacent += len(hit1)
+        for i1, c in zip(hit1[:MAX_WITNESSES - len(witnesses)].tolist(),
+                         cand[hit1, hit2].tolist()):
+            (m1, b1), (m2, b2) = lab1[i1].tolist(), lab2[c].tolist()
+            witnesses.append(((q1 * m1, a1 * m1, b1), (q2 * m2, a2 * m2, b2)))
     return {
         "j": j,
         "epsilon": epsilon,
         "qmax": qmax,
-        "n_lambda_centers": len(fracs),
+        "n_lambda_centers": len(vals),
         "half_width_lambda": w_lam,
         "half_width_beta": w_beta,
         "min_lambda_gap": min_lambda_gap,
         "min_beta_gap_same_center": min_beta_gap,
-        "n_overlapping_adjacent_pairs": int(n_overlapping_adjacent),
-        "witnesses": witnesses[:MAX_WITNESSES],
+        "n_overlapping_adjacent_pairs": n_overlapping_adjacent,
+        "witnesses": witnesses,
         "disjoint": n_overlapping_adjacent == 0,
     }

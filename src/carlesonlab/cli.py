@@ -39,6 +39,7 @@ from .multiplier import GridSpec, decay_report, e_j, l_js, m_j
 from .operators import (Signal, bourgain_growth_report, carleson_max,
                         norm_probe, oscillatory_growth_report, signal_to_json,
                         single_l_report)
+from .oscillatory import TOL_MAX, TOL_MIN
 
 DEFAULTS = {
     "epsilon": 0.1,
@@ -86,7 +87,9 @@ def _to_native(obj):
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(_to_native(payload), indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON; a NaN or infinity raises ValueError (exit 2)."""
+    return json.dumps(_to_native(payload), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def _csv_text(header: list, rows) -> str:
@@ -137,6 +140,9 @@ def _resolve(args: argparse.Namespace) -> dict:
         if val is not None:
             cfg[key] = val
     _check_epsilon(cfg["epsilon"])
+    if not TOL_MIN <= cfg["tol"] <= TOL_MAX:
+        raise ConfigError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], "
+                          f"got {cfg['tol']}")
     for key in ("qmax", "jmin", "jmax", "grid", "strata", "trials",
                 "radius_factor", "den_cap"):
         if int(cfg[key]) < 1:

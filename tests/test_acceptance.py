@@ -3,9 +3,9 @@
 Heavy harnesses are shared via module-scoped fixtures.  Runtimes measured
 on a 2-vCPU VM (Python 3.11, numpy 2.4, one FFT worker): the shared decay
 harness behind criteria 4-5 takes ~41 s; criteria 9 and 10 ~16-18 s
-each; criteria 1 and 6 ~8-9 s each; criteria 2 and 8 ~4-6 s each;
-criteria 3, 7 and 11 (which re-runs a set of CLI commands twice) about a
-second.
+each; criterion 1 ~8-9 s; criteria 2 and 8 ~4-6 s each; criteria 3, 6,
+7 and 11 (which re-runs a set of CLI commands twice) about a second or
+less.
 
 Frozen constants carry the value measured in the pre-build sweep and
 the headroom applied to it.

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -16,6 +17,7 @@ from carlesonlab.arithmetic import (
     odd_q_modulus_deviation,
     shell_size,
     square_class_reps,
+    torus_dist,
 )
 
 
@@ -27,6 +29,18 @@ def brute_shell(s):
                 if gcd(gcd(a, b), q) == 1:
                     out.append((q, a, b))
     return out
+
+
+def collected_boxes(qmax):
+    """Every reduced triple (Q, A, B) with Q <= qmax, by brute force."""
+    return [t for s in range(1, qmax.bit_length() + 1)
+            for t in brute_shell(s) if t[0] <= qmax]
+
+
+def min_torus_gap(sorted_vals):
+    """Least gap between circularly adjacent points of [0, 1)."""
+    return min(b - a for a, b in zip(sorted_vals,
+                                     sorted_vals[1:] + [sorted_vals[0] + 1]))
 
 
 def raw_gauss(A, B, Q):
@@ -190,3 +204,64 @@ class TestMajorBoxes:
             db = abs(b1 / q1 - b2 / q2)
             assert min(dl, 1 - dl) <= 2 * wl
             assert min(db, 1 - db) <= 2 * wb
+
+
+class TestBoxScanOracle:
+    """find_box_overlaps against every collected box, enumerated directly."""
+
+    @pytest.mark.parametrize("j, eps", [
+        (14, 0.05), (12, 0.05), (8, 0.1), (7, 0.1), (5, 0.13), (4, 0.13),
+    ])
+    def test_against_all_pairs(self, j, eps):
+        rep = find_box_overlaps(j, eps)
+        boxes = collected_boxes(rep["qmax"])
+        wl, wb = 2.0 ** ((eps - 2.0) * j), 2.0 ** ((eps - 1.0) * j)
+        q, a, b = np.array(boxes, dtype=np.int64).T
+        lam, beta = a / q, b / q
+        # all ordered pairs, in row blocks; each box overlaps itself once
+        n_overlapping = -len(boxes)
+        for i in range(0, len(boxes), 512):
+            near_l = torus_dist(lam[i:i + 512, None] - lam) <= 2.0 * wl
+            near_b = torus_dist(beta[i:i + 512, None] - beta) <= 2.0 * wb
+            n_overlapping += int(np.count_nonzero(near_l & near_b))
+        assert rep["disjoint"] == (n_overlapping == 0)
+        # exact center geometry
+        by_lambda = {}
+        for Q, A, B in boxes:
+            by_lambda.setdefault(Fraction(A, Q), []).append(Fraction(B, Q))
+        centers = sorted(by_lambda)
+        assert rep["n_lambda_centers"] == len(centers)
+        assert rep["min_lambda_gap"] == pytest.approx(
+            float(min_torus_gap(centers)), rel=1e-12)
+        assert rep["min_beta_gap_same_center"] == pytest.approx(
+            float(min(min_torus_gap(sorted(v)) for v in by_lambda.values())),
+            rel=1e-12)
+        # every witness is a distinct pair of collected, overlapping boxes
+        assert bool(rep["witnesses"]) == (not rep["disjoint"])
+        collected = set(boxes)
+        for (q1, a1, b1), (q2, a2, b2) in rep["witnesses"]:
+            assert {(q1, a1, b1), (q2, a2, b2)} <= collected
+            assert (q1, a1, b1) != (q2, a2, b2)
+            assert torus_dist(a1 / q1 - a2 / q2) <= 2.0 * wl
+            assert torus_dist(b1 / q1 - b2 / q2) <= 2.0 * wb
+
+    @pytest.mark.parametrize("j, eps", [
+        (8, 0.1), (10, 0.1), (8, 0.13), (7, 0.12),
+    ])
+    def test_overlap_count_is_the_per_fraction_sum(self, j, eps):
+        # one beta family per lambda center a/q, built from that center's
+        # own boxes (A, B, Q) = (a Q/q, B, Q) with gcd(A, B, Q) = 1
+        rep = find_box_overlaps(j, eps)
+        qmax, wb = rep["qmax"], rep["half_width_beta"]
+        assert rep["min_lambda_gap"] > 2.0 * rep["half_width_lambda"]
+        total = 0
+        for q in range(1, qmax + 1):
+            for a in range(q):
+                if gcd(a, q) != 1:
+                    continue
+                v = np.sort([B / Q for Q in range(q, qmax + 1, q)
+                             for B in range(Q)
+                             if gcd(gcd(a * (Q // q), B), Q) == 1])
+                total += int(np.count_nonzero(
+                    np.diff(np.append(v, v[0] + 1.0)) <= 2.0 * wb))
+        assert rep["n_overlapping_adjacent_pairs"] == total > 0

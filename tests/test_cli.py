@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from carlesonlab.arithmetic import odd_q_modulus_deviation
-from carlesonlab.cli import CHECK_THRESHOLDS, DEFAULTS, main
+from carlesonlab.cli import (CHECK_THRESHOLDS, COMMANDS, DEFAULTS, Artifacts,
+                             main)
 
 
 def run(args):
@@ -127,6 +128,38 @@ class TestExitCodes:
                     "-o", str(out / "x")]) == 2
         assert capsys.readouterr().err.startswith("configuration error")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["multiplier-sample", "--j", "8", "--lam", "0.3", "--beta", "0.4",
+         "--tol", "inf"],
+        ["multiplier-sample", "--j", "8", "--lam", "0.3", "--beta", "0.4",
+         "--tol", "-1"],
+        ["gauss", "--qmax", "4", "--tol", "nan"],
+    ])
+    def test_bad_tol(self, tmp_path, capsys, argv):
+        assert run(argv + ["-o", str(tmp_path / "x")]) == 2
+        assert "tol must lie in" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_bad_tol_in_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tol": 1e400}')  # parsed as infinity
+        out = tmp_path / "out"
+        assert run(["multiplier-sample", "--j", "8", "--lam", "0.3",
+                    "--beta", "0.4", "--config", str(cfg),
+                    "-o", str(out / "x")]) == 2
+        assert "tol must lie in" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_report_value(self, tmp_path, capsys, monkeypatch):
+        help_text, flags, _ = COMMANDS["shell"]
+        monkeypatch.setitem(COMMANDS, "shell", (
+            help_text, flags,
+            lambda cfg, args: Artifacts(report={"value": float("nan")},
+                                        csv=(["x"], [(1,)]))))
+        assert run(["shell", "--s", "2", "-o", str(tmp_path / "x")]) == 2
+        assert "JSON compliant" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["cover", "--cantor", "2", "3", "--t-exp", "0"],
