@@ -10,8 +10,9 @@ normalized complete Gauss sum is
 the batched path: ``gauss_rows`` evaluates many A against every B at
 once (the DFT over B is the same sum evaluated jointly, with the phases
 gathered from one table of Q-th roots of unity).  The odd-Q modulus law
-and the decay sweep both run on it; the sweep additionally quotients by
-the exact unit-orbit symmetry S(A u^2, B u, Q) = S(A, B, Q).
+and the decay sweep both run on it, and both quotient by the exact
+unit-orbit symmetry S(A u^2, B u, Q) = S(A, B, Q): they read one row per
+unit square class (``square_class_reps``).
 """
 
 from __future__ import annotations
@@ -90,21 +91,28 @@ def enumerate_shell(s: int) -> list[ReducedRational]:
     return out
 
 
+def _prime_factors(q: int) -> list[int]:
+    """The distinct primes dividing q, ascending, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            primes.append(p)
+            while q % p == 0:
+                q //= p
+        p += 1
+    if q > 1:
+        primes.append(q)
+    return primes
+
+
 def shell_size(s: int) -> int:
     """Number of reduced triples in shell s (Jordan totient sum)."""
     total = 0
     for q in range(2 ** (s - 1), 2 ** s):
         j2 = q * q
-        qq = q
-        p = 2
-        while p * p <= qq:
-            if qq % p == 0:
-                j2 -= j2 // (p * p)
-                while qq % p == 0:
-                    qq //= p
-            p += 1
-        if qq > 1:
-            j2 -= j2 // (qq * qq)
+        for p in _prime_factors(q):
+            j2 -= j2 // (p * p)
         total += j2
     return total
 
@@ -141,20 +149,26 @@ def square_class_reps(Q: int) -> list[int]:
 
     |S(A/Q, B/Q)| restricted to a row A is invariant (as a multiset over
     B) under A -> A u^2, so Gauss-sum maxima only need one A per class.
+    Each representative is the smallest unit of its class, in increasing
+    order: the loop runs once per class, not once per unit.
     """
     if Q == 1:
         return [0]
-    n = np.arange(Q, dtype=np.int64)
-    unit_mask = np.gcd(n, Q) == 1
-    units = n[unit_mask]
-    squares = np.unique((units * units) % Q)
-    covered = np.zeros(Q, dtype=bool)
+    uncovered = np.ones(Q, dtype=bool)       # the units, sieved
+    for p in _prime_factors(Q):
+        uncovered[::p] = False
+    units = np.nonzero(uncovered)[0]
+    is_square = np.zeros(Q, dtype=bool)
+    is_square[(units * units) % Q] = True
+    squares = np.nonzero(is_square)[0]
     reps = []
-    for u in units:
-        if not covered[u]:
-            reps.append(int(u))
-            covered[(u * squares) % Q] = True
-    return reps
+    u = 0
+    while True:
+        u += int(np.argmax(uncovered[u:]))
+        if not uncovered[u]:
+            return reps
+        reps.append(u)
+        uncovered[(u * squares) % Q] = False
 
 
 def gauss_decay_scan(qmax: int) -> dict:
@@ -188,16 +202,21 @@ def gauss_decay_scan(qmax: int) -> dict:
 
 
 def odd_q_modulus_deviation(qmax: int = 999) -> dict:
-    """max | |S| - Q^{-1/2} | over odd Q <= qmax, gcd(A, Q) = 1, all B."""
+    """max | |S| - Q^{-1/2} | over odd Q <= qmax, gcd(A, Q) = 1, all B.
+
+    The row of A u^2 is the row of A with B permuted (B -> B u), so one row
+    per unit square class covers every unit; the argmax A is the class
+    representative.
+    """
     worst = 0.0
     arg = None
     for q in range(1, qmax + 1, 2):
-        units = np.nonzero(np.gcd(np.arange(q, dtype=np.int64), q) == 1)[0]
-        dev = np.abs(np.abs(gauss_rows(units, q)) - q ** -0.5)
+        reps = square_class_reps(q)
+        dev = np.abs(np.abs(gauss_rows(reps, q)) - q ** -0.5)
         i = int(np.argmax(dev))
         if dev.flat[i] > worst:
             worst = float(dev.flat[i])
-            arg = (q, int(units[i // q]), int(i % q))
+            arg = (q, reps[i // q], i % q)
     return {"qmax": qmax, "max_deviation": worst, "argmax": arg}
 
 

@@ -2,7 +2,9 @@
 
 Exit codes: 0 = artifacts written and all embedded checks passed;
 1 = a named assertion-style check failed (the failing metric is printed);
-2 = configuration error.
+2 = configuration error; 3 = numerical non-convergence (a quadrature
+refinement missed its tolerance); 4 = any other error (its message is
+printed, without a traceback).  Exits 2-4 write no artifact.
 
 Defaults (flags override --config file entries, which override these):
 
@@ -39,7 +41,7 @@ from .multiplier import GridSpec, decay_report, e_j, l_js, m_j
 from .operators import (Signal, bourgain_growth_report, carleson_max,
                         norm_probe, oscillatory_growth_report, signal_to_json,
                         single_l_report)
-from .oscillatory import TOL_MAX, TOL_MIN
+from .oscillatory import TOL_MAX, TOL_MIN, ConvergenceError
 
 DEFAULTS = {
     "epsilon": 0.1,
@@ -470,9 +472,15 @@ def main(argv=None) -> int:
             cfg = _resolve(args)
             run = COMMANDS[args.command][2]
             return _emit(cfg, args.command, run(cfg, args))
+    except ConvergenceError as exc:
+        print(f"numerical non-convergence: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ from ._memo import BoundedCache
 from .bumps import psi, psi_k, phi_hat
 
 __all__ = [
+    "ConvergenceError",
     "ScaleIndex",
     "osc_norm",
     "h_j",
@@ -238,6 +239,10 @@ def _dual_scaled(X: float, Y: float, panels: int) -> complex:
     return complex(pref * np.sum(vals * wq))
 
 
+class ConvergenceError(ValueError):
+    """A quadrature refinement did not reach its tolerance within the cap."""
+
+
 def _refine(fn, p0: int, tol: float, cap: int) -> complex:
     prev = fn(p0)
     p = 2 * p0
@@ -247,7 +252,7 @@ def _refine(fn, p0: int, tol: float, cap: int) -> complex:
             return cur
         prev = cur
         p *= 2
-    raise ValueError(
+    raise ConvergenceError(
         f"quadrature did not reach tol={tol} within {cap} panels"
     )
 

@@ -3,9 +3,13 @@
 Heavy harnesses are shared via module-scoped fixtures.  Runtimes measured
 on a 2-vCPU VM (Python 3.11, numpy 2.4, one FFT worker): the shared decay
 harness behind criteria 4-5 takes ~41 s; criteria 9 and 10 ~16-18 s
-each; criterion 1 ~8-9 s; criteria 2 and 8 ~4-6 s each; criteria 3, 6,
-7 and 11 (which re-runs a set of CLI commands twice) about a second or
-less.
+each; criterion 8 ~5 s; criterion 2 ~3 s; criteria 1 (~0.1 s: one
+Gauss row per unit square class), 3, 6, 7 and 11 (which re-runs a set of
+CLI commands twice) about a second or less.
+
+Each verdict is also kept as a record (criterion, name, value,
+threshold, pass); ``conftest.py`` writes the records to
+``verdicts.json`` in the pytest cache and prints its path.
 
 Frozen constants carry the value measured in the pre-build sweep and
 the headroom applied to it.
@@ -46,12 +50,19 @@ DERIVATIVE_RATIO_CAP = 1.0       # measured max |dE_j/dlam| / 4^j = 0.339
 # when a test runs; major_arc_slope_max is -(1 - 3 eps) + 0.2 at eps = 0.1
 
 
-VERDICTS: list = []
+VERDICTS: list = []           # printed verdict lines
+VERDICT_RECORDS: list = []    # the same verdicts, machine-readable
 
 
-def verdict(num: int, name: str, ok: bool, detail: str) -> bool:
+def verdict(num: int, name: str, ok: bool, detail: str,
+            value: float | None, threshold: float | None) -> bool:
+    """Record and print one criterion's verdict.  ``value`` is the measured
+    number the check compares with ``threshold``; both are None where a
+    criterion has no single number."""
     line = f"[criterion {num:02d}] {name}: {'PASS' if ok else 'FAIL'} ({detail})"
     VERDICTS.append(line)
+    VERDICT_RECORDS.append({"criterion": num, "name": name, "value": value,
+                            "threshold": threshold, "pass": bool(ok)})
     print(line)
     return ok
 
@@ -68,7 +79,9 @@ def test_criterion_01_gauss_exact_law():
     cap = CHECK_THRESHOLDS["odd_q_modulus_deviation_max"]
     ok = rep["max_deviation"] <= cap
     assert verdict(1, "gauss-sum exact modulus law (odd Q <= 999)", ok,
-                   f"max | |S| - Q^-1/2 | = {rep['max_deviation']:.2e} <= {cap}")
+                   f"max | |S| - Q^-1/2 | = {rep['max_deviation']:.2e} <= {cap}"
+                   f" at (Q, A, B) = {rep['argmax']}",
+                   rep["max_deviation"], cap)
 
 
 def test_criterion_02_gauss_decay():
@@ -76,7 +89,8 @@ def test_criterion_02_gauss_decay():
     ok = scan["max_scaled"] <= GAUSS_DECAY_CAP
     assert verdict(2, "gauss-sum decay (Q <= 4096)", ok,
                    f"max |S| Q^0.45 = {scan['max_scaled']:.6f} <= "
-                   f"{GAUSS_DECAY_CAP} at {scan['argmax']}")
+                   f"{GAUSS_DECAY_CAP} at {scan['argmax']}",
+                   scan["max_scaled"], GAUSS_DECAY_CAP)
 
 
 def test_criterion_03_fft_equals_brute_force():
@@ -92,7 +106,8 @@ def test_criterion_03_fft_equals_brute_force():
         worst = max(worst, float(np.max(np.abs(a.samples - b.samples))))
     ok = worst <= 1e-10
     assert verdict(3, "FFT/brute-force convolution equivalence", ok,
-                   f"20 pairs, max abs diff = {worst:.2e} <= 1e-10")
+                   f"20 pairs, max abs diff = {worst:.2e} <= 1e-10",
+                   None, None)
 
 
 def test_criterion_04_major_arc_slope(decay_rep):
@@ -100,7 +115,7 @@ def test_criterion_04_major_arc_slope(decay_rep):
     cap = CHECK_THRESHOLDS["major_arc_slope_max"]
     ok = slope is not None and slope <= cap
     assert verdict(4, "major-arc approximation slope (j = 8..18)", ok,
-                   f"slope = {slope:.3f} <= {cap}")
+                   f"slope = {slope:.3f} <= {cap}", slope, cap)
 
 
 def test_criterion_05_error_decay(decay_rep):
@@ -112,7 +127,8 @@ def test_criterion_05_error_decay(decay_rep):
     ok = ok_slope and ok_deriv
     assert verdict(5, "error decay and lambda-derivative bound", ok,
                    f"sup|E_j| slope = {slope:.3f} <= {cap}; "
-                   f"max |dE/dlam|/4^j = {dconst:.3f} <= {DERIVATIVE_RATIO_CAP}")
+                   f"max |dE/dlam|/4^j = {dconst:.3f} <= {DERIVATIVE_RATIO_CAP}",
+                   slope, cap)
 
 
 def test_criterion_06_box_disjointness():
@@ -130,7 +146,7 @@ def test_criterion_06_box_disjointness():
     assert verdict(6, "major-box disjointness at eps = 0.1", ok,
                    f"overlapping adjacent pairs at j=8,12,16: "
                    f"{[r['n_overlapping_adjacent_pairs'] for r in reports.values()]}; "
-                   f"example witness {witness}")
+                   f"example witness {witness}", total, 0)
 
 
 def test_criterion_07_cantor_covering():
@@ -149,7 +165,7 @@ def test_criterion_07_cantor_covering():
             checked += 1
     assert verdict(7, "cantor covering certificates (D = 2, 3)", True,
                    f"{checked} certificates verified point-by-point, "
-                   f"denominators <= 2 t^(-1/D)")
+                   f"denominators <= 2 t^(-1/D)", None, None)
 
 
 def test_criterion_08_maximal_boundedness_surrogate():
@@ -162,7 +178,7 @@ def test_criterion_08_maximal_boundedness_surrogate():
     ratios = [round(r["max_ratio"], 4) for r in rep["rows"]]
     assert verdict(8, "maximal-operator boundedness surrogate", ok,
                    f"ratios {ratios}, top-two growth "
-                   f"{[round(g, 4) for g in top]} < {cap}")
+                   f"{[round(g, 4) for g in top]} < {cap}", max(top), cap)
 
 
 def test_criterion_09_bourgain_growth():
@@ -172,7 +188,8 @@ def test_criterion_09_bourgain_growth():
     ok = all(vals[i + 1][1] <= vals[i][1] for i in range(len(vals) - 1))
     assert verdict(9, "multi-frequency growth probe", ok,
                    f"ratio/log2(N)^2 for N >= 8: "
-                   f"{[round(v, 4) for _, v in vals]} non-increasing")
+                   f"{[round(v, 4) for _, v in vals]} non-increasing",
+                   max(b - a for (_, a), (_, b) in zip(vals, vals[1:])), 0.0)
 
 
 def test_criterion_10_single_l_decay():
@@ -183,7 +200,7 @@ def test_criterion_10_single_l_decay():
     ok = slope is not None and slope <= cap
     assert verdict(10, "single-l maximal decay", ok,
                    f"slope of log2(ratio) vs l = {slope:.3f} <= "
-                   f"{cap}")
+                   f"{cap}", slope, cap)
 
 
 ACCEPTANCE_COMMANDS = [
@@ -217,4 +234,4 @@ def test_criterion_11_determinism(tmp_path):
     ok = not mismatched
     assert verdict(11, "seeded determinism of CLI artifacts", ok,
                    f"{len(ACCEPTANCE_COMMANDS)} commands re-run byte-identically"
-                   if ok else f"mismatched: {mismatched}")
+                   if ok else f"mismatched: {mismatched}", None, None)

@@ -43,6 +43,33 @@ def min_torus_gap(sorted_vals):
                                      sorted_vals[1:] + [sorted_vals[0] + 1]))
 
 
+def covered_set_reps(Q):
+    """Square-class representatives by the loop over every unit: the
+    smallest unit not yet covered starts a class and covers its coset."""
+    if Q == 1:
+        return [0]
+    n = np.arange(Q, dtype=np.int64)
+    units = n[np.gcd(n, Q) == 1]
+    squares = np.unique((units * units) % Q)
+    covered = np.zeros(Q, dtype=bool)
+    reps = []
+    for u in units:
+        if not covered[u]:
+            reps.append(int(u))
+            covered[(u * squares) % Q] = True
+    return reps
+
+
+def all_units_modulus_deviation(qmax):
+    """max | |S| - Q^{-1/2} | over odd Q <= qmax with one row per unit."""
+    worst = 0.0
+    for q in range(1, qmax + 1, 2):
+        units = np.nonzero(np.gcd(np.arange(q, dtype=np.int64), q) == 1)[0]
+        dev = np.abs(np.abs(gauss_rows(units, q)) - q ** -0.5)
+        worst = max(worst, float(dev.max()))
+    return worst
+
+
 def raw_gauss(A, B, Q):
     r = np.arange(Q, dtype=np.int64)
     phase = (A * r * r - B * r) % Q  # exact integer reduction
@@ -63,6 +90,10 @@ class TestShells:
         got = enumerate_shell(3)
         assert len(got) == len(brute_shell(3)) == 108
         assert shell_size(3) == 108
+
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_shell_size_counts_the_enumeration(self, s):
+        assert shell_size(s) == len(enumerate_shell(s))
 
     def test_lexicographic_and_no_duplicates(self):
         got = [(r.Q, r.A, r.B) for r in enumerate_shell(4)]
@@ -145,8 +176,30 @@ class TestGaussSum:
             assert covered == set(units)
 
     def test_modulus_law_small(self):
+        # one row per square class against the loop over every unit
+        worst = all_units_modulus_deviation(99)
         rep = odd_q_modulus_deviation(99)
-        assert rep["max_deviation"] <= 1e-12
+        assert worst <= 1e-12
+        assert abs(rep["max_deviation"] - worst) <= 1e-15
+        q, a, _ = rep["argmax"]
+        assert a in square_class_reps(q)
+
+    def test_square_class_reps_match_covered_set_loop(self):
+        for q in list(range(1, 1025)) + [2047, 2048, 3465, 4095, 4096]:
+            assert square_class_reps(q) == covered_set_reps(q), q
+
+    @pytest.mark.parametrize("q", [45, 63, 64, 105, 243])
+    def test_class_rows_are_permutations(self, q):
+        # the modulus law reads one row per class: every unit's sorted |row|
+        # must equal that of its class representative
+        units = [u for u in range(1, q) if gcd(u, q) == 1]
+        squares = {(u * u) % q for u in units}
+        rep_rows = {r: np.sort(np.abs(gauss_row(r, q)))
+                    for r in square_class_reps(q)}
+        for u in units:
+            (r,) = [r for r in rep_rows if u in {(r * s) % q for s in squares}]
+            got = np.sort(np.abs(gauss_row(u, q)))
+            assert np.max(np.abs(got - rep_rows[r])) <= 1e-13, (q, u, r)
 
     def test_decay_scan_small(self):
         scan = gauss_decay_scan(64)

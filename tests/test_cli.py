@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from carlesonlab import oscillatory
 from carlesonlab.arithmetic import odd_q_modulus_deviation
 from carlesonlab.cli import (CHECK_THRESHOLDS, COMMANDS, DEFAULTS, Artifacts,
                              main)
@@ -240,6 +241,28 @@ class TestExitCodes:
                     "-o", str(base)]) == 0
         rep = json.loads((tmp_path / "q.json").read_text())
         assert rep["config"]["qmax"] == 2
+
+    def test_non_convergence_exits_three(self, tmp_path, capsys, monkeypatch):
+        # (1e-6, 1e-3) lies in the Q = 1 box at j = 10, so l_js refines an
+        # h_j quadrature, which cannot double past a 16-panel cap
+        monkeypatch.setattr(oscillatory, "_HARD_PANEL_CAP", 16)
+        assert run(["multiplier-sample", "--j", "10", "--lam", "0.000001",
+                    "--beta", "0.001", "-o", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical non-convergence") and "16" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_unexpected_error_exits_four(self, tmp_path, capsys, monkeypatch):
+        help_text, flags, _ = COMMANDS["shell"]
+
+        def broken(cfg, args):
+            raise RuntimeError("runner broke")
+
+        monkeypatch.setitem(COMMANDS, "shell", (help_text, flags, broken))
+        assert run(["shell", "--s", "2", "-o", str(tmp_path / "x")]) == 4
+        err = capsys.readouterr().err
+        assert "runner broke" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
 
 # one small run of each command
