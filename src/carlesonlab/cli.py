@@ -28,6 +28,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -95,10 +96,10 @@ def _json_text(payload: dict) -> str:
 
 
 def _csv_text(header: list, rows) -> str:
+    """CSV text; each cell is its ``str`` (a float's shortest round-trip
+    form, for Python and numpy floats alike)."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(x) if isinstance(x, float) else str(x)
-                              for x in row))
+    lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -222,15 +223,14 @@ def cmd_gauss(cfg, args) -> Artifacts:
     qmax = int(cfg["qmax"])
     rows = []
     for q in range(1, qmax + 1):
-        table = gauss_rows(np.arange(q), q)
-        for a in range(q):
-            ga = math.gcd(a, q)
-            for b in range(q):
-                if math.gcd(ga, b) != 1:
-                    continue
-                s = table[a, b]
-                rows.append((q, a, b, float(s.real), float(s.imag),
-                             float(abs(s))))
+        n = np.arange(q)
+        # the reduced (a, b) in row-major order: gcd(gcd(a, q), b) == 1
+        a, b = np.nonzero(np.gcd.outer(np.gcd(n, q), n) == 1)
+        s = gauss_rows(n, q)[a, b]
+        # hypot, as Python's abs(complex) computes |S|; numpy's complex
+        # abs can differ from it in the last bit
+        rows.extend(zip(repeat(q), a.tolist(), b.tolist(), s.real.tolist(),
+                        s.imag.tolist(), np.hypot(s.real, s.imag).tolist()))
     worst_odd = odd_q_modulus_deviation(qmax)["max_deviation"]
     return Artifacts(
         report={"n_rows": len(rows), "max_odd_modulus_deviation": worst_odd},
@@ -248,6 +248,8 @@ def cmd_shell(cfg, args) -> Artifacts:
 def cmd_multiplier_sample(cfg, args) -> Artifacts:
     j = int(args.j)
     lam, beta = float(args.lam), float(args.beta)
+    if not (math.isfinite(lam) and math.isfinite(beta)):
+        raise ConfigError(f"--lam and --beta must be finite, got {lam}, {beta}")
     eps = float(cfg["epsilon"])
     per_shell = {}
     for s in range(1, math.floor(eps * j) + 1):

@@ -30,7 +30,8 @@ import scipy.fft as sfft
 
 from ._memo import BoundedCache
 from .arithmetic import (ReducedRational, _check_epsilon, _collected_qmax,
-                         _half_widths, enumerate_shell, gauss_sum, torus_delta)
+                         _frac1, _half_widths, enumerate_shell, gauss_sum,
+                         torus_delta)
 from .bumps import chi_s, psi_k
 from .oscillatory import h_j
 
@@ -57,6 +58,8 @@ _BETA_PHASES = BoundedCache(max_bytes=8 * 2 ** 20, max_entries=8)
 
 def _limbs(x: float):
     """x = (k0 + k1*2^26 + k2*2^52) / 2^e exactly, each limb < 2^27."""
+    if not math.isfinite(x):
+        raise ValueError(f"phase reduction needs a finite value, got {x}")
     m, e2 = math.frexp(abs(x))
     k = int(m * (1 << 53))
     return k & _MASK26, (k >> 26) & _MASK26, k >> 52, 53 - e2
@@ -79,7 +82,7 @@ def _frac_terms(k_limbs, e: int, operands):
             if -c <= 62:
                 p = p & ((1 << (-c)) - 1)
             total += p.astype(float) * 2.0 ** c
-    return total % 1.0
+    return _frac1(total)
 
 
 def _check_range(m: np.ndarray, lo: int, hi: int, what: str) -> None:
@@ -96,7 +99,7 @@ def frac_part_exact(x: float, m: np.ndarray) -> np.ndarray:
     k0, k1, k2, e = _limbs(x)
     f = _frac_terms((k0, k1, k2), e, ((np.abs(m), 0),))
     neg = (m < 0) != (x < 0)
-    f = np.where(neg, (-f) % 1.0, f)
+    f = np.where(neg, _frac1(-f), f)
     return f
 
 
@@ -111,7 +114,7 @@ def _frac_lam_msq(x: float, m: np.ndarray) -> np.ndarray:
     s1 = sq >> 24
     f = _frac_terms((k0, k1, k2), e, ((s0, 0), (s1, 24)))
     if x < 0.0:
-        f = (-f) % 1.0
+        f = _frac1(-f)
     return f
 
 
@@ -131,8 +134,8 @@ def m_j(j: int, lam: float, beta: float) -> complex:
     fl = _LAM_PHASES.get((j, lam), lambda: _frac_lam_msq(lam, m))
     fb = _BETA_PHASES.get((j, beta), lambda: frac_part_exact(beta, m))
     # psi_j is odd: the m < 0 half contributes -e(lam m^2 + beta m) psi_j(m)
-    pos = np.exp(2j * np.pi * ((fl - fb) % 1.0))
-    neg = np.exp(2j * np.pi * ((fl + fb) % 1.0))
+    pos = np.exp(2j * np.pi * _frac1(fl - fb))
+    neg = np.exp(2j * np.pi * _frac1(fl + fb))
     return complex(np.sum(w * (pos - neg)))
 
 
@@ -182,13 +185,25 @@ def _chi_radius(s: int) -> float:
     return 0.2 * 10.0 ** (-s)
 
 
+def _h_at_offset(h_at: dict | None, j: int, dl: float, db: float,
+                 tol: float) -> complex:
+    """H_j(j, dl, db, tol), read from ``h_at`` (keyed by the offset
+    (dl, db)) where present and added to it otherwise."""
+    if h_at is None:
+        return h_j(j, dl, db, tol)
+    h = h_at.get((dl, db))
+    if h is None:
+        h = h_at[(dl, db)] = h_j(j, dl, db, tol)
+    return h
+
+
 def _shell_sum(j: int, s: int, lam: float, beta: float,
                shell: list[ReducedRational], tol: float,
                h_at: dict | None = None) -> complex:
     """Sum over ``shell`` of S(r) H_j(lam - A/Q, beta - B/Q) chi_s chi_s.
 
-    Each H_j it evaluates is also stored as ``h_at[r]`` when ``h_at`` is
-    given, so a caller that needs S(r) H_j at the same point reuses it.
+    ``h_at``, when given, keeps H_j by offset as in _h_at_offset, so a
+    caller that needs H_j at the same offset reuses it.
     """
     radius = _chi_radius(s)
     acc = 0.0 + 0.0j
@@ -202,10 +217,7 @@ def _shell_sum(j: int, s: int, lam: float, beta: float,
         cut = float(chi_s(s, dl)) * float(chi_s(s, db))
         if cut == 0.0:
             continue
-        h = h_j(j, dl, db, tol)
-        if h_at is not None:
-            h_at[r] = h
-        acc += gauss_sum(r) * h * cut
+        acc += gauss_sum(r) * _h_at_offset(h_at, j, dl, db, tol) * cut
     return complex(acc)
 
 
@@ -291,9 +303,9 @@ class GridSpec:
 
 def _log2_slope(points) -> float | None:
     """Least-squares slope of log2(v) against x over the (x, v) with v > 0;
-    None when fewer than two such points remain."""
+    None when those points have fewer than two distinct x."""
     pts = [(x, v) for x, v in points if v > 0.0]
-    if len(pts) < 2:
+    if len({x for x, _ in pts}) < 2:
         return None
     xs = np.array([p[0] for p in pts], dtype=float)
     vals = np.array([p[1] for p in pts])
@@ -304,8 +316,8 @@ def _box_samples(j: int, epsilon: float, center: ReducedRational, P: int):
     wl, wb = _half_widths(j, epsilon)
     c_l = center.A / center.Q
     c_b = center.B / center.Q
-    lams = (c_l + np.linspace(-wl, wl, P)) % 1.0
-    betas = (c_b + np.linspace(-wb, wb, P)) % 1.0
+    lams = _frac1(c_l + np.linspace(-wl, wl, P))
+    betas = _frac1(c_b + np.linspace(-wb, wb, P))
     return lams, betas
 
 
@@ -415,37 +427,37 @@ def _box_stage(j: int, epsilon: float, centers: list[ReducedRational],
     sup |E_j|; any other center's box carries major_strata x major_strata
     samples and adds to sup |E_j| over uncovered boxes instead (L_j does
     not reach it, so |E_j| there is of order |S| until eps j reaches its
-    shell).  At a decomposition center the model's H_j is the one its
-    L_j term evaluated at the same point.
+    shell).  The model's H_j at a sample is H_j(j, dl, db) at the sample's
+    offset (dl, db) from its box center.  One dict for the call keeps every
+    H_j by offset, for the L_j sums and the model alike, so an offset that
+    recurs (the P x P offsets of the boxes of one j largely coincide) is
+    evaluated once.
 
     Returns ((sup |E_j|, argmax), sup |E_j| uncovered,
     (sup |M_j - S H_j|, argmax)); an argmax is None while its sup is 0.
     """
     dec = {r for shell in shells.values() for r in shell}
+    h_at = {}
     sup_e, arg_e = 0.0, None
     sup_uncovered = 0.0
     sup_major, arg_major = 0.0, None
     for r in centers:
         in_dec = r in dec
         lams, betas = _box_samples(j, epsilon, r, P if in_dec else major_strata)
+        dls = torus_delta(lams - r.A / r.Q).tolist()
+        dbs = torus_delta(betas - r.B / r.Q).tolist()
         sgs = gauss_sum(r)
-        for lam in lams:
-            dl = float(torus_delta(lam - r.A / r.Q))
-            for beta in betas:
-                lam_f, beta_f = float(lam), float(beta)
-                mv = m_j(j, lam_f, beta_f)
-                h_at = {}
-                ev = abs(mv - _l_j(j, lam_f, beta_f, epsilon, shells, tol, h_at))
-                h = h_at.get(r)
-                if h is None:
-                    h = h_j(j, dl, float(torus_delta(beta - r.B / r.Q)), tol)
-                err = abs(mv - sgs * h)
+        for lam, dl in zip(lams.tolist(), dls):
+            for beta, db in zip(betas.tolist(), dbs):
+                mv = m_j(j, lam, beta)
+                ev = abs(mv - _l_j(j, lam, beta, epsilon, shells, tol, h_at))
+                err = abs(mv - sgs * _h_at_offset(h_at, j, dl, db, tol))
                 if err > sup_major:
                     sup_major = err
-                    arg_major = (lam_f, beta_f, [r.Q, r.A, r.B])
+                    arg_major = (lam, beta, [r.Q, r.A, r.B])
                 if in_dec:
                     if ev > sup_e:
-                        sup_e, arg_e = ev, (lam_f, beta_f)
+                        sup_e, arg_e = ev, (lam, beta)
                 elif ev > sup_uncovered:
                     sup_uncovered = ev
     return (sup_e, arg_e), sup_uncovered, (sup_major, arg_major)

@@ -4,10 +4,13 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from carlesonlab.arithmetic import (
     MajorBox,
     ReducedRational,
+    _frac1,
     enumerate_shell,
     find_box_overlaps,
     gauss_decay_scan,
@@ -17,6 +20,7 @@ from carlesonlab.arithmetic import (
     odd_q_modulus_deviation,
     shell_size,
     square_class_reps,
+    torus_delta,
     torus_dist,
 )
 
@@ -206,6 +210,57 @@ class TestGaussSum:
         # worst case is Q=2 where |S| = 1: the scaled max is 2^0.45
         assert abs(scan["max_scaled"] - 2.0 ** 0.45) <= 1e-9
         assert scan["argmax"]["Q"] == 2
+
+
+def same_bits(got, ref) -> bool:
+    """Bit-for-bit equality of float64 arrays; a NaN matches any NaN (its
+    sign bit is the platform's default NaN, not the formula's)."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    nan = np.isnan(ref)
+    return bool(np.array_equal(np.isnan(got), nan)
+                and np.array_equal(got[~nan].view(np.uint64),
+                                   ref[~nan].view(np.uint64)))
+
+
+# the edges of the wrap: signed zeros, subnormals, integers and one ulp to
+# either side, halves, the largest floats, infinities and NaN
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.5, -0.5,
+          1.0 - 2.0 ** -53, -1.0 + 2.0 ** -53, 2.0 ** 52 + 0.5, 2.0 ** 53,
+          1.7976931348623157e308, -1.7976931348623157e308, math.inf,
+          -math.inf, math.nan]
+_EDGES += [float(np.nextafter(k, t)) for k in (1.0, -1.0, 3.0, -7.0, 2.0 ** 40)
+           for t in (-math.inf, math.inf)]
+
+
+class TestWrap:
+    """The wrap x - floor(x) against numpy's remainder x % 1.0."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=16))
+    @example(_EDGES)
+    def test_frac1_is_the_float_remainder(self, xs):
+        x = np.array(xs)
+        with np.errstate(invalid="ignore"):
+            assert same_bits(_frac1(x), x % 1.0)
+            # a 0-d array, as torus_delta wraps a scalar
+            for v in x:
+                assert same_bits(_frac1(np.asarray(v)), np.asarray(v) % 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=16))
+    @example(_EDGES)
+    def test_torus_delta_is_the_old_formula(self, xs):
+        x = np.array(xs)
+        with np.errstate(invalid="ignore"):
+            assert same_bits(torus_delta(x), (x + 0.5) % 1.0 - 0.5)
+            assert all(same_bits(torus_delta(v), (v + 0.5) % 1.0 - 0.5)
+                       for v in xs)
+
+    def test_torus_delta_range(self):
+        x = np.array([v for v in _EDGES if math.isfinite(v)])
+        d = torus_delta(x)
+        assert np.all((-0.5 <= d) & (d < 0.5))
+        assert not np.any(np.signbit(d) & (d == 0.0))   # no -0.0
 
 
 class TestMajorBoxes:

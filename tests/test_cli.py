@@ -1,12 +1,21 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from carlesonlab import oscillatory
-from carlesonlab.arithmetic import odd_q_modulus_deviation
+from carlesonlab.arithmetic import (ReducedRational, gauss_sum,
+                                    odd_q_modulus_deviation)
 from carlesonlab.cli import (CHECK_THRESHOLDS, COMMANDS, DEFAULTS, Artifacts,
-                             main)
+                             _csv_text, main)
+from carlesonlab.lambda_sets import cantor_set, lambda_set_to_json
 
 
 def run(args):
@@ -23,6 +32,28 @@ class TestCommands:
         assert float(row.split(",")[5]) <= 1e-12  # |S(1,0,2)| = 0
         rep = json.loads((tmp_path / "g.json").read_text())
         assert rep["checks"]["odd_q_modulus_law"]
+
+    def test_gauss_csv_is_the_loop_over_reduced_triples(self, tmp_path):
+        # every reduced (Q, A, B) in (Q, A, B) order, each float as its
+        # repr and |S| as Python's abs of the complex sum
+        assert run(["gauss", "--qmax", "9", "-o", str(tmp_path / "g")]) == 0
+        lines = (tmp_path / "g.csv").read_text().splitlines()[1:]
+        triples = [(q, a, b) for q in range(1, 10) for a in range(q)
+                   for b in range(q) if math.gcd(math.gcd(a, b), q) == 1]
+        assert [tuple(int(v) for v in line.split(",")[:3])
+                for line in lines] == triples
+        for line, triple in zip(lines, triples):
+            cells = line.split(",")[3:]
+            re_s, im_s, abs_s = (float(v) for v in cells)
+            assert cells == [repr(re_s), repr(im_s), repr(abs_s)]
+            assert abs_s == abs(complex(re_s, im_s))
+            assert abs(complex(re_s, im_s)
+                       - gauss_sum(ReducedRational(*triple))) <= 1e-12
+
+    def test_csv_cells_of_numpy_scalars(self):
+        text = _csv_text(["x", "y", "z"],
+                         [(np.float64(0.5), np.int64(3), 0.1), (1e-17, 2, -0.0)])
+        assert text == "x,y,z\n0.5,3,0.1\n1e-17,2,-0.0\n"
 
     def test_gauss_check_value_is_the_modulus_law(self, tmp_path):
         assert run(["gauss", "--qmax", "40", "-o", str(tmp_path / "g")]) == 0
@@ -200,6 +231,23 @@ class TestExitCodes:
         assert err.startswith("configuration error") and "WORKERS" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("lam, beta", [("inf", "0.4"), ("0.3", "-inf"),
+                                           ("nan", "0.4")])
+    def test_non_finite_point(self, tmp_path, capsys, lam, beta):
+        # the exact phase reduction has no dyadic limbs for inf or nan
+        assert run(["multiplier-sample", "--j", "12", f"--lam={lam}",
+                    f"--beta={beta}", "-o", str(tmp_path / "x")]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_repeated_l_has_no_slope(self, tmp_path, capsys):
+        # a single distinct l fits no slope, so the check fails by name
+        assert run(["single-l", "--l-list", "0,0", "--grid", "256",
+                    "--trials", "1", "-o", str(tmp_path / "x")]) == 1
+        assert "FAILED check: single_l_decay_slope" in capsys.readouterr().err
+        rep = json.loads((tmp_path / "x.json").read_text())
+        assert rep["slope_log2_ratio_vs_l"] is None
+
     def test_norm_probe_length_cap(self, tmp_path, capsys):
         assert run(["norm-probe", "--cantor", "2", "2",
                     "--lengths", "8388608", "-o", str(tmp_path / "x")]) == 2
@@ -313,3 +361,133 @@ class TestDeterminism:
             p2 = tmp_path / ("b" + p1.name[1:])
             assert p2.exists()
             assert p1.read_bytes() == p2.read_bytes(), p1.name
+
+
+# ---------------------------------------------------------------------------
+# exit-code fuzz: every command over its flags with bounded values (grid at
+# most 2^10, trials at most 2, j at most 12, lists of at most three entries);
+# out-of-range, malformed and missing values are drawn on purpose
+# ---------------------------------------------------------------------------
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _mostly(valid, invalid):
+    """``valid`` 7 times in 8, else ``invalid``."""
+    return st.integers(0, 7).flatmap(lambda i: invalid if i == 0 else valid)
+
+
+def _int_list(lo, hi):
+    valid = st.lists(st.integers(lo, hi), min_size=1, max_size=3).map(
+        lambda v: ",".join(map(str, v)))
+    return _mostly(valid, st.one_of(
+        st.lists(st.integers(-1, hi), max_size=3).map(
+            lambda v: ",".join(map(str, v))),
+        st.just("2,x")))
+
+
+_FLOATS = _mostly(st.floats(-2.0, 2.0).map(repr), st.sampled_from(
+    ["-0.0", "1e300", "-1e300", "5e-324", "inf", "-inf", "nan", "x"]))
+
+_LAMBDA_SOURCE = _mostly(
+    st.tuples(_ints(2, 3), _ints(1, 5)).map(lambda t: ["--cantor", *t]),
+    st.one_of(
+        st.just([]),
+        st.tuples(_ints(0, 3), _ints(-1, 5)).map(lambda t: ["--cantor", *t]),
+        st.sampled_from(["lam.json", "junk.json", "missing.json"]).map(
+            lambda name: ["--input", name])))
+
+# command -> (required flags, other flags), each {flag: values}
+_FUZZ_FLAGS = {
+    "gauss": ({}, {"--qmax": _mostly(_ints(1, 24), _ints(-1, 0))}),
+    "shell": ({"--s": _mostly(_ints(1, 6), st.sampled_from(["0", "17"]))},
+              {}),
+    "multiplier-sample": (
+        {"--j": _mostly(_ints(2, 12), st.sampled_from(["-1", "0", "25"])),
+         "--lam": _FLOATS, "--beta": _FLOATS}, {}),
+    "approx-error": ({}, {"--strata": _mostly(_ints(3, 4), _ints(0, 2))}),
+    "cantor": ({"--d": _mostly(_ints(2, 3), _ints(0, 1)),
+                "--depth": _mostly(_ints(1, 6), _ints(-1, 0))}, {}),
+    "cover": ({"--t-exp": _mostly(_ints(1, 6), _ints(-1, 0))},
+              {"--den-cap": _mostly(_ints(1, 64), _ints(-1, 0))}),
+    "maximal": ({"--length": _mostly(_ints(1, 128), _ints(-1, 0))},
+                {"--radius": _mostly(_ints(1, 256), _ints(-1, 0))}),
+    "norm-probe": ({"--lengths": _int_list(1, 128)},
+                   {"--radius-factor": _mostly(_ints(1, 4), _ints(-1, 0))}),
+    "bourgain-growth": ({"--n-list": _int_list(1, 8)}, {}),
+    "oscillatory-growth": ({"--n-list": _int_list(1, 8)},
+                           {"--k0": _mostly(_ints(2, 5), _ints(-1, 8))}),
+    "single-l": ({"--l-list": _int_list(0, 8)}, {}),
+}
+
+_FUZZ_COMMON = {
+    "--seed": _mostly(_ints(0, 3), st.just("-1")),
+    "--epsilon": _mostly(st.sampled_from(["0.05", "0.1", "0.14"]),
+                         st.sampled_from(["0.2", "nan"])),
+    "--tol": _mostly(st.sampled_from(["1e-10", "1e-6"]),
+                     st.sampled_from(["1e-15", "inf"])),
+    "--config": _mostly(st.just("cfg.json"),
+                        st.sampled_from(["junk.json", "missing.json"])),
+}
+
+# drawn in every run: the defaults of these are past the bounds (50
+# trials; j up to 14 on a 512 grid with 4 boxes per shell)
+_BOUNDED = {
+    "--trials": _mostly(_ints(1, 2), _ints(-1, 0)),
+    "--grid": _mostly(st.sampled_from(["64", "256", "1024"]),
+                      st.sampled_from(["0", "16", "100"])),
+}
+_BOUNDED_DECAY = {
+    "--jmin": _mostly(_ints(2, 12), _ints(0, 1)), "--jmax": _ints(2, 12),
+    "--boxes-per-shell": _ints(-1, 1),
+    # the decay harness's cost grows with the grid
+    "--grid": _mostly(st.just("64"), st.sampled_from(["0", "32", "100"])),
+}
+
+_CONFIG = '{"qmax": 4, "trials": 2, "tol": 1e-08}'
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    required, optional = _FUZZ_FLAGS[command]
+    # one required flag is left out 1 time in 8; other flags 1 time in 2
+    dropped = draw(_mostly(st.none(), st.sampled_from(sorted(required))))\
+        if required else None
+    flags = {f: v for f, v in required.items() if f != dropped}
+    flags.update((f, v) for f, v in {**optional, **_FUZZ_COMMON}.items()
+                 if draw(st.booleans()))
+    flags.update(_BOUNDED)
+    if command == "approx-error":
+        flags.update(_BOUNDED_DECAY)
+    # --flag=value, so that a value such as -inf is not read as a flag
+    argv = [command] + [f"{f}={draw(v)}" for f, v in flags.items()]
+    if command in ("cover", "maximal", "norm-probe"):
+        argv += draw(_LAMBDA_SOURCE)
+    return argv
+
+
+def _in_dir(tmp: Path, arg: str) -> str:
+    """A drawn file name, alone or after ``--flag=``, moved into ``tmp``."""
+    flag, eq, name = arg.rpartition("=")
+    return f"{flag}{eq}{tmp / name}" if name.endswith(".json") else arg
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+def test_fuzzed_flags_exit_with_a_typed_code(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "lam.json").write_text(lambda_set_to_json(cantor_set(2, 3)))
+        (tmp / "junk.json").write_text("{not json")
+        (tmp / "cfg.json").write_text(_CONFIG)
+        argv = [_in_dir(tmp, v) for v in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["-o", str(tmp / "out" / "x")])
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        if code in (2, 3):
+            assert not (tmp / "out").exists(), argv

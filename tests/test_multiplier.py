@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from carlesonlab import multiplier
 from carlesonlab.arithmetic import (MajorBox, ReducedRational, _collected_qmax,
                                     _half_widths, enumerate_shell, gauss_sum,
-                                    torus_dist)
+                                    torus_delta, torus_dist)
 from carlesonlab.multiplier import (
     GridSpec,
     big_l_j,
@@ -20,8 +20,11 @@ from carlesonlab.multiplier import (
     m_j,
     m_j_grid,
     m_j_rational_oracle,
+    _box_samples,
     _box_stage,
     _frac_lam_msq,
+    _limbs,
+    _support,
     _grid_point_in_major_boxes,
     _grid_stage,
 )
@@ -83,6 +86,82 @@ class TestExactPhases:
             _frac_lam_msq(0.0, np.array([m], dtype=np.int64))
 
 
+# The phase reductions and m_j as written with numpy's x % 1.0, before the
+# wrap became x - floor(x); the kernels must reproduce them bit for bit.
+def _old_frac_terms(k_limbs, e, operands):
+    total = np.zeros(operands[0][0].shape, dtype=float)
+    for i, ki in enumerate(k_limbs):
+        if ki == 0:
+            continue
+        for s, off in operands:
+            c = 26 * i + off - e
+            if c >= 0:
+                continue
+            p = ki * s
+            if -c <= 62:
+                p = p & ((1 << (-c)) - 1)
+            total += p.astype(float) * 2.0 ** c
+    return total % 1.0
+
+
+def _old_frac_part_exact(x, m):
+    if x == 0.0:
+        return np.zeros(m.shape, dtype=float)
+    k0, k1, k2, e = _limbs(x)
+    f = _old_frac_terms((k0, k1, k2), e, ((np.abs(m), 0),))
+    return np.where((m < 0) != (x < 0), (-f) % 1.0, f)
+
+
+def _old_frac_lam_msq(x, m):
+    if x == 0.0:
+        return np.zeros(m.shape, dtype=float)
+    k0, k1, k2, e = _limbs(x)
+    sq = m.astype(np.int64) ** 2
+    f = _old_frac_terms((k0, k1, k2), e,
+                        ((sq & ((1 << 24) - 1), 0), (sq >> 24, 24)))
+    return (-f) % 1.0 if x < 0.0 else f
+
+
+def _old_m_j(j, lam, beta):
+    m, w = _support(j)
+    fl, fb = _old_frac_lam_msq(lam, m), _old_frac_part_exact(beta, m)
+    pos = np.exp(2j * np.pi * ((fl - fb) % 1.0))
+    neg = np.exp(2j * np.pi * ((fl + fb) % 1.0))
+    return complex(np.sum(w * (pos - neg)))
+
+
+_SPECIAL = [0.0, 0.5, 1.0 - 2.0 ** -53, -0.5, -(1.0 - 2.0 ** -53)]
+
+
+def _bits(z):
+    z = np.asarray(z, dtype=complex)
+    return z.real.tobytes() + z.imag.tobytes()
+
+
+class TestWrapIsBitIdentical:
+    @pytest.mark.parametrize("j", range(2, 17))
+    def test_m_j_equals_the_remainder_formula(self, j):
+        rng = np.random.default_rng(j)
+        points = [(lam, beta) for lam in _SPECIAL for beta in _SPECIAL]
+        points += [tuple(v) for v in rng.uniform(-2.0, 2.0, (6, 2))]
+        points += [tuple(v) for v in rng.random((6, 2)) * 2.0 ** -(2 * j)]
+        for lam, beta in points:
+            lam, beta = float(lam), float(beta)
+            assert _bits(m_j(j, lam, beta)) == _bits(_old_m_j(j, lam, beta)), \
+                (j, lam, beta)
+
+    @pytest.mark.parametrize("j", range(2, 17))
+    def test_phase_reductions_equal_the_remainder_formula(self, j):
+        rng = np.random.default_rng(100 + j)
+        m, _ = _support(j)
+        m = np.concatenate([-m, m])
+        for x in _SPECIAL + rng.uniform(-3.0, 3.0, 8).tolist():
+            assert _bits(frac_part_exact(x, m)) == \
+                _bits(_old_frac_part_exact(x, m)), (j, x)
+            assert _bits(_frac_lam_msq(x, m)) == \
+                _bits(_old_frac_lam_msq(x, m)), (j, x)
+
+
 class TestMj:
     def test_odd_bump_kills_zero_frequencies(self):
         assert m_j(6, 0.0, 0.0) == 0.0
@@ -108,6 +187,12 @@ class TestMj:
     def test_cost_cap(self):
         with pytest.raises(ValueError):
             m_j(25, 0.1, 0.1)
+
+    @pytest.mark.parametrize("lam, beta", [(np.inf, 0.1), (0.1, -np.inf),
+                                           (np.nan, 0.1)])
+    def test_non_finite_point_is_rejected(self, lam, beta):
+        with pytest.raises(ValueError, match="finite"):
+            m_j(8, lam, beta)
 
     def test_row_and_grid_match_pointwise(self):
         G = 128
@@ -274,3 +359,39 @@ class TestDecayStages:
         monkeypatch.setattr(multiplier, "h_j", counted)
         assert _box_stage(*args) == plain
         assert len(calls) == 9
+
+    def test_box_stage_evaluates_h_j_once_per_offset(self, monkeypatch):
+        # two centers outside the decomposition (shell 1 is (1, 0, 0) at
+        # j = 12): 6 of the 18 offsets of their boxes coincide bit for bit
+        # with an earlier one, and only the 12 distinct ones need an H_j
+        j, eps, tol, strata = 12, 0.1, 1e-10, 3
+        shells = {1: enumerate_shell(1)}
+        centers = [ReducedRational(3, 1, 1), ReducedRational(5, 2, 3)]
+        offsets = set()
+        (sup_major, arg_major), sup_uncovered = (0.0, None), 0.0
+        # the same loop without the dict: H_j evaluated at every sample
+        for r in centers:
+            lams, betas = _box_samples(j, eps, r, strata)
+            for lam in lams.tolist():
+                for beta in betas.tolist():
+                    dl = float(torus_delta(lam - r.A / r.Q))
+                    db = float(torus_delta(beta - r.B / r.Q))
+                    offsets.add((dl, db))
+                    mv = m_j(j, lam, beta)
+                    err = abs(mv - gauss_sum(r) * h_j(j, dl, db, tol))
+                    if err > sup_major:
+                        sup_major = err
+                        arg_major = (lam, beta, [r.Q, r.A, r.B])
+                    sup_uncovered = max(sup_uncovered, abs(
+                        mv - big_l_j(j, lam, beta, eps, shells, tol)))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return h_j(*args)
+
+        monkeypatch.setattr(multiplier, "h_j", counted)
+        got = _box_stage(j, eps, centers, shells, 5, strata, tol)
+        assert sorted(calls) == sorted((j, dl, db, tol) for dl, db in offsets)
+        assert len(offsets) == 12
+        assert got == ((0.0, None), sup_uncovered, (sup_major, arg_major))
