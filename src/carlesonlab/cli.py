@@ -2,9 +2,10 @@
 
 Exit codes: 0 = artifacts written and all embedded checks passed;
 1 = a named assertion-style check failed (the failing metric is printed);
-2 = configuration error; 3 = numerical non-convergence (a quadrature
-refinement missed its tolerance); 4 = any other error (its message is
-printed, without a traceback).  Exits 2-4 write no artifact.
+2 = configuration error; 3 = numerical failure (a quadrature refinement
+missed its tolerance, or a computed report holds a NaN or an infinity,
+whose key path is printed); 4 = any other error (its message is printed,
+without a traceback).  Exits 2-4 write no artifact.
 
 Defaults (flags override --config file entries, which override these):
 
@@ -89,10 +90,34 @@ def _to_native(obj):
     return obj
 
 
+class NonFiniteReport(ArithmeticError):
+    """A computed report holds a NaN or an infinity (exit 3)."""
+
+
+def _non_finite_path(obj, path: str = "report") -> str | None:
+    """Key path of the first NaN or infinity in native ``obj``, if any."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return path
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, val in items:
+        found = _non_finite_path(val, f"{path}[{key!r}]")
+        if found is not None:
+            return found
+    return None
+
+
 def _json_text(payload: dict) -> str:
-    """Deterministic JSON; a NaN or infinity raises ValueError (exit 2)."""
-    return json.dumps(_to_native(payload), indent=2, sort_keys=True,
-                      allow_nan=False) + "\n"
+    """Deterministic JSON; a NaN or infinity raises NonFiniteReport."""
+    native = _to_native(payload)
+    try:
+        return json.dumps(native, indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
+    except ValueError:
+        path = _non_finite_path(native)
+        if path is None:
+            raise
+        raise NonFiniteReport(f"{path} is not finite") from None
 
 
 def _csv_text(header: list, rows) -> str:
@@ -476,6 +501,9 @@ def main(argv=None) -> int:
             return _emit(cfg, args.command, run(cfg, args))
     except ConvergenceError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
+        return 3
+    except NonFiniteReport as exc:
+        print(f"non-finite report value: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -187,13 +187,24 @@ def _chi_radius(s: int) -> float:
 
 def _h_at_offset(h_at: dict | None, j: int, dl: float, db: float,
                  tol: float) -> complex:
-    """H_j(j, dl, db, tol), read from ``h_at`` (keyed by the offset
-    (dl, db)) where present and added to it otherwise."""
+    """H_j(j, dl, db, tol), by its symmetry class when ``h_at`` is given.
+
+    H_j is odd in y and H_j(-x, y) = -conj H_j(x, y), and every path of
+    the quadrature keeps both rules bit for bit (up to the sign of a zero
+    part, which no sum that starts from +0 can see).  So ``h_at`` keeps
+    H_j at the class (|dl|, |db|), evaluated once, and the offset's value
+    is read from it: negated when db < 0, then -conj when dl < 0.
+    """
     if h_at is None:
         return h_j(j, dl, db, tol)
-    h = h_at.get((dl, db))
+    key = (abs(dl), abs(db))
+    h = h_at.get(key)
     if h is None:
-        h = h_at[(dl, db)] = h_j(j, dl, db, tol)
+        h = h_at[key] = h_j(j, *key, tol)
+    if db < 0.0:
+        h = -h
+    if dl < 0.0:
+        h = -h.conjugate()
     return h
 
 
@@ -202,8 +213,8 @@ def _shell_sum(j: int, s: int, lam: float, beta: float,
                h_at: dict | None = None) -> complex:
     """Sum over ``shell`` of S(r) H_j(lam - A/Q, beta - B/Q) chi_s chi_s.
 
-    ``h_at``, when given, keeps H_j by offset as in _h_at_offset, so a
-    caller that needs H_j at the same offset reuses it.
+    ``h_at``, when given, keeps H_j by symmetry class as in _h_at_offset,
+    so a caller that needs H_j in the same class reuses it.
     """
     radius = _chi_radius(s)
     acc = 0.0 + 0.0j
@@ -339,17 +350,16 @@ def _grid_point_in_major_boxes(g: int, h: int, G: int, j: int,
     nums = np.floor(lam * qs + 0.5).astype(np.int64) % qs
     near = (np.abs(torus_delta(lam - nums / qs)) <= wl) & \
         (np.gcd(nums, qs) == 1)
+    # every candidate (q0, mult, b) at once, indexed [q0, mult - 1, b]: the
+    # four numerators b around beta*Q for Q = q0*mult <= qmax; then, for
+    # those within wb, gcd(A, B, Q) of (a*mult, b, q0*mult), which reduces
+    # to gcd(b, mult)
+    q = qs[near][:, None, None] * qs[:, None]
     beta = h / G
-    for q0 in qs[near].tolist():
-        for mult in range(1, qmax // q0 + 1):
-            q = q0 * mult
-            b0 = math.floor(beta * q)
-            for b in (b0 - 1, b0, b0 + 1, b0 + 2):
-                # gcd(A, B, Q) for (a*mult, b, q0*mult) reduces to gcd(b, mult)
-                if abs(torus_delta(beta - b / q)) <= wb and \
-                        math.gcd(b % q, mult) == 1:
-                    return True
-    return False
+    b = np.floor(beta * q).astype(np.int64) + np.arange(-1, 3)
+    close = (q <= qmax) & (np.abs(torus_delta(beta - b / q)) <= wb)
+    i, m, _ = np.nonzero(close)
+    return bool((np.gcd(b[close] % q[i, m, 0], m + 1) == 1).any())
 
 
 def _sample_shell_centers(s: int, count: int, rng) -> list[ReducedRational]:
@@ -392,7 +402,9 @@ def _grid_stage(j: int, epsilon: float, G: int, shells: dict, tol: float):
     """Stage 2: E_j = M_j - L_j on the uniform G x G grid.
 
     L_j vanishes outside the chi_s windows of the decomposition centers,
-    so big_l_j is evaluated only at the grid points of those windows.
+    so L_j is evaluated only at the grid points of those windows, with
+    one dict for the call that keeps H_j by symmetry class (_h_at_offset):
+    a window's offsets come in classes of up to four.
     Returns (E_j indexed [g, h], (sup |E_j|, argmax), sup |L_j| over the
     grid points outside the collected boxes).
     """
@@ -406,9 +418,10 @@ def _grid_stage(j: int, epsilon: float, G: int, shells: dict, tol: float):
                     for c in (r.A / r.Q, r.B / r.Q))
             window[np.ix_(g, h)] = True
     sup_l_off = 0.0
+    h_at = {}
     for g, h in zip(*np.nonzero(window)):
         g, h = int(g), int(h)
-        lval = big_l_j(j, g / G, h / G, epsilon, shells, tol)
+        lval = _l_j(j, g / G, h / G, epsilon, shells, tol, h_at)
         e[g, h] -= lval
         if abs(lval) > sup_l_off and \
                 not _grid_point_in_major_boxes(g, h, G, j, epsilon):
@@ -429,9 +442,10 @@ def _box_stage(j: int, epsilon: float, centers: list[ReducedRational],
     not reach it, so |E_j| there is of order |S| until eps j reaches its
     shell).  The model's H_j at a sample is H_j(j, dl, db) at the sample's
     offset (dl, db) from its box center.  One dict for the call keeps every
-    H_j by offset, for the L_j sums and the model alike, so an offset that
-    recurs (the P x P offsets of the boxes of one j largely coincide) is
-    evaluated once.
+    H_j by symmetry class (|dl|, |db|) as in _h_at_offset, for the L_j sums
+    and the model alike, so a class that recurs (the P x P offsets of the
+    boxes of one j largely coincide, and a centered box's offsets pair off
+    in sign) is evaluated once.
 
     Returns ((sup |E_j|, argmax), sup |E_j| uncovered,
     (sup |M_j - S H_j|, argmax)); an argmax is None while its sup is 0.

@@ -184,14 +184,37 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_non_finite_report_value(self, tmp_path, capsys, monkeypatch):
+        # a computed NaN is a numerical failure, not a configuration error,
+        # and the message names where in the report it sits
+        err = self._run_with_report(
+            tmp_path, capsys, monkeypatch,
+            {"per_j": [{"value": 1.0}, {"value": float("nan")}]})
+        assert err.startswith("non-finite report value")
+        assert "report['per_j'][1]['value']" in err
+
+    @pytest.mark.parametrize("value, path", [
+        (-math.inf, "report['value']"),
+        (np.float64("inf"), "report['value']"),
+        (complex(0.0, math.nan), "report['value']['im']"),
+        (np.array([1.0, math.inf]), "report['value'][1]"),
+    ])
+    def test_infinite_report_value(self, tmp_path, capsys, monkeypatch,
+                                   value, path):
+        err = self._run_with_report(tmp_path, capsys, monkeypatch,
+                                    {"value": value})
+        assert f"{path} is not finite" in err
+
+    @staticmethod
+    def _run_with_report(tmp_path, capsys, monkeypatch, report) -> str:
+        """stderr of ``shell`` made to compute ``report``; asserts exit 3
+        and that no artifact was written."""
         help_text, flags, _ = COMMANDS["shell"]
         monkeypatch.setitem(COMMANDS, "shell", (
             help_text, flags,
-            lambda cfg, args: Artifacts(report={"value": float("nan")},
-                                        csv=(["x"], [(1,)]))))
-        assert run(["shell", "--s", "2", "-o", str(tmp_path / "x")]) == 2
-        assert "JSON compliant" in capsys.readouterr().err
+            lambda cfg, args: Artifacts(report=report, csv=(["x"], [(1,)]))))
+        assert run(["shell", "--s", "2", "-o", str(tmp_path / "x")]) == 3
         assert not list(tmp_path.iterdir())
+        return capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["cover", "--cantor", "2", "3", "--t-exp", "0"],

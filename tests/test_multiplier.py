@@ -1,8 +1,10 @@
+import math
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carlesonlab import multiplier
@@ -330,6 +332,43 @@ class TestGridMembership:
                  if _grid_point_in_major_boxes(*p, G, j, eps) != (p in inside)]
         assert wrong == []
 
+    @pytest.mark.parametrize("j,eps,G", [(10, 0.1, 128), (12, 0.1, 128),
+                                         (14, 0.1, 64), (16, 0.1, 64),
+                                         (8, 0.13, 512)])
+    def test_candidates_match_the_scalar_loop(self, j, eps, G):
+        # the chi windows around (0, 0), where the decay harness asks, and
+        # random points
+        rng = np.random.default_rng(j)
+        probes = {(g % G, h % G) for g in range(-12, 13)
+                  for h in range(-12, 13)}
+        probes |= {(int(g), int(h)) for g, h in rng.integers(0, G, (1500, 2))}
+        wrong = [p for p in sorted(probes)
+                 if _grid_point_in_major_boxes(*p, G, j, eps)
+                 != _in_major_boxes_loop(*p, G, j, eps)]
+        assert wrong == []
+
+
+def _in_major_boxes_loop(g: int, h: int, G: int, j: int, eps: float) -> bool:
+    """_grid_point_in_major_boxes with one scalar test per candidate
+    (q0, mult, b), returning at the first hit."""
+    qmax = _collected_qmax(j, eps)
+    wl, wb = _half_widths(j, eps)
+    lam = g / G
+    qs = np.arange(1, qmax + 1, dtype=np.int64)
+    nums = np.floor(lam * qs + 0.5).astype(np.int64) % qs
+    near = (np.abs(torus_delta(lam - nums / qs)) <= wl) & \
+        (np.gcd(nums, qs) == 1)
+    beta = h / G
+    for q0 in qs[near].tolist():
+        for mult in range(1, qmax // q0 + 1):
+            q = q0 * mult
+            b0 = math.floor(beta * q)
+            for b in (b0 - 1, b0, b0 + 1, b0 + 2):
+                if abs(torus_delta(beta - b / q)) <= wb and \
+                        math.gcd(b % q, mult) == 1:
+                    return True
+    return False
+
 
 class TestDecayStages:
     @pytest.mark.parametrize("j", [10, 20])
@@ -346,28 +385,42 @@ class TestDecayStages:
         # sit one step off the beta axis
         assert lj[G - 1, 1] != 0.0 and lj[1, G - 1] != 0.0
 
-    def test_box_stage_evaluates_h_j_once_per_point(self, monkeypatch):
-        calls = []
+    def test_grid_stage_evaluates_h_j_once_per_class(self, monkeypatch):
+        # j = 12, G = 128: the chi_1 window around (0, 0) holds the 5 x 5
+        # points |g|, |h| <= 2, whose offsets fall in 3 x 3 classes
+        j, eps, G, tol = 12, 0.1, 128, 1e-10
+        shells = {1: enumerate_shell(1)}
+        plain = _grid_stage(j, eps, G, shells, tol)
+        calls = _count_h_j(monkeypatch)
+        got = _grid_stage(j, eps, G, shells, tol)
+        assert sorted(calls) == sorted((j, abs(g) / G, abs(h) / G, tol)
+                                       for g in (0, 1, 2) for h in (0, 1, 2))
+        assert np.array_equal(got[0], plain[0]) and got[1:] == plain[1:]
 
-        def counted(*args):
-            calls.append(args)
-            return h_j(*args)
-
-        args = (12, 0.1, [ReducedRational(1, 0, 0)],
-                {1: enumerate_shell(1)}, 3, 3, 1e-10)
+    def test_box_stage_evaluates_h_j_once_per_class(self, monkeypatch):
+        # the decomposition center (1, 0, 0): its 3 x 3 samples and their
+        # L_j sums share the classes (|dl|, |db|) of the sample offsets
+        j, eps, tol = 12, 0.1, 1e-10
+        r = ReducedRational(1, 0, 0)
+        args = (j, eps, [r], {1: enumerate_shell(1)}, 3, 3, tol)
         plain = _box_stage(*args)
-        monkeypatch.setattr(multiplier, "h_j", counted)
+        lams, betas = _box_samples(j, eps, r, 3)
+        classes = {(abs(float(dl)), abs(float(db)))
+                   for dl in torus_delta(lams) for db in torus_delta(betas)}
+        calls = _count_h_j(monkeypatch)
         assert _box_stage(*args) == plain
-        assert len(calls) == 9
+        assert sorted(calls) == sorted((j, x, y, tol) for x, y in classes)
+        assert len(calls) == 6
 
-    def test_box_stage_evaluates_h_j_once_per_offset(self, monkeypatch):
+    def test_box_stage_evaluates_h_j_once_per_class_across_boxes(
+            self, monkeypatch):
         # two centers outside the decomposition (shell 1 is (1, 0, 0) at
-        # j = 12): 6 of the 18 offsets of their boxes coincide bit for bit
-        # with an earlier one, and only the 12 distinct ones need an H_j
+        # j = 12): the 18 offsets of their boxes fall in 6 classes
+        # (|dl|, |db|), and only those need an H_j
         j, eps, tol, strata = 12, 0.1, 1e-10, 3
         shells = {1: enumerate_shell(1)}
         centers = [ReducedRational(3, 1, 1), ReducedRational(5, 2, 3)]
-        offsets = set()
+        classes = set()
         (sup_major, arg_major), sup_uncovered = (0.0, None), 0.0
         # the same loop without the dict: H_j evaluated at every sample
         for r in centers:
@@ -376,7 +429,7 @@ class TestDecayStages:
                 for beta in betas.tolist():
                     dl = float(torus_delta(lam - r.A / r.Q))
                     db = float(torus_delta(beta - r.B / r.Q))
-                    offsets.add((dl, db))
+                    classes.add((abs(dl), abs(db)))
                     mv = m_j(j, lam, beta)
                     err = abs(mv - gauss_sum(r) * h_j(j, dl, db, tol))
                     if err > sup_major:
@@ -384,14 +437,76 @@ class TestDecayStages:
                         arg_major = (lam, beta, [r.Q, r.A, r.B])
                     sup_uncovered = max(sup_uncovered, abs(
                         mv - big_l_j(j, lam, beta, eps, shells, tol)))
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return h_j(*args)
-
-        monkeypatch.setattr(multiplier, "h_j", counted)
+        calls = _count_h_j(monkeypatch)
         got = _box_stage(j, eps, centers, shells, 5, strata, tol)
-        assert sorted(calls) == sorted((j, dl, db, tol) for dl, db in offsets)
-        assert len(offsets) == 12
+        assert sorted(calls) == sorted((j, x, y, tol) for x, y in classes)
+        assert len(classes) == 6
         assert got == ((0.0, None), sup_uncovered, (sup_major, arg_major))
+
+    def test_report_equals_pointwise_h_j(self, monkeypatch):
+        # every stage, with H_j evaluated at each offset instead of read
+        # from its class, gives the same report to the last bit
+        kw = dict(epsilon=0.1, grid=GridSpec(G=128, strata=3),
+                  n_derivative_samples=4, boxes_per_shell=1, seed=11)
+        by_class = decay_report(range(10, 13), **kw)
+        monkeypatch.setattr(multiplier, "_h_at_offset",
+                            lambda h_at, j, dl, db, tol: h_j(j, dl, db, tol))
+        assert repr(decay_report(range(10, 13), **kw)) == repr(by_class)
+
+
+def _count_h_j(monkeypatch) -> list:
+    """The argument tuples of every h_j call the multiplier makes from now."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return h_j(*args)
+
+    monkeypatch.setattr(multiplier, "h_j", counted)
+    return calls
+
+
+def _unsigned_zero_bits(z: complex) -> bytes:
+    """The bits of z's parts, with a zero part taken as +0."""
+    return struct.pack("<dd", z.real + 0.0, z.imag + 0.0)
+
+
+# scaled (X, Y) ranges of each path of the quadrature: X = 0 reads the psi-hat
+# table (zero beyond its cut, about 349), small X the direct panels, and
+# X > 4096 with 4 (X + |Y|) over the direct budget the Fresnel dual; a
+# negative X is the explicit conjugate of the dual or direct value at -X
+_PATH_RANGES = {
+    "table": (st.just(0.0), st.floats(0.0, 600.0)),
+    "direct": (st.floats(2.0 ** -30, 4095.0), st.floats(0.0, 1000.0)),
+    "dual": (st.floats(4097.0, 2.0 ** 20), st.floats(0.0, 2.0 ** 14)),
+}
+
+
+@st.composite
+def _scaled_points(draw):
+    path = draw(st.sampled_from(sorted(_PATH_RANGES)))
+    x_range, y_range = _PATH_RANGES[path]
+    X = math.copysign(draw(x_range), draw(st.sampled_from([1.0, -1.0])))
+    Y = math.copysign(draw(y_range), draw(st.sampled_from([1.0, -1.0])))
+    return X, Y
+
+
+class TestHjSymmetryClass:
+    """H_j(x, -y) = -H_j(x, y) and H_j(-x, y) = -conj H_j(x, y) on every
+    path, so _h_at_offset may read an offset's H_j from its class."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(j=st.integers(0, 20), point=_scaled_points())
+    @example(j=12, point=(0.0, -0.0)).via("both zeros signed")
+    @example(j=12, point=(-0.0, 3.0)).via("table, x = -0")
+    @example(j=12, point=(-100.0, 0.0)).via("direct conjugate, y = 0")
+    @example(j=12, point=(-1e5, -0.0)).via("dual conjugate, y = -0")
+    @example(j=12, point=(0.0, -400.0)).via("table beyond its cut")
+    def test_class_rule_is_h_j(self, j, point):
+        # bit for bit, except that a zero part's sign depends on the path
+        # (H_j(-x, 0) is conj H_j(x, -0.0) there); the decay sums start
+        # from +0, so they cannot see it
+        X, Y = point
+        x, y, tol = math.ldexp(X, -2 * j), math.ldexp(Y, -j), 1e-10
+        got = multiplier._h_at_offset({}, j, x, y, tol)
+        assert _unsigned_zero_bits(got) == _unsigned_zero_bits(h_j(j, x, y, tol))
