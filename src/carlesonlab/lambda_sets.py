@@ -18,6 +18,7 @@ data) rather than the label.
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 from dataclasses import dataclass, field
@@ -288,7 +289,11 @@ def dimension_estimate(lam_set: LambdaSet, t_list, den_cap: int = DEFAULT_DEN_CA
 # ---------------------------------------------------------------------------
 
 def _fraction_to_decimal(p: Fraction) -> str:
-    """Exact decimal string when the denominator is of the form 2^a 5^b."""
+    """Exact decimal string when the denominator is of the form 2^a 5^b.
+
+    The digits go through ``decimal.Decimal``, which prints an int of any
+    length; ``str(int)`` stops at Python's int-to-str digit limit.
+    """
     den = p.denominator
     a = b = 0
     d = den
@@ -302,7 +307,7 @@ def _fraction_to_decimal(p: Fraction) -> str:
         return repr(float(p))
     shift = max(a, b)
     digits = p.numerator * 10 ** shift // den
-    s = str(digits).rjust(shift + 1, "0")
+    s = str(decimal.Decimal(digits)).rjust(shift + 1, "0")
     if shift == 0:
         return s
     return (s[:-shift] + "." + s[-shift:]).rstrip("0").rstrip(".") or "0"
@@ -313,9 +318,24 @@ def lambda_set_to_json(lam_set: LambdaSet) -> str:
     return json.dumps([_fraction_to_decimal(Fraction(p)) for p in lam_set.points])
 
 
+def _point_from_json(v) -> Fraction:
+    """One entry of a lambda-set file, exactly; ValueError if malformed.
+
+    A decimal string is read through ``decimal.Decimal``, which takes any
+    number of digits (``Fraction(str)`` stops at the int-to-str digit
+    limit); a "p/q" string and a JSON number go to ``Fraction``.
+    """
+    try:
+        if isinstance(v, str) and "/" not in v:
+            return Fraction(decimal.Decimal(v))
+        return Fraction(v)
+    except (ArithmeticError, TypeError):
+        raise ValueError(f"not a finite rational: {v!r}") from None
+
+
 def lambda_set_from_json(text: str) -> LambdaSet:
     vals = json.loads(text)
-    pts = tuple(sorted({Fraction(v) for v in vals}))
+    pts = tuple(sorted({_point_from_json(v) for v in vals}))
     return LambdaSet(points=pts, provenance=("explicit",))
 
 

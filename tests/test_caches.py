@@ -1,14 +1,30 @@
 """The package's memos: bit-identical values, read-only arrays, byte bounds."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import carlesonlab
 from carlesonlab import multiplier as mult
 from carlesonlab import oscillatory as osc
 from carlesonlab._memo import BoundedCache
 from carlesonlab.arithmetic import enumerate_shell
 
-MEMOS = (osc._PANEL_RULES, mult._SUPPORT, mult._LAM_PHASES, mult._BETA_PHASES)
+
+def discover_memos() -> list[BoundedCache]:
+    """Every BoundedCache bound at module level in a carlesonlab module."""
+    found = []
+    for info in pkgutil.iter_modules(carlesonlab.__path__):
+        mod = importlib.import_module(f"carlesonlab.{info.name}")
+        for v in vars(mod).values():
+            if isinstance(v, BoundedCache) and not any(v is f for f in found):
+                found.append(v)
+    return found
+
+
+MEMOS = discover_memos()
 
 # (j, lam, beta) with alternating j, so the one-entry support memo evicts
 POINTS = [(j, lam, beta) for lam, beta in ((0.3, 0.7), (0.25 + 1e-7, 0.5 - 3e-5))
@@ -94,6 +110,14 @@ class TestBitIdentity:
 
 
 class TestMemoBounds:
+    def test_discovery_finds_exactly_the_known_memos(self):
+        # a memo added later falls under the tests below; this list is
+        # changed on purpose when one is added or removed
+        known = (osc._PANEL_RULES, mult._SUPPORT, mult._LAM_PHASES,
+                 mult._BETA_PHASES)
+        assert len(MEMOS) == len(known)
+        assert all(any(m is k for k in known) for m in MEMOS)
+
     def test_cached_arrays_are_read_only(self):
         mult.m_j(10, 0.3, 0.4)
         osc._dual_scaled(5000.0, 30.0, 1398)

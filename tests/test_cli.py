@@ -15,7 +15,8 @@ from carlesonlab.arithmetic import (ReducedRational, gauss_sum,
                                     odd_q_modulus_deviation)
 from carlesonlab.cli import (CHECK_THRESHOLDS, COMMANDS, DEFAULTS, Artifacts,
                              _csv_text, main)
-from carlesonlab.lambda_sets import cantor_set, lambda_set_to_json
+from carlesonlab.lambda_sets import (cantor_set, lambda_set_from_json,
+                                     lambda_set_to_json)
 
 
 def run(args):
@@ -99,6 +100,24 @@ class TestCommands:
         cov2 = tmp_path / "cov2"
         assert run(["cover", "--input", str(tmp_path / "c.json"),
                     "--t-exp", "6", "-o", str(cov2)]) == 0
+
+    def test_cantor_past_the_int_to_str_digit_limit(self, tmp_path):
+        # 32 points of 7776 digits each, beyond Python's 4300-digit limit
+        assert run(["cantor", "--d", "6", "--depth", "5",
+                    "-o", str(tmp_path / "c")]) == 0
+        text = (tmp_path / "c.json").read_text()
+        assert max(len(v) for v in json.loads(text)) == 2 + 6 ** 5
+        assert lambda_set_from_json(text).points == cantor_set(6, 5).points
+
+    @pytest.mark.parametrize("entry", ['"abc"', '"inf"', '"1/0"', "null",
+                                       "[1]", "1e999"])
+    def test_cover_rejects_a_malformed_lambda_file(self, tmp_path, capsys,
+                                                   entry):
+        (tmp_path / "lam.json").write_text(f'["0.5", {entry}]')
+        assert run(["cover", "--input", str(tmp_path / "lam.json"),
+                    "--t-exp", "3", "-o", str(tmp_path / "out" / "x")]) == 2
+        assert capsys.readouterr().err.startswith("configuration error")
+        assert not (tmp_path / "out").exists()
 
     def test_maximal_and_norm_probe(self, tmp_path):
         base = tmp_path / "mx"

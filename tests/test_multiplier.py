@@ -24,6 +24,7 @@ from carlesonlab.multiplier import (
     m_j_rational_oracle,
     _box_samples,
     _box_stage,
+    _derivative_stage,
     _frac_lam_msq,
     _limbs,
     _support,
@@ -391,7 +392,7 @@ class TestDecayStages:
         j, eps, G, tol = 12, 0.1, 128, 1e-10
         shells = {1: enumerate_shell(1)}
         plain = _grid_stage(j, eps, G, shells, tol)
-        calls = _count_h_j(monkeypatch)
+        calls = _count_calls(monkeypatch, "h_j")
         got = _grid_stage(j, eps, G, shells, tol)
         assert sorted(calls) == sorted((j, abs(g) / G, abs(h) / G, tol)
                                        for g in (0, 1, 2) for h in (0, 1, 2))
@@ -407,7 +408,7 @@ class TestDecayStages:
         lams, betas = _box_samples(j, eps, r, 3)
         classes = {(abs(float(dl)), abs(float(db)))
                    for dl in torus_delta(lams) for db in torus_delta(betas)}
-        calls = _count_h_j(monkeypatch)
+        calls = _count_calls(monkeypatch, "h_j")
         assert _box_stage(*args) == plain
         assert sorted(calls) == sorted((j, x, y, tol) for x, y in classes)
         assert len(calls) == 6
@@ -437,11 +438,38 @@ class TestDecayStages:
                         arg_major = (lam, beta, [r.Q, r.A, r.B])
                     sup_uncovered = max(sup_uncovered, abs(
                         mv - big_l_j(j, lam, beta, eps, shells, tol)))
-        calls = _count_h_j(monkeypatch)
+        calls = _count_calls(monkeypatch, "h_j")
         got = _box_stage(j, eps, centers, shells, 5, strata, tol)
         assert sorted(calls) == sorted((j, x, y, tol) for x, y in classes)
         assert len(classes) == 6
         assert got == ((0.0, None), sup_uncovered, (sup_major, arg_major))
+
+    def test_phase_reductions_once_per_box_and_derivative_point(
+            self, monkeypatch):
+        # a box reduces each of its sample lams and betas once, and a
+        # derivative point reduces lam + h, lam - h and beta once each
+        j, eps, tol = 12, 0.1, 1e-10
+        shells = {1: enumerate_shell(1)}
+        centers = [ReducedRational(1, 0, 0), ReducedRational(3, 1, 1),
+                   ReducedRational(5, 2, 3)]
+        samples = [_box_samples(j, eps, r, 5 if r.Q == 1 else 3)
+                   for r in centers]
+        points = np.random.default_rng(3).random((4, 2))
+        hstep = 2.0 ** (-2 * j - 8)
+        multiplier._LAM_PHASES.cache_clear()
+        multiplier._BETA_PHASES.cache_clear()
+        lam_calls = _count_calls(monkeypatch, "_frac_lam_msq")
+        beta_calls = _count_calls(monkeypatch, "frac_part_exact")
+        _box_stage(j, eps, centers, shells, 5, 3, tol)
+        assert [a[0] for a in lam_calls] == \
+            [x for lams, _ in samples for x in lams.tolist()]
+        assert sorted(a[0] for a in beta_calls) == \
+            sorted(x for _, betas in samples for x in betas.tolist())
+        del lam_calls[:], beta_calls[:]
+        _derivative_stage(j, eps, points, shells, tol)
+        assert [a[0] for a in lam_calls] == \
+            [float(lam + s * hstep) for lam, _ in points for s in (1, -1)]
+        assert [a[0] for a in beta_calls] == [float(b) for _, b in points]
 
     def test_report_equals_pointwise_h_j(self, monkeypatch):
         # every stage, with H_j evaluated at each offset instead of read
@@ -454,15 +482,17 @@ class TestDecayStages:
         assert repr(decay_report(range(10, 13), **kw)) == repr(by_class)
 
 
-def _count_h_j(monkeypatch) -> list:
-    """The argument tuples of every h_j call the multiplier makes from now."""
+def _count_calls(monkeypatch, name: str) -> list:
+    """The argument tuples of every call the multiplier makes to ``name``
+    from now."""
     calls = []
+    fn = getattr(multiplier, name)
 
     def counted(*args):
         calls.append(args)
-        return h_j(*args)
+        return fn(*args)
 
-    monkeypatch.setattr(multiplier, "h_j", counted)
+    monkeypatch.setattr(multiplier, name, counted)
     return calls
 
 
