@@ -29,7 +29,6 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -120,11 +119,24 @@ def _json_text(payload: dict) -> str:
         raise NonFiniteReport(f"{path} is not finite") from None
 
 
-def _csv_text(header: list, rows) -> str:
-    """CSV text; each cell is its ``str`` (a float's shortest round-trip
-    form, for Python and numpy floats alike)."""
+def _cells(column) -> list:
+    """``str`` of each cell of a column (a float's shortest round-trip
+    form, for Python and numpy floats alike).  An int64 or float64 array
+    formats each distinct bit pattern once, so ``0.0`` and ``-0.0`` stay
+    apart."""
+    if isinstance(column, np.ndarray) and column.dtype in (np.int64,
+                                                           np.float64):
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        distinct = np.array(list(map(str, bits.view(column.dtype).tolist())),
+                            dtype=object)
+        return distinct[inverse].tolist()
+    return list(map(str, column))
+
+
+def _csv_text(header: list, columns) -> str:
+    """CSV text of equal-length columns, rendered column by column."""
     lines = [",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in rows)
+    lines.extend(map(",".join, zip(*map(_cells, columns))))
     return "\n".join(lines) + "\n"
 
 
@@ -175,8 +187,9 @@ def _resolve(args: argparse.Namespace) -> dict:
                 "radius_factor", "den_cap"):
         if int(cfg[key]) < 1:
             raise ConfigError(f"{key} must be positive, got {cfg[key]}")
-    if int(cfg["qmax"]) > 2 ** 16:
-        raise ConfigError(f"qmax exceeds the 2^16 cap: {cfg['qmax']}")
+    if int(cfg["qmax"]) > 256:
+        # the gauss table has about 0.2 qmax^3 rows, 4.7 million at 256
+        raise ConfigError(f"qmax exceeds the cap 256: {cfg['qmax']}")
     if int(cfg["jmax"]) > 24:
         raise ConfigError(f"jmax exceeds the direct-sum cap 24: {cfg['jmax']}")
     return cfg
@@ -194,7 +207,8 @@ class Artifacts:
 
     ``report`` becomes ``<base>.json`` with the command and the resolved
     config embedded; ``checks`` are (name, passed) pairs, recorded in the
-    report under ``checks``; ``csv`` is (header, rows) for ``<base>.csv``;
+    report under ``checks``; ``csv`` is (header, columns) for
+    ``<base>.csv``, each column a list or a numpy array of the cells;
     ``payloads`` maps a suffix to text written as it is.
     """
 
@@ -227,8 +241,8 @@ def _emit(cfg: dict, command: str, out: Artifacts) -> int:
 
 
 def _columns(rows: list, *keys) -> tuple:
-    """CSV (header, rows) of the given keys of each row dict."""
-    return list(keys), [tuple(r[k] for k in keys) for r in rows]
+    """CSV (header, columns) of the given keys of each row dict."""
+    return list(keys), [[r[k] for r in rows] for k in keys]
 
 
 def _load_lambda_set(args):
@@ -246,7 +260,7 @@ def _load_lambda_set(args):
 
 def cmd_gauss(cfg, args) -> Artifacts:
     qmax = int(cfg["qmax"])
-    rows = []
+    parts = []
     for q in range(1, qmax + 1):
         n = np.arange(q)
         # the reduced (a, b) in row-major order: gcd(gcd(a, q), b) == 1
@@ -254,20 +268,24 @@ def cmd_gauss(cfg, args) -> Artifacts:
         s = gauss_rows(n, q)[a, b]
         # hypot, as Python's abs(complex) computes |S|; numpy's complex
         # abs can differ from it in the last bit
-        rows.extend(zip(repeat(q), a.tolist(), b.tolist(), s.real.tolist(),
-                        s.imag.tolist(), np.hypot(s.real, s.imag).tolist()))
+        parts.append((np.full(a.size, q), a, b, s.real, s.imag,
+                      np.hypot(s.real, s.imag)))
+    columns = [np.concatenate(col) for col in zip(*parts)]
     worst_odd = odd_q_modulus_deviation(qmax)["max_deviation"]
     return Artifacts(
-        report={"n_rows": len(rows), "max_odd_modulus_deviation": worst_odd},
+        report={"n_rows": len(columns[0]),
+                "max_odd_modulus_deviation": worst_odd},
         checks=[("odd_q_modulus_law",
                  worst_odd <= CHECK_THRESHOLDS["odd_q_modulus_deviation_max"])],
-        csv=(["Q", "A", "B", "re_S", "im_S", "abs_S"], rows))
+        csv=(["Q", "A", "B", "re_S", "im_S", "abs_S"], columns))
 
 
 def cmd_shell(cfg, args) -> Artifacts:
     shell = enumerate_shell(int(args.s))
     return Artifacts(report={"s": int(args.s), "count": len(shell)},
-                     csv=(["Q", "A", "B"], [(r.Q, r.A, r.B) for r in shell]))
+                     csv=(["Q", "A", "B"], [[r.Q for r in shell],
+                                            [r.A for r in shell],
+                                            [r.B for r in shell]]))
 
 
 def cmd_multiplier_sample(cfg, args) -> Artifacts:
@@ -475,6 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# parsing leaves the parser unchanged, so one serves every call of main
+_PARSER = build_parser()
+
+
 def _worker_count() -> int:
     """FFT workers from CARLESONLAB_WORKERS (default 1), an integer >= 1."""
     text = os.environ.get("CARLESONLAB_WORKERS", "1")
@@ -489,9 +511,8 @@ def _worker_count() -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -318,11 +318,17 @@ def h_row(k: int, lam: float, G: int) -> np.ndarray:
     h = 2.0 ** (-p)
     nfft = G * 2 ** p
     half = int(round(2 ** k / h))
-    n = np.arange(-half, half + 1, dtype=np.int64)
-    t = n * h
-    vals = np.exp(2j * np.pi * (lam * t * t)) * psi_k(k, t) * h
+    # samples at t = n*h, n = -half..half.  t^2 is even and psi_k odd bit
+    # for bit, so both are evaluated at n >= 0 only; the sample at -n is
+    # the same product with psi_k negated, which keeps every zero's sign
+    t = np.arange(half + 1, dtype=np.int64) * h
+    chirp = np.exp(2j * np.pi * (lam * t * t))
+    psi_t = psi_k(k, t)
     buf = np.zeros(nfft, dtype=complex)
-    buf[n % nfft] = vals  # 2^(k+1) <= G guarantees unique indices
+    buf[nfft - half:] = (chirp[:0:-1] * -psi_t[:0:-1]) * h
+    # written last: at 2^(k+1) = G, n = half shares its index with n = -half
+    # (both samples are +-0, as psi_k vanishes at |t| = 2^k)
+    buf[:half + 1] = chirp * psi_t * h
     spec = sfft.fft(buf)
     out = np.empty(G, dtype=complex)
     half_g = G // 2

@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -10,8 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from carlesonlab import oscillatory
-from carlesonlab.arithmetic import (ReducedRational, gauss_sum,
+from carlesonlab import cli, oscillatory
+from carlesonlab.arithmetic import (ReducedRational, gauss_rows, gauss_sum,
                                     odd_q_modulus_deviation)
 from carlesonlab.cli import (CHECK_THRESHOLDS, COMMANDS, DEFAULTS, Artifacts,
                              _csv_text, main)
@@ -53,8 +55,29 @@ class TestCommands:
 
     def test_csv_cells_of_numpy_scalars(self):
         text = _csv_text(["x", "y", "z"],
-                         [(np.float64(0.5), np.int64(3), 0.1), (1e-17, 2, -0.0)])
+                         [[np.float64(0.5), 1e-17], [np.int64(3), 2],
+                          [0.1, -0.0]])
         assert text == "x,y,z\n0.5,3,0.1\n1e-17,2,-0.0\n"
+
+    def test_array_columns_render_as_their_cells(self):
+        floats = [0.0, -0.0, 1e-17, 5e-324, 1e308, 0.1, 0.0, -0.0, 1e-17,
+                  -2.5, 1e308, 0.1]
+        ints = [3, -7, 0, 3, 2 ** 62, -7, 0, 12, 3, 1, 1, 0]
+        mixed = [np.float64(0.5), 2, np.int64(-4), 0.25, np.float64(-0.0),
+                 1e-17, 7, np.float64(0.5), 2, np.int64(-4), 0.25, 3]
+        text = _csv_text(["f", "i", "m"], [np.array(floats), np.array(ints),
+                                           mixed])
+        cells = zip(map(str, floats), map(str, ints), map(str, mixed))
+        assert text == "f,i,m\n" + "".join(",".join(row) + "\n"
+                                           for row in cells)
+        assert text.splitlines()[1:3] == ["0.0,3,0.5", "-0.0,-7,2"]
+
+    def test_gauss_csv_is_the_row_renderer(self, tmp_path):
+        for qmax in range(1, 25):
+            base = tmp_path / f"g{qmax}"
+            assert run(["gauss", "--qmax", str(qmax), "-o", str(base)]) == 0
+            assert base.with_suffix(".csv").read_text() \
+                == _gauss_csv_by_rows(qmax), qmax
 
     def test_gauss_check_value_is_the_modulus_law(self, tmp_path):
         assert run(["gauss", "--qmax", "40", "-o", str(tmp_path / "g")]) == 0
@@ -147,9 +170,81 @@ class TestCommands:
         assert rep["checks"]["single_l_decay_slope"]
 
 
+def _gauss_csv_by_rows(qmax: int) -> str:
+    """The gauss CSV built as row tuples, each cell its ``str``."""
+    rows = []
+    for q in range(1, qmax + 1):
+        n = np.arange(q)
+        a, b = np.nonzero(np.gcd.outer(np.gcd(n, q), n) == 1)
+        s = gauss_rows(n, q)[a, b]
+        rows.extend(zip([q] * a.size, a.tolist(), b.tolist(), s.real.tolist(),
+                        s.imag.tolist(), np.hypot(s.real, s.imag).tolist()))
+    lines = ["Q,A,B,re_S,im_S,abs_S"]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+class TestParser:
+    def test_main_builds_no_parser(self, tmp_path, monkeypatch):
+        def refuse():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert run(["shell", "--s", "2", "-o", str(tmp_path / "s")]) == 0
+        assert (tmp_path / "s.csv").exists()
+
+    def test_a_parse_leaves_no_state(self, tmp_path, capsys):
+        # a bad argv, a good one, then --help: each as a fresh parser
+        # takes it
+        bad = ["gauss", "--qmax", "x"]
+        good = ["gauss", "--qmax", "3", "-o", str(tmp_path / "g")]
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(bad)
+        bad_err = capsys.readouterr().err
+        assert run(bad) == 2
+        assert capsys.readouterr().err == bad_err
+        assert vars(cli._PARSER.parse_args(good)) \
+            == vars(cli.build_parser().parse_args(good))
+        assert run(good) == 0
+        assert (tmp_path / "g.csv").read_text() == _gauss_csv_by_rows(3)
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["shell", "--help"])
+        help_out = capsys.readouterr().out
+        assert run(["shell", "--help"]) == 0
+        assert capsys.readouterr().out == help_out
+
+
+def test_pool_artifacts_match_the_recorded_digests(tmp_path):
+    # the benchmark's gauss, shell and cantor ops, by their recorded digests
+    refs = json.loads((Path(__file__).resolve().parents[1] / "bench"
+                       / "references.json").read_text())["ops"]
+    checked = 0
+    for key, ref in refs.items():
+        kind, _, params = key.partition(":argv=")
+        argv = list(ast.literal_eval(params)) if kind == "cli" else []
+        if argv[:1] not in (["gauss"], ["shell"], ["cantor"]):
+            continue
+        out = tmp_path / f"op{checked}"
+        assert run(argv + ["-o", str(out / "out")]) == ref["exit"], key
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in sorted(out.iterdir())}
+        assert digests == ref["artifacts"], key
+        checked += 1
+    assert checked == 16
+
+
 class TestExitCodes:
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 2
+
+    def test_qmax_cap(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(cli, "gauss_rows", refuse)
+        assert run(["gauss", "--qmax", "257", "-o", str(tmp_path / "x")]) == 2
+        assert "qmax exceeds the cap 256" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_bad_epsilon(self, tmp_path):
         assert run(["gauss", "--qmax", "4", "--epsilon", "0.5",

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
-from carlesonlab.bumps import psi
+from carlesonlab.bumps import psi, psi_k
 from carlesonlab.oscillatory import (
     ScaleIndex,
     envelope_check,
@@ -90,6 +93,44 @@ class TestHRow:
     def test_rejects_oversize_kernel(self):
         with pytest.raises(ValueError):
             h_row(9, 1e-4, 256)
+
+    @pytest.mark.parametrize("G", [64, 256, 1024, 4096])
+    def test_half_grid_chirp_is_the_full_grid_formula(self, G):
+        # every k up to 2^(k+1) = G, where n = +-half share one FFT index
+        compared = 0
+        for k in range(int(math.log2(G))):
+            for lam in (0.0, 1e-6, 3.7e-4, 2.0 ** -10, 0.004, 0.03, 0.1,
+                        0.3, 0.7, 1.0):
+                if G * 2 ** _h_row_log2_step(k, lam) > 2 ** 20:
+                    continue  # an FFT of gigabytes at large lam and k
+                assert h_row(k, lam, G).tobytes() \
+                    == _h_row_full_grid(k, lam, G).tobytes(), (k, lam)
+                compared += 1
+        assert compared >= 4 * int(math.log2(G))
+
+
+def _h_row_log2_step(k, lam):
+    """h_row's p: the chirp is sampled at step 2^-p, the FFT is G * 2^p."""
+    bandwidth = 2.0 * lam * 2.0 ** k + 0.5
+    return max(0, math.ceil(math.log2(8 * bandwidth)), 5 - (k - 2))
+
+
+def _h_row_full_grid(k, lam, G):
+    """h_row with the chirp sampled at every n = -half..half."""
+    p = _h_row_log2_step(k, lam)
+    h = 2.0 ** (-p)
+    nfft = G * 2 ** p
+    half = int(round(2 ** k / h))
+    n = np.arange(-half, half + 1, dtype=np.int64)
+    t = n * h
+    vals = np.exp(2j * np.pi * (lam * t * t)) * psi_k(k, t) * h
+    buf = np.zeros(nfft, dtype=complex)
+    buf[n % nfft] = vals
+    spec = sfft.fft(buf)
+    out = np.empty(G, dtype=complex)
+    out[:G // 2] = spec[:G // 2]
+    out[G // 2:] = spec[nfft - G + G // 2:]
+    return out
 
 
 class TestScaleIndex:
