@@ -7,13 +7,10 @@ missed its tolerance, or a computed report holds a NaN or an infinity,
 whose key path is printed); 4 = any other error (its message is printed,
 without a traceback).  Exits 2-4 write no artifact.
 
-Defaults (flags override --config file entries, which override these):
-
-    epsilon   0.1         seed     20240901     tol      1e-10
-    qmax      64          jmin/jmax 8/14        grid     512
-    strata    5           radius-factor 4       trials   50
-    den-cap   10**6       boxes-per-shell 4     k0       3
-    output    carlesonlab-<command>
+Each config key is declared once, with its default and type, in
+``DEFAULTS``; its flag is the key with ``-`` for ``_``.  Flags override
+--config file entries, which override the defaults; the artifact base
+path defaults to ``carlesonlab-<command>``.
 
 Every JSON artifact except the bare ``cantor`` point list and the
 ``cover`` certificate embeds the fully resolved configuration; identical
@@ -133,11 +130,17 @@ def _cells(column) -> list:
     return list(map(str, column))
 
 
-def _csv_text(header: list, columns) -> str:
-    """CSV text of equal-length columns, rendered column by column."""
-    lines = [",".join(header)]
-    lines.extend(map(",".join, zip(*map(_cells, columns))))
-    return "\n".join(lines) + "\n"
+_CSV_ROWS = 2 ** 16
+
+
+def _write_csv(path: Path, header: list, columns) -> None:
+    """Write equal-length columns as CSV, ``_CSV_ROWS`` rows at a time,
+    each block rendered column by column."""
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _CSV_ROWS):
+            block = [_cells(col[start:start + _CSV_ROWS]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 class ConfigError(Exception):
@@ -185,12 +188,12 @@ def _resolve(args: argparse.Namespace) -> dict:
                           f"got {cfg['tol']}")
     for key in ("qmax", "jmin", "jmax", "grid", "strata", "trials",
                 "radius_factor", "den_cap"):
-        if int(cfg[key]) < 1:
+        if cfg[key] < 1:
             raise ConfigError(f"{key} must be positive, got {cfg[key]}")
-    if int(cfg["qmax"]) > 256:
+    if cfg["qmax"] > 256:
         # the gauss table has about 0.2 qmax^3 rows, 4.7 million at 256
         raise ConfigError(f"qmax exceeds the cap 256: {cfg['qmax']}")
-    if int(cfg["jmax"]) > 24:
+    if cfg["jmax"] > 24:
         raise ConfigError(f"jmax exceeds the direct-sum cap 24: {cfg['jmax']}")
     return cfg
 
@@ -219,7 +222,10 @@ class Artifacts:
 
 
 def _emit(cfg: dict, command: str, out: Artifacts) -> int:
-    """Write the artifacts, print each failed check; return the exit code."""
+    """Write the artifacts, print each failed check; return the exit code.
+
+    Every text is built (a non-finite report raises) before the first
+    file is written, and the CSV, written in blocks, comes last."""
     base = Path(cfg["output"] or f"carlesonlab-{command}")
     files = dict(out.payloads)
     if out.report is not None:
@@ -228,12 +234,12 @@ def _emit(cfg: dict, command: str, out: Artifacts) -> int:
         if out.checks is not None:
             out.report["checks"] = {name: bool(ok) for name, ok in out.checks}
         files[".json"] = _json_text(out.report)
-    if out.csv is not None:
-        files[".csv"] = _csv_text(*out.csv)
-    if files:
+    if files or out.csv is not None:
         base.parent.mkdir(parents=True, exist_ok=True)
     for suffix, text in files.items():
         base.with_suffix(suffix).write_text(text)
+    if out.csv is not None:
+        _write_csv(base.with_suffix(".csv"), *out.csv)
     failures = [name for name, ok in out.checks or () if not ok]
     for name in failures:
         print(f"FAILED check: {name}", file=sys.stderr)
@@ -245,10 +251,14 @@ def _columns(rows: list, *keys) -> tuple:
     return list(keys), [[r[k] for r in rows] for k in keys]
 
 
+def _at_most(value, threshold_key: str) -> bool:
+    """Whether ``value`` exists and is at most its check's threshold."""
+    return value is not None and value <= CHECK_THRESHOLDS[threshold_key]
+
+
 def _load_lambda_set(args):
     if getattr(args, "cantor", None):
-        d, depth = args.cantor
-        return cantor_set(int(d), int(depth))
+        return cantor_set(*args.cantor)
     if getattr(args, "input", None):
         return lambda_set_from_json(Path(args.input).read_text())
     raise ConfigError("provide --cantor D DEPTH or --input FILE")
@@ -259,7 +269,7 @@ def _load_lambda_set(args):
 # ---------------------------------------------------------------------------
 
 def cmd_gauss(cfg, args) -> Artifacts:
-    qmax = int(cfg["qmax"])
+    qmax = cfg["qmax"]
     parts = []
     for q in range(1, qmax + 1):
         n = np.arange(q)
@@ -276,24 +286,23 @@ def cmd_gauss(cfg, args) -> Artifacts:
         report={"n_rows": len(columns[0]),
                 "max_odd_modulus_deviation": worst_odd},
         checks=[("odd_q_modulus_law",
-                 worst_odd <= CHECK_THRESHOLDS["odd_q_modulus_deviation_max"])],
+                 _at_most(worst_odd, "odd_q_modulus_deviation_max"))],
         csv=(["Q", "A", "B", "re_S", "im_S", "abs_S"], columns))
 
 
 def cmd_shell(cfg, args) -> Artifacts:
-    shell = enumerate_shell(int(args.s))
-    return Artifacts(report={"s": int(args.s), "count": len(shell)},
+    shell = enumerate_shell(args.s)
+    return Artifacts(report={"s": args.s, "count": len(shell)},
                      csv=(["Q", "A", "B"], [[r.Q for r in shell],
                                             [r.A for r in shell],
                                             [r.B for r in shell]]))
 
 
 def cmd_multiplier_sample(cfg, args) -> Artifacts:
-    j = int(args.j)
-    lam, beta = float(args.lam), float(args.beta)
+    j, lam, beta = args.j, args.lam, args.beta
     if not (math.isfinite(lam) and math.isfinite(beta)):
         raise ConfigError(f"--lam and --beta must be finite, got {lam}, {beta}")
-    eps = float(cfg["epsilon"])
+    eps = cfg["epsilon"]
     per_shell = {}
     for s in range(1, math.floor(eps * j) + 1):
         per_shell[str(s)] = l_js(j, s, lam, beta, tol=cfg["tol"])
@@ -307,38 +316,35 @@ def cmd_multiplier_sample(cfg, args) -> Artifacts:
 
 def cmd_approx_error(cfg, args) -> Artifacts:
     rep = decay_report(
-        range(int(cfg["jmin"]), int(cfg["jmax"]) + 1),
-        epsilon=float(cfg["epsilon"]),
-        grid=GridSpec(G=int(cfg["grid"]), strata=int(cfg["strata"])),
-        tol=float(cfg["tol"]),
-        boxes_per_shell=int(cfg["boxes_per_shell"]),
-        seed=int(cfg["seed"]),
+        range(cfg["jmin"], cfg["jmax"] + 1),
+        epsilon=cfg["epsilon"],
+        grid=GridSpec(G=cfg["grid"], strata=cfg["strata"]),
+        tol=cfg["tol"],
+        boxes_per_shell=cfg["boxes_per_shell"],
+        seed=cfg["seed"],
     )
     return Artifacts(
         report=rep,
         checks=[
             ("ej_decay_slope",
-             rep["slopes"]["Ej"] is not None
-             and rep["slopes"]["Ej"] <= CHECK_THRESHOLDS["ej_decay_slope_max"]),
+             _at_most(rep["slopes"]["Ej"], "ej_decay_slope_max")),
             ("major_arc_slope",
-             rep["slopes"]["major_arc"] is not None
-             and rep["slopes"]["major_arc"]
-             <= CHECK_THRESHOLDS["major_arc_slope_max"]),
+             _at_most(rep["slopes"]["major_arc"], "major_arc_slope_max")),
         ],
         csv=_columns(rep["per_j"], "j", "sup_abs_Ej", "sup_major_arc_error",
                      "sup_abs_Lj_off_boxes", "derivative_ratio"))
 
 
 def cmd_cantor(cfg, args) -> Artifacts:
-    lam_set = cantor_set(int(args.d), int(args.depth))
+    lam_set = cantor_set(args.d, args.depth)
     return Artifacts(payloads={".json": lambda_set_to_json(lam_set) + "\n"})
 
 
 def cmd_cover(cfg, args) -> Artifacts:
     lam_set = _load_lambda_set(args)
-    t = Fraction(1, 2) ** int(args.t_exp)
+    t = Fraction(1, 2) ** args.t_exp
     try:
-        cert = cover(lam_set, t, den_cap=int(cfg["den_cap"]))
+        cert = cover(lam_set, t, den_cap=cfg["den_cap"])
     except CoverError as exc:
         # no certificate to write; the check's name carries the reason
         return Artifacts(checks=[(f"covering_exists ({exc})", False)])
@@ -347,10 +353,9 @@ def cmd_cover(cfg, args) -> Artifacts:
 
 def cmd_maximal(cfg, args) -> Artifacts:
     lam_set = _load_lambda_set(args)
-    L = int(args.length)
-    R = int(args.radius if args.radius is not None
-            else cfg["radius_factor"] * L)
-    rng = np.random.default_rng(int(cfg["seed"]))
+    L = args.length
+    R = args.radius if args.radius is not None else cfg["radius_factor"] * L
+    rng = np.random.default_rng(cfg["seed"])
     f = Signal(rng.standard_normal(L) + 1j * rng.standard_normal(L))
     out = carleson_max(f, lam_set, R)
     return Artifacts(
@@ -361,11 +366,9 @@ def cmd_maximal(cfg, args) -> Artifacts:
 
 def cmd_norm_probe(cfg, args) -> Artifacts:
     lam_set = _load_lambda_set(args)
-    lengths = [int(x) for x in args.lengths.split(",")]
-    rep = norm_probe(lam_set, lengths, int(cfg["trials"]), int(cfg["seed"]),
-                     radius_factor=int(cfg["radius_factor"]))
-    top_growth = max(rep["growth_ratios"][-2:]) if len(rep["growth_ratios"]) >= 2 \
-        else (rep["growth_ratios"][-1] if rep["growth_ratios"] else 0.0)
+    rep = norm_probe(lam_set, args.lengths, cfg["trials"], cfg["seed"],
+                     radius_factor=cfg["radius_factor"])
+    top_growth = max(rep["growth_ratios"][-2:], default=0.0)
     return Artifacts(
         report=rep,
         checks=[("top_growth_below_10pct",
@@ -377,9 +380,8 @@ _GROWTH_COLUMNS = ("N", "max_ratio", "ratio_over_log2N")
 
 
 def cmd_bourgain_growth(cfg, args) -> Artifacts:
-    n_list = [int(x) for x in args.n_list.split(",")]
-    rep = bourgain_growth_report(n_list, int(cfg["grid"]), int(cfg["trials"]),
-                                 int(cfg["seed"]))
+    rep = bourgain_growth_report(args.n_list, cfg["grid"], cfg["trials"],
+                                 cfg["seed"])
     vals = [(r["N"], r["ratio_over_log2N"]) for r in rep["rows"] if r["N"] >= 8]
     monotone = all(vals[i + 1][1] <= vals[i][1] for i in range(len(vals) - 1))
     return Artifacts(report=rep,
@@ -388,22 +390,19 @@ def cmd_bourgain_growth(cfg, args) -> Artifacts:
 
 
 def cmd_oscillatory_growth(cfg, args) -> Artifacts:
-    n_list = [int(x) for x in args.n_list.split(",")]
-    rep = oscillatory_growth_report(n_list, int(cfg["grid"]), int(cfg["k0"]),
-                                    int(cfg["trials"]), int(cfg["seed"]))
+    rep = oscillatory_growth_report(args.n_list, cfg["grid"], cfg["k0"],
+                                    cfg["trials"], cfg["seed"])
     finite = all(math.isfinite(r["max_ratio"]) for r in rep["rows"])
     return Artifacts(report=rep, checks=[("ratios_finite", finite)],
                      csv=_columns(rep["rows"], *_GROWTH_COLUMNS))
 
 
 def cmd_single_l(cfg, args) -> Artifacts:
-    l_list = [int(x) for x in args.l_list.split(",")]
-    rep = single_l_report(l_list, int(cfg["grid"]), int(cfg["trials"]),
-                          int(cfg["seed"]))
-    slope = rep["slope_log2_ratio_vs_l"]
+    rep = single_l_report(args.l_list, cfg["grid"], cfg["trials"],
+                          cfg["seed"])
     return Artifacts(report=rep, checks=[
         ("single_l_decay_slope",
-         slope is not None and slope <= CHECK_THRESHOLDS["single_l_slope_max"]),
+         _at_most(rep["slope_log2_ratio_vs_l"], "single_l_slope_max")),
     ])
 
 
@@ -413,25 +412,31 @@ def _flag(*names, **kwargs) -> tuple:
     return names, kwargs
 
 
+def _config_flags(*keys) -> list:
+    """The flag of each config key, typed as its default."""
+    return [_flag("--" + key.replace("_", "-"), type=type(DEFAULTS[key]))
+            for key in keys]
+
+
+def _int_list(text: str) -> list:
+    """A comma-separated list of integers."""
+    return [int(x) for x in text.split(",")]
+
+
 _LAMBDA_SOURCE = [
-    _flag("--cantor", nargs=2, metavar=("D", "DEPTH")),
+    _flag("--cantor", type=int, nargs=2, metavar=("D", "DEPTH")),
     _flag("--input", help="lambda-set JSON file"),
 ]
 
 _COMMON = [
     _flag("--config", help="JSON config file"),
     _flag("--output", "-o", help="artifact base path"),
-    _flag("--seed", type=int),
-    _flag("--epsilon", type=float),
-    _flag("--tol", type=float),
-    _flag("--grid", type=int),
-    _flag("--trials", type=int),
+    *_config_flags("seed", "epsilon", "tol", "grid", "trials"),
 ]
 
 # command -> (help, own flags, runner); every command also takes _COMMON
 COMMANDS = {
-    "gauss": ("Gauss-sum table as CSV",
-              [_flag("--qmax", type=int)], cmd_gauss),
+    "gauss": ("Gauss-sum table as CSV", _config_flags("qmax"), cmd_gauss),
     "shell": ("reduced rationals of one shell",
               [_flag("--s", type=int, required=True)], cmd_shell),
     "multiplier-sample": ("M_j, L_js, E_j at a point",
@@ -440,20 +445,17 @@ COMMANDS = {
                            _flag("--beta", type=float, required=True)],
                           cmd_multiplier_sample),
     "approx-error": ("decay report for E_j",
-                     [_flag("--jmin", type=int),
-                      _flag("--jmax", type=int),
-                      _flag("--strata", type=int),
-                      _flag("--boxes-per-shell", dest="boxes_per_shell",
-                            type=int)],
+                     _config_flags("jmin", "jmax", "strata",
+                                   "boxes_per_shell"),
                      cmd_approx_error),
     "cantor": ("Cantor-type modulation set as JSON",
                [_flag("--d", type=int, required=True),
                 _flag("--depth", type=int, required=True)], cmd_cantor),
     "cover": ("arithmetic covering certificate",
               _LAMBDA_SOURCE + [
-                  _flag("--t-exp", dest="t_exp", type=int, required=True,
+                  _flag("--t-exp", type=int, required=True,
                         help="interval length 2**-T_EXP"),
-                  _flag("--den-cap", dest="den_cap", type=int)],
+                  *_config_flags("den_cap")],
               cmd_cover),
     "maximal": ("apply the truncated maximal operator",
                 _LAMBDA_SOURCE + [_flag("--length", type=int, required=True),
@@ -461,20 +463,19 @@ COMMANDS = {
                 cmd_maximal),
     "norm-probe": ("l2 ratio growth over lengths",
                    _LAMBDA_SOURCE + [
-                       _flag("--lengths", required=True,
+                       _flag("--lengths", type=_int_list, required=True,
                              help="comma-separated lengths"),
-                       _flag("--radius-factor", dest="radius_factor",
-                             type=int)],
+                       *_config_flags("radius_factor")],
                    cmd_norm_probe),
     "bourgain-growth": ("multi-frequency growth curve",
-                        [_flag("--n-list", dest="n_list", required=True)],
+                        [_flag("--n-list", type=_int_list, required=True)],
                         cmd_bourgain_growth),
     "oscillatory-growth": ("oscillatory growth curve",
-                           [_flag("--n-list", dest="n_list", required=True),
-                            _flag("--k0", type=int)],
+                           [_flag("--n-list", type=_int_list, required=True),
+                            *_config_flags("k0")],
                            cmd_oscillatory_growth),
     "single-l": ("single-scale maximal decay in l",
-                 [_flag("--l-list", dest="l_list", required=True)],
+                 [_flag("--l-list", type=_int_list, required=True)],
                  cmd_single_l),
 }
 

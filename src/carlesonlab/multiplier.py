@@ -185,9 +185,9 @@ def _chi_radius(s: int) -> float:
     return 0.2 * 10.0 ** (-s)
 
 
-def _h_at_offset(h_at: dict | None, j: int, dl: float, db: float,
+def _h_at_offset(h_at: dict, j: int, dl: float, db: float,
                  tol: float) -> complex:
-    """H_j(j, dl, db, tol), by its symmetry class when ``h_at`` is given.
+    """H_j(j, dl, db, tol), by its symmetry class.
 
     H_j is odd in y and H_j(-x, y) = -conj H_j(x, y), and every path of
     the quadrature keeps both rules bit for bit (up to the sign of a zero
@@ -195,8 +195,6 @@ def _h_at_offset(h_at: dict | None, j: int, dl: float, db: float,
     H_j at the class (|dl|, |db|), evaluated once, and the offset's value
     is read from it: negated when db < 0, then -conj when dl < 0.
     """
-    if h_at is None:
-        return h_j(j, dl, db, tol)
     key = (abs(dl), abs(db))
     h = h_at.get(key)
     if h is None:
@@ -210,11 +208,11 @@ def _h_at_offset(h_at: dict | None, j: int, dl: float, db: float,
 
 def _shell_sum(j: int, s: int, lam: float, beta: float,
                shell: list[ReducedRational], tol: float,
-               h_at: dict | None = None) -> complex:
+               h_at: dict) -> complex:
     """Sum over ``shell`` of S(r) H_j(lam - A/Q, beta - B/Q) chi_s chi_s.
 
-    ``h_at``, when given, keeps H_j by symmetry class as in _h_at_offset,
-    so a caller that needs H_j in the same class reuses it.
+    ``h_at`` keeps H_j by symmetry class as in _h_at_offset, so a caller
+    that needs H_j in the same class reuses it.
     """
     radius = _chi_radius(s)
     acc = 0.0 + 0.0j
@@ -243,11 +241,11 @@ def l_js(j: int, s: int, lam: float, beta: float,
         raise ValueError(f"shell index must be >= 1, got {s}")
     if shell is None:
         shell = enumerate_shell(s)
-    return _shell_sum(j, s, lam, beta, shell, tol)
+    return _shell_sum(j, s, lam, beta, shell, tol, {})
 
 
 def _l_j(j: int, lam: float, beta: float, epsilon: float, shells: dict | None,
-         tol: float, h_at: dict | None = None) -> complex:
+         tol: float, h_at: dict) -> complex:
     """big_l_j without the epsilon check; ``h_at`` as in _shell_sum."""
     acc = 0.0 + 0.0j
     for s in range(1, math.floor(epsilon * j) + 1):
@@ -260,7 +258,7 @@ def big_l_j(j: int, lam: float, beta: float, epsilon: float,
             shells: dict | None = None, tol: float = 1e-10) -> complex:
     """L_j = sum of l_js over 1 <= s <= epsilon * j."""
     _check_epsilon(epsilon)
-    return _l_j(j, lam, beta, epsilon, shells, tol)
+    return _l_j(j, lam, beta, epsilon, shells, tol, {})
 
 
 def e_j(j: int, lam: float, beta: float, epsilon: float = 0.1,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 import scipy.fft as sfft
@@ -173,14 +173,9 @@ class _PsiHatTable:
         return acc
 
 
-_table: _PsiHatTable | None = None
-
-
+@cache
 def _psi_hat_table() -> _PsiHatTable:
-    global _table
-    if _table is None:
-        _table = _PsiHatTable()
-    return _table
+    return _PsiHatTable()
 
 
 def psi_hat(u):

@@ -15,14 +15,21 @@ from hypothesis import strategies as st
 from carlesonlab import cli, oscillatory
 from carlesonlab.arithmetic import (ReducedRational, gauss_rows, gauss_sum,
                                     odd_q_modulus_deviation)
-from carlesonlab.cli import (CHECK_THRESHOLDS, COMMANDS, DEFAULTS, Artifacts,
-                             _csv_text, main)
+from carlesonlab.cli import (_COMMON, CHECK_THRESHOLDS, COMMANDS, DEFAULTS,
+                             Artifacts, _write_csv, main)
 from carlesonlab.lambda_sets import (cantor_set, lambda_set_from_json,
                                      lambda_set_to_json)
 
 
 def run(args):
     return main(args)
+
+
+def _csv_text(tmp_path, header, columns) -> str:
+    """What _write_csv writes for ``header`` and ``columns``."""
+    path = tmp_path / "t.csv"
+    _write_csv(path, header, columns)
+    return path.read_text()
 
 
 class TestCommands:
@@ -53,20 +60,20 @@ class TestCommands:
             assert abs(complex(re_s, im_s)
                        - gauss_sum(ReducedRational(*triple))) <= 1e-12
 
-    def test_csv_cells_of_numpy_scalars(self):
-        text = _csv_text(["x", "y", "z"],
+    def test_csv_cells_of_numpy_scalars(self, tmp_path):
+        text = _csv_text(tmp_path, ["x", "y", "z"],
                          [[np.float64(0.5), 1e-17], [np.int64(3), 2],
                           [0.1, -0.0]])
         assert text == "x,y,z\n0.5,3,0.1\n1e-17,2,-0.0\n"
 
-    def test_array_columns_render_as_their_cells(self):
+    def test_array_columns_render_as_their_cells(self, tmp_path):
         floats = [0.0, -0.0, 1e-17, 5e-324, 1e308, 0.1, 0.0, -0.0, 1e-17,
                   -2.5, 1e308, 0.1]
         ints = [3, -7, 0, 3, 2 ** 62, -7, 0, 12, 3, 1, 1, 0]
         mixed = [np.float64(0.5), 2, np.int64(-4), 0.25, np.float64(-0.0),
                  1e-17, 7, np.float64(0.5), 2, np.int64(-4), 0.25, 3]
-        text = _csv_text(["f", "i", "m"], [np.array(floats), np.array(ints),
-                                           mixed])
+        text = _csv_text(tmp_path, ["f", "i", "m"],
+                         [np.array(floats), np.array(ints), mixed])
         cells = zip(map(str, floats), map(str, ints), map(str, mixed))
         assert text == "f,i,m\n" + "".join(",".join(row) + "\n"
                                            for row in cells)
@@ -78,6 +85,15 @@ class TestCommands:
             assert run(["gauss", "--qmax", str(qmax), "-o", str(base)]) == 0
             assert base.with_suffix(".csv").read_text() \
                 == _gauss_csv_by_rows(qmax), qmax
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_csv_blocks_join_to_the_whole(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(cli, "_CSV_ROWS", block)
+        assert run(["gauss", "--qmax", "12", "-o", str(tmp_path / "g")]) == 0
+        assert (tmp_path / "g.csv").read_text() == _gauss_csv_by_rows(12)
+
+    def test_zero_row_csv_is_its_header(self, tmp_path):
+        assert _csv_text(tmp_path, ["x", "y"], [[], np.array([])]) == "x,y\n"
 
     def test_gauss_check_value_is_the_modulus_law(self, tmp_path):
         assert run(["gauss", "--qmax", "40", "-o", str(tmp_path / "g")]) == 0
@@ -212,6 +228,49 @@ class TestParser:
         help_out = capsys.readouterr().out
         assert run(["shell", "--help"]) == 0
         assert capsys.readouterr().out == help_out
+
+
+class TestFlagTypes:
+    # every (command, flag) whose dest is a typed config key (the default
+    # of output, None, has no type to follow)
+    _CONFIG_FLAGS = [(command, names[0]) for command, (_, flags, _)
+                     in COMMANDS.items() for names, _ in flags + _COMMON
+                     if DEFAULTS.get(names[0][2:].replace("-", "_"))
+                     is not None]
+
+    def test_every_config_key_has_a_flag(self):
+        keys = {flag[2:].replace("-", "_") for _, flag in self._CONFIG_FLAGS}
+        assert keys == set(DEFAULTS) - {"output"}
+
+    @pytest.mark.parametrize("command, flag", _CONFIG_FLAGS)
+    def test_flag_parses_to_the_default_type(self, command, flag):
+        key = flag[2:].replace("-", "_")
+        args = cli._PARSER.parse_args([command, *SMALL[command], flag, "3"])
+        assert type(getattr(args, key)) is type(DEFAULTS[key])
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["bourgain-growth", "--n-list", "2,x", "--grid", "64"], "--n-list"),
+        (["single-l", "--l-list", "", "--grid", "256"], "--l-list"),
+        (["norm-probe", "--cantor", "2", "2", "--lengths", "64,,"],
+         "--lengths"),
+        (["cover", "--cantor", "2", "x", "--t-exp", "3"], "--cantor"),
+    ])
+    def test_malformed_list_names_its_flag(self, tmp_path, capsys, argv,
+                                           flag):
+        assert run(argv + ["-o", str(tmp_path / "x")]) == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_config_file_equals_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"qmax": 12, "grid": 64, "trials": 2}')
+        assert run(["gauss", "--config", str(cfg),
+                    "-o", str(tmp_path / "a" / "g")]) == 0
+        assert run(["gauss", "--qmax", "12", "--grid", "64", "--trials", "2",
+                    "-o", str(tmp_path / "b" / "g")]) == 0
+        for name in ("g.csv", "g.json"):
+            assert (tmp_path / "a" / name).read_bytes() \
+                == (tmp_path / "b" / name).read_bytes(), name
 
 
 def test_pool_artifacts_match_the_recorded_digests(tmp_path):

@@ -11,6 +11,7 @@ from carlesonlab import multiplier
 from carlesonlab.arithmetic import (MajorBox, ReducedRational, _collected_qmax,
                                     _half_widths, enumerate_shell, gauss_sum,
                                     torus_delta, torus_dist)
+from carlesonlab.bumps import chi_s
 from carlesonlab.multiplier import (
     GridSpec,
     big_l_j,
@@ -540,3 +541,52 @@ class TestHjSymmetryClass:
         x, y, tol = math.ldexp(X, -2 * j), math.ldexp(Y, -j), 1e-10
         got = multiplier._h_at_offset({}, j, x, y, tol)
         assert _unsigned_zero_bits(got) == _unsigned_zero_bits(h_j(j, x, y, tol))
+
+
+def _pointwise_shell_sum(j, s, lam, beta, tol):
+    """The shell-s sum with H_j evaluated at each offset itself."""
+    radius = 0.2 * 10.0 ** (-s)
+    acc = 0.0 + 0.0j
+    for r in enumerate_shell(s):
+        dl = float(torus_delta(lam - r.A / r.Q))
+        db = float(torus_delta(beta - r.B / r.Q))
+        if abs(dl) >= radius or abs(db) >= radius:
+            continue
+        cut = float(chi_s(s, dl)) * float(chi_s(s, db))
+        if cut != 0.0:
+            acc += gauss_sum(r) * h_j(j, dl, db, tol) * cut
+    return complex(acc)
+
+
+# points in the chi windows around (0, 0) at j = 12 (shell 1) and around
+# (1/2, 1/2) at j = 20 (shell 2), offsets of either sign and zero (where
+# H_j, odd in y or past the psi-hat cut, sums to a zero)
+_WINDOW_POINTS = [
+    (12, lam, beta) for lam, beta in
+    [(0.0, 0.0), (0.013, -0.007), (-0.004, 0.0), (0.0, 0.002),
+     (-0.019, -0.011), (0.99, 0.004)]
+] + [
+    (20, 0.5 + dl, 0.5 + db) for dl, db in
+    [(0.0, 0.0), (0.0011, -0.0007), (-0.0015, 0.0), (0.0, 0.0017),
+     (-0.0001, 0.0001), (0.0002, 0.0003)]
+]
+
+
+def test_l_js_and_big_l_j_equal_the_pointwise_sum():
+    # l_js and big_l_j read H_j by symmetry class; the sum over the shell
+    # with H_j at each offset gives the same value to the last bit
+    tol, eps = 1e-10, 0.1
+    nonzero = 0
+    for j, lam, beta in _WINDOW_POINTS:
+        shells = range(1, math.floor(eps * j) + 1)
+        by_shell = [_pointwise_shell_sum(j, s, lam, beta, tol) for s in shells]
+        nonzero += any(by_shell)
+        for s, want in zip(shells, by_shell):
+            assert repr(l_js(j, s, lam, beta, tol=tol)) == repr(want), \
+                (j, s, lam, beta)
+        want = 0.0 + 0.0j
+        for v in by_shell:
+            want += v
+        assert repr(big_l_j(j, lam, beta, eps, tol=tol)) \
+            == repr(complex(want)), (j, lam, beta)
+    assert nonzero >= 6
