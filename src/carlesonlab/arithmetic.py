@@ -161,25 +161,31 @@ def square_class_reps(Q: int) -> list[int]:
     |S(A/Q, B/Q)| restricted to a row A is invariant (as a multiset over
     B) under A -> A u^2, so Gauss-sum maxima only need one A per class.
     Each representative is the smallest unit of its class, in increasing
-    order: the loop runs once per class, not once per unit.
+    order.
+
+    A unit's class is its key under the quadratic characters: for each odd
+    prime p | Q whether it is a residue mod p (Euler's criterion), and its
+    residue mod 4 when 4 | Q, mod 8 when 8 | Q.  So there are
+    2^(#odd primes) * (1, 2 or 4) classes, and the walk over u = 1, 2, ...
+    stops at the last new key.
     """
     if Q == 1:
         return [0]
-    uncovered = np.ones(Q, dtype=bool)       # the units, sieved
-    for p in _prime_factors(Q):
-        uncovered[::p] = False
-    units = np.nonzero(uncovered)[0]
-    is_square = np.zeros(Q, dtype=bool)
-    is_square[(units * units) % Q] = True
-    squares = np.nonzero(is_square)[0]
+    odd = [p for p in _prime_factors(Q) if p > 2]
+    two = 8 if Q % 8 == 0 else 4 if Q % 4 == 0 else 1
+    n_classes = 2 ** len(odd) * max(1, two // 2)
+    seen = set()
     reps = []
     u = 0
-    while True:
-        u += int(np.argmax(uncovered[u:]))
-        if not uncovered[u]:
-            return reps
-        reps.append(u)
-        uncovered[(u * squares) % Q] = False
+    while len(reps) < n_classes:
+        u += 1
+        if gcd(u, Q) != 1:
+            continue
+        key = (u % two, *[pow(u, (p - 1) // 2, p) for p in odd])
+        if key not in seen:
+            seen.add(key)
+            reps.append(u)
+    return reps
 
 
 def gauss_decay_scan(qmax: int) -> dict:
@@ -288,23 +294,19 @@ def _beta_centers(q: int, qmax: int):
 
     Boxes with lambda center a/q are (a m, B, q m) for m <= qmax // q with
     gcd(B, m) = 1 (gcd(am, qm) = m since gcd(a, q) = 1), so the centers do
-    not depend on a.  Returns sorted values with their (m, B) labels.
+    not depend on a.  Returns sorted values with their (m, B) labels, in
+    one array pass over the concatenated ranges B in [0, q m), m ascending.
     """
-    kmax = qmax // q
-    vals = []
-    labels = []
-    for m in range(1, kmax + 1):
-        qm = q * m
-        b = np.arange(qm, dtype=np.int64)
-        if m > 1:
-            mask = np.gcd(b % m, m) == 1
-            b = b[mask]
-        vals.append(b / qm)
-        labels.append(np.stack([np.full(len(b), m, dtype=np.int64), b], axis=1))
-    v = np.concatenate(vals)
-    lab = np.concatenate(labels, axis=0)
+    mult = np.arange(1, qmax // q + 1, dtype=np.int64)
+    sizes = q * mult
+    m = np.repeat(mult, sizes)
+    b = np.arange(len(m), dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes,
+                                                      sizes)
+    keep = np.gcd(b % m, m) == 1
+    m, b = m[keep], b[keep]
+    v = b / (q * m)
     order = np.argsort(v, kind="stable")
-    return v[order], lab[order]
+    return v[order], np.stack([m, b], axis=1)[order]
 
 
 def _same_center_summary(q: int, qmax: int, w_beta: float):

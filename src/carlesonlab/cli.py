@@ -133,14 +133,13 @@ def _cells(column) -> list:
 _CSV_ROWS = 2 ** 16
 
 
-def _write_csv(path: Path, header: list, columns) -> None:
-    """Write equal-length columns as CSV, ``_CSV_ROWS`` rows at a time,
-    each block rendered column by column."""
-    with path.open("w") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _CSV_ROWS):
-            block = [_cells(col[start:start + _CSV_ROWS]) for col in columns]
-            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+def _write_csv(fh, header: list, columns) -> None:
+    """Write equal-length columns as CSV to the text file ``fh``,
+    ``_CSV_ROWS`` rows at a time, each block rendered column by column."""
+    fh.write(",".join(header) + "\n")
+    for start in range(0, len(columns[0]), _CSV_ROWS):
+        block = [_cells(col[start:start + _CSV_ROWS]) for col in columns]
+        fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 class ConfigError(Exception):
@@ -190,6 +189,9 @@ def _resolve(args: argparse.Namespace) -> dict:
                 "radius_factor", "den_cap"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be positive, got {cfg[key]}")
+    if cfg["boxes_per_shell"] < 0:
+        raise ConfigError("boxes_per_shell must be non-negative, "
+                          f"got {cfg['boxes_per_shell']}")
     if cfg["qmax"] > 256:
         # the gauss table has about 0.2 qmax^3 rows, 4.7 million at 256
         raise ConfigError(f"qmax exceeds the cap 256: {cfg['qmax']}")
@@ -221,11 +223,20 @@ class Artifacts:
     payloads: dict = field(default_factory=dict)
 
 
+def _create(path: Path, created: list):
+    """Open ``path`` for writing and, once it is open, record it."""
+    fh = path.open("w")
+    created.append(path)
+    return fh
+
+
 def _emit(cfg: dict, command: str, out: Artifacts) -> int:
     """Write the artifacts, print each failed check; return the exit code.
 
     Every text is built (a non-finite report raises) before the first
-    file is written, and the CSV, written in blocks, comes last."""
+    file is written, and the CSV, written in blocks, comes last.  If a
+    write fails, every file this call created is removed before the error
+    propagates, so a failed run leaves no artifact."""
     base = Path(cfg["output"] or f"carlesonlab-{command}")
     files = dict(out.payloads)
     if out.report is not None:
@@ -236,10 +247,18 @@ def _emit(cfg: dict, command: str, out: Artifacts) -> int:
         files[".json"] = _json_text(out.report)
     if files or out.csv is not None:
         base.parent.mkdir(parents=True, exist_ok=True)
-    for suffix, text in files.items():
-        base.with_suffix(suffix).write_text(text)
-    if out.csv is not None:
-        _write_csv(base.with_suffix(".csv"), *out.csv)
+    created = []
+    try:
+        for suffix, text in files.items():
+            with _create(base.with_suffix(suffix), created) as fh:
+                fh.write(text)
+        if out.csv is not None:
+            with _create(base.with_suffix(".csv"), created) as fh:
+                _write_csv(fh, *out.csv)
+    except BaseException:
+        for path in created:
+            path.unlink(missing_ok=True)
+        raise
     failures = [name for name, ok in out.checks or () if not ok]
     for name in failures:
         print(f"FAILED check: {name}", file=sys.stderr)

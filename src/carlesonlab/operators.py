@@ -116,10 +116,25 @@ def _lambda_floats(lam_values) -> np.ndarray:
 
 def _pointwise_sup(mults, fhat_rows: np.ndarray, out_len: int) -> np.ndarray:
     """Per row, the max over the multipliers of |F^-1(mult * fhat)| on the
-    first out_len points."""
+    first out_len points.
+
+    The sup starts at +0 and max(x, x) = x, so a multiplier byte-equal to
+    the last one transformed is skipped, and so is an all-zero one when
+    every fhat is finite (0 * inf would be NaN); the result is
+    bit-identical to transforming every multiplier.
+    """
     sup = np.zeros((fhat_rows.shape[0], out_len))
+    skip_zero = bool(np.isfinite(fhat_rows).all())
+    prev = None
     for mult in mults:
-        vals = np.abs(sfft.ifft(fhat_rows * mult[None, :], axis=1)[:, :out_len])
+        if skip_zero and not mult.any():
+            continue
+        raw = mult.tobytes()
+        if raw == prev:
+            continue
+        prev = raw
+        vals = np.abs(sfft.ifft(fhat_rows * mult[None, :], axis=1,
+                                overwrite_x=True)[:, :out_len])
         np.maximum(sup, vals, out=sup)
     return sup
 

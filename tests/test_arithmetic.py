@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from carlesonlab import arithmetic
 from carlesonlab.arithmetic import (
     MajorBox,
     ReducedRational,
+    _beta_centers,
     _frac1,
     enumerate_shell,
     find_box_overlaps,
@@ -62,6 +64,24 @@ def covered_set_reps(Q):
             reps.append(int(u))
             covered[(u * squares) % Q] = True
     return reps
+
+
+def per_multiple_beta_centers(q, qmax):
+    """Beta centers B/(q m) with their (m, B) labels by one array per
+    multiple m, concatenated and stably sorted."""
+    vals, labels = [], []
+    for m in range(1, qmax // q + 1):
+        qm = q * m
+        b = np.arange(qm, dtype=np.int64)
+        if m > 1:
+            b = b[np.gcd(b % m, m) == 1]
+        vals.append(b / qm)
+        labels.append(np.stack([np.full(len(b), m, dtype=np.int64), b],
+                               axis=1))
+    v = np.concatenate(vals)
+    lab = np.concatenate(labels, axis=0)
+    order = np.argsort(v, kind="stable")
+    return v[order], lab[order]
 
 
 def all_units_modulus_deviation(qmax):
@@ -189,7 +209,9 @@ class TestGaussSum:
         assert a in square_class_reps(q)
 
     def test_square_class_reps_match_covered_set_loop(self):
-        for q in list(range(1, 1025)) + [2047, 2048, 3465, 4095, 4096]:
+        # 8 | Q with three or more odd primes: 840, 1320, 2520, 9240
+        for q in list(range(1, 1025)) + [840, 1320, 2047, 2048, 2520, 3465,
+                                         4095, 4096, 9240]:
             assert square_class_reps(q) == covered_set_reps(q), q
 
     @pytest.mark.parametrize("q", [45, 63, 64, 105, 243])
@@ -204,6 +226,29 @@ class TestGaussSum:
             (r,) = [r for r in rep_rows if u in {(r * s) % q for s in squares}]
             got = np.sort(np.abs(gauss_row(u, q)))
             assert np.max(np.abs(got - rep_rows[r])) <= 1e-13, (q, u, r)
+
+    @pytest.mark.parametrize("qmax", [1, 2, 50, 185, 222])
+    def test_beta_centers_match_per_multiple_loop(self, qmax):
+        for q in range(1, qmax + 1):
+            v, lab = _beta_centers(q, qmax)
+            v_ref, lab_ref = per_multiple_beta_centers(q, qmax)
+            assert v.dtype == v_ref.dtype and lab.dtype == lab_ref.dtype
+            assert v.tobytes() == v_ref.tobytes(), (q, qmax)
+            assert lab.shape == lab_ref.shape
+            assert np.array_equal(lab, lab_ref), (q, qmax)
+
+    def test_scans_equal_their_oracle_versions(self, monkeypatch):
+        def scans():
+            decay = gauss_decay_scan(512)
+            decay["per_q_max_abs"] = decay["per_q_max_abs"].tobytes()
+            return repr((decay, odd_q_modulus_deviation(251),
+                         find_box_overlaps(13, 0.1, 222)))
+
+        fast = scans()
+        monkeypatch.setattr(arithmetic, "square_class_reps", covered_set_reps)
+        monkeypatch.setattr(arithmetic, "_beta_centers",
+                            per_multiple_beta_centers)
+        assert scans() == fast
 
     def test_decay_scan_small(self):
         scan = gauss_decay_scan(64)

@@ -28,7 +28,8 @@ def run(args):
 def _csv_text(tmp_path, header, columns) -> str:
     """What _write_csv writes for ``header`` and ``columns``."""
     path = tmp_path / "t.csv"
-    _write_csv(path, header, columns)
+    with path.open("w") as fh:
+        _write_csv(fh, header, columns)
     return path.read_text()
 
 
@@ -419,6 +420,20 @@ class TestExitCodes:
         assert "N must be >= 1" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_negative_boxes_per_shell(self, tmp_path, capsys):
+        argv = ["approx-error", "--jmin", "8", "--jmax", "9", "--grid", "64",
+                "--strata", "3"]
+        assert run(argv + ["--boxes-per-shell", "-1",
+                           "-o", str(tmp_path / "x")]) == 2
+        assert ("boxes_per_shell must be non-negative, got -1"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
+        # 0 samples no box and stays valid
+        assert run(argv + ["--boxes-per-shell", "0",
+                           "-o", str(tmp_path / "x")]) in (0, 1)
+        assert json.loads((tmp_path / "x.json").read_text()
+                          )["config"]["boxes_per_shell"] == 0
+
     @pytest.mark.parametrize("workers", ["x", "0"])
     def test_bad_worker_count(self, tmp_path, capsys, monkeypatch, workers):
         monkeypatch.setenv("CARLESONLAB_WORKERS", workers)
@@ -507,6 +522,63 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "runner broke" in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+
+class _FailingFile:
+    """An open text file whose first write stores one character and then
+    fails, as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:1])
+        self.fh.flush()
+        raise OSError("injected write failure")
+
+
+class TestNoPartialArtifacts:
+    def test_csv_path_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "x.csv").mkdir()
+        assert run(["shell", "--s", "2", "-o", str(tmp_path / "x")]) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+        assert not list((tmp_path / "x.csv").iterdir())
+
+    @pytest.mark.parametrize("argv, names", [
+        (["shell", "--s", "2"], ["x.json", "x.csv"]),
+        (["gauss", "--qmax", "6"], ["x.json", "x.csv"]),
+        (["maximal", "--cantor", "2", "3", "--length", "32"],
+         ["x.signal.json", "x.json"]),
+    ])
+    def test_write_failure_on_each_artifact(self, tmp_path, capsys,
+                                            monkeypatch, argv, names):
+        assert run(argv + ["-o", str(tmp_path / "ok" / "x")]) == 0
+        assert sorted(p.name for p in (tmp_path / "ok").iterdir()) \
+            == sorted(names)
+        real_open = Path.open
+        for name in names:
+            failed = []
+
+            def failing_open(path, *args, **kwargs):
+                fh = real_open(path, *args, **kwargs)
+                if path.name != name:
+                    return fh
+                failed.append(path)
+                return _FailingFile(fh)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(Path, "open", failing_open)
+                code = run(argv + ["-o", str(tmp_path / name / "x")])
+            assert code == 2 and failed, name
+            assert "injected write failure" in capsys.readouterr().err
+            assert not list((tmp_path / name).iterdir()), name
 
 
 # one small run of each command

@@ -8,6 +8,7 @@ from carlesonlab.bumps import phi_hat
 from carlesonlab.lambda_sets import cantor_set
 from carlesonlab.operators import (
     Signal,
+    _pointwise_sup,
     apply_kernel,
     apply_kernel_brute,
     bourgain_growth_report,
@@ -151,6 +152,59 @@ class TestCarlesonMax:
         n1 = carleson_max(f, lam, 2 ** 12).norm2()
         n2 = carleson_max(f, lam, 2 ** 13).norm2()
         assert abs(n2 - n1) / n1 <= TRUNCATION_STABILITY_CAP
+
+
+def _sup_of_every_multiplier(mults, fhat_rows, out_len):
+    """The pointwise sup with one inverse FFT per multiplier, none skipped."""
+    sup = np.zeros((fhat_rows.shape[0], out_len))
+    for mult in mults:
+        vals = np.abs(sfft.ifft(fhat_rows * mult[None, :], axis=1))
+        np.maximum(sup, vals[:, :out_len], out=sup)
+    return sup
+
+
+class TestPointwiseSup:
+    @pytest.fixture
+    def case(self):
+        rng = np.random.default_rng(17)
+        n = 256
+        fhat = sfft.fft(rng.standard_normal((5, n))
+                        + 1j * rng.standard_normal((5, n)), axis=1)
+        a, b = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                for _ in range(2))
+        zero = np.zeros(n, dtype=complex)
+        # zeros and repeats, leading, trailing, consecutive and apart
+        mults = [zero, a, a.copy(), zero, b, b.copy(), b.copy(), a, zero,
+                 zero, a]
+        return mults, fhat
+
+    @pytest.mark.parametrize("out_len", [256, 200])
+    def test_skipping_is_bit_identical(self, case, out_len):
+        mults, fhat = case
+        ref = _sup_of_every_multiplier(mults, fhat, out_len)
+        got = _pointwise_sup(mults, fhat, out_len)
+        assert got.tobytes() == ref.tobytes()
+        # carleson_max passes a generator
+        assert _pointwise_sup(iter(mults), fhat, out_len).tobytes() \
+            == ref.tobytes()
+
+    def test_fhat_is_left_unchanged(self, case):
+        mults, fhat = case
+        before = fhat.copy()
+        _pointwise_sup(mults, fhat, 256)
+        assert fhat.tobytes() == before.tobytes()
+
+    def test_zero_multiplier_kept_for_non_finite_fhat(self, case):
+        # 0 * inf is NaN, so an all-zero multiplier is not skipped there
+        mults, fhat = case
+        fhat = fhat.copy()
+        fhat[0, 3] = np.inf
+        zero = np.zeros(256, dtype=complex)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(_pointwise_sup([zero], fhat, 256)[0]).all()
+            ref = _sup_of_every_multiplier(mults, fhat, 256)
+            got = _pointwise_sup(mults, fhat, 256)
+        assert np.array_equal(got, ref, equal_nan=True)
 
 
 class TestNormProbe:
