@@ -20,6 +20,7 @@ configuration and seed reproduce identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -235,8 +236,8 @@ def _emit(cfg: dict, command: str, out: Artifacts) -> int:
 
     Every text is built (a non-finite report raises) before the first
     file is written, and the CSV, written in blocks, comes last.  If a
-    write fails, every file this call created is removed before the error
-    propagates, so a failed run leaves no artifact."""
+    write fails, every file and directory this call created is removed
+    before the error propagates, so a failed run leaves no artifact."""
     base = Path(cfg["output"] or f"carlesonlab-{command}")
     files = dict(out.payloads)
     if out.report is not None:
@@ -245,10 +246,11 @@ def _emit(cfg: dict, command: str, out: Artifacts) -> int:
         if out.checks is not None:
             out.report["checks"] = {name: bool(ok) for name, ok in out.checks}
         files[".json"] = _json_text(out.report)
-    if files or out.csv is not None:
-        base.parent.mkdir(parents=True, exist_ok=True)
+    made = [d for d in (base.parent, *base.parent.parents) if not d.exists()]
     created = []
     try:
+        if files or out.csv is not None:
+            base.parent.mkdir(parents=True, exist_ok=True)
         for suffix, text in files.items():
             with _create(base.with_suffix(suffix), created) as fh:
                 fh.write(text)
@@ -258,6 +260,9 @@ def _emit(cfg: dict, command: str, out: Artifacts) -> int:
     except BaseException:
         for path in created:
             path.unlink(missing_ok=True)
+        for d in made:                      # deepest first
+            with contextlib.suppress(OSError):
+                d.rmdir()
         raise
     failures = [name for name, ok in out.checks or () if not ok]
     for name in failures:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import decimal
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +34,6 @@ __all__ = [
     "cantor_set",
     "cover",
     "verify_certificate",
-    "dimension_estimate",
     "lambda_set_to_json",
     "lambda_set_from_json",
     "certificate_to_json",
@@ -243,45 +242,6 @@ def _verify_or_raise(lam_set: LambdaSet, cert: CoveringCertificate):
     rep = verify_certificate(lam_set, cert)
     if not rep["ok"]:
         raise CoverError(f"certificate failed verification: {rep}")
-
-
-def dimension_estimate(lam_set: LambdaSet, t_list, den_cap: int = DEFAULT_DEN_CAP) -> dict:
-    """Box-counting and denominator exponents from covers at each t.
-
-    Requires at least 3 values of t spanning at least 2 decades.  Slopes
-    are least-squares fits of log N and log(max denominator) against
-    log(1/t) for the achieved certificate scales.
-    """
-    ts = sorted((Fraction(x) for x in t_list), reverse=True)
-    if len(ts) < 3:
-        raise ValueError("need at least 3 values of t")
-    if ts[0] / ts[-1] < 100:
-        raise ValueError("t values must span at least 2 decades")
-    rows = []
-    for t in ts:
-        cert = cover(lam_set, t, den_cap=den_cap)
-        rows.append({
-            "t_requested": float(t),
-            "t": float(cert.t),
-            "N": cert.N,
-            "max_denominator": cert.max_denominator,
-        })
-    logs = np.log([1.0 / r["t"] for r in rows])
-    n_vals = np.array([r["N"] for r in rows], dtype=float)
-    q_vals = np.array([r["max_denominator"] for r in rows], dtype=float)
-    degenerate = bool(np.all(n_vals == n_vals[0]))
-    box_exp = 0.0 if degenerate else float(np.polyfit(logs, np.log(n_vals), 1)[0])
-    den_exp = (0.0 if np.all(q_vals == q_vals[0])
-               else float(np.polyfit(logs, np.log(q_vals), 1)[0]))
-    monotone = all(rows[i]["N"] <= rows[i + 1]["N"] for i in range(len(rows) - 1))
-    return {
-        "provenance": list(lam_set.provenance),
-        "rows": rows,
-        "box_exponent": box_exp,
-        "denominator_exponent": den_exp,
-        "degenerate_fit": degenerate,
-        "N_monotone_in_t": monotone,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .oscillatory import h_j
 __all__ = [
     "GridSpec",
     "m_j",
+    "m_j_grid",
     "m_j_rational_oracle",
     "l_js",
     "big_l_j",
@@ -266,24 +267,6 @@ def e_j(j: int, lam: float, beta: float, epsilon: float = 0.1,
     """Approximation error E_j = M_j - L_j; ``shells`` as in big_l_j."""
     _check_epsilon(epsilon)
     return m_j(j, lam, beta) - big_l_j(j, lam, beta, epsilon, shells, tol)
-
-
-def l_super_s(s: int, lam: float, beta: float, epsilon: float,
-              j_max: int, tol: float = 1e-10) -> complex:
-    """Shell-first regrouping: sum of l_js over j with s <= epsilon j <= epsilon j_max.
-
-    Truncated at j_max, this reorders the double sum defining L; the two
-    groupings agree pointwise on truncations.
-    """
-    _check_epsilon(epsilon)
-    if s < 1:
-        raise ValueError(f"shell index must be >= 1, got {s}")
-    j_min = math.ceil(s / epsilon)
-    shell = enumerate_shell(s)
-    acc = 0.0 + 0.0j
-    for j in range(j_min, j_max + 1):
-        acc += l_js(j, s, lam, beta, shell, tol)
-    return complex(acc)
 
 
 @dataclass(frozen=True)

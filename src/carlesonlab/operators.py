@@ -6,7 +6,7 @@ linear convolution is exact), with the same exact phase reduction used
 by the Weyl sums.  ``carleson_max`` takes the pointwise supremum of the
 moduli over a finite modulation set.
 
-The remaining probes discretize maximal multiplier operators on a
+The growth reports discretize maximal multiplier operators on a
 periodic grid of size G: position indices 0..G-1, frequencies g/G in
 FFT layout.  They produce empirical *lower* bounds for operator norms
 (max over trial families); the periodic grid stands in for the line and
@@ -24,7 +24,7 @@ import scipy.fft as sfft
 
 from .bumps import phi_hat
 from .multiplier import _frac_lam_msq, _log2_slope
-from .oscillatory import ScaleIndex, h_row
+from .oscillatory import h_row
 from .arithmetic import torus_delta
 
 __all__ = [
@@ -34,18 +34,15 @@ __all__ = [
     "apply_kernel_brute",
     "carleson_max",
     "norm_probe",
-    "bourgain_max_probe",
     "bourgain_growth_report",
-    "oscillatory_max_probe",
     "oscillatory_growth_report",
-    "single_l_max_probe",
     "single_l_report",
     "signal_to_json",
-    "signal_from_json",
 ]
 
 SIZE_CAP = 2 ** 24
 _PER_OCTAVE = 8               # growth-report lambda grid points per octave
+_THETA_DRAWS = 5              # Bourgain growth report: theta sets drawn per N
 _SINGLE_L_K_LO = 4            # lowest kernel scale of the single-l report
 
 
@@ -240,21 +237,6 @@ def _sup_ratio(multipliers, fhat_rows) -> np.ndarray:
         _pointwise_sup(multipliers, fhat_rows, fhat_rows.shape[1]), axis=1)
 
 
-def _probe_ratio(mults: list, f, G: int) -> float:
-    """||sup_lam |F^-1(mult * f^)|||_2 / ||f||_2 for one length-G signal.
-
-    The multipliers are built before this is called, so a zero signal
-    still has its lambda grid validated.
-    """
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (G,):
-        raise ValueError(f"signal must have shape ({G},)")
-    norm = np.linalg.norm(f)
-    if norm == 0.0:
-        return 0.0
-    return float(_sup_ratio(mults, sfft.fft(f)[None, :])[0] / norm)
-
-
 def _bourgain_multipliers(theta: np.ndarray, lams, G: int) -> list:
     """Per lam, sum_n phi_hat(lam * d(xi - theta_n)) at the grid frequencies.
 
@@ -300,32 +282,38 @@ def _oscillatory_multipliers(theta: np.ndarray, tau: float, k0: int,
     return mults
 
 
+def _kernel_scale(l: int, lam: float) -> int:
+    """The unique k with 1 <= lam 2^(2k-l) < 2, when one exists.
+
+    Consecutive k move the product by a factor 4 across a width-one
+    bracket, so for fixed l only alternating octaves of lam admit a
+    scale; elsewhere the single-l operator is empty and this raises.
+    """
+    if not 0.0 < lam:
+        raise ValueError(f"lam must be positive, got {lam}")
+    k = math.ceil((l - math.log2(lam)) / 2.0)
+    for cand in (k - 1, k, k + 1):
+        if 1.0 <= math.ldexp(lam, 2 * cand - l) < 2.0:
+            return cand
+    raise ValueError(
+        f"no integer scale brackets lam={lam:g} at l={l}; the "
+        "single-l kernel vanishes on this octave"
+    )
+
+
 def _single_l_multipliers(l: int, lams, G: int) -> list:
     """Per lam, the single-scale chirp multiplier H_{k(lam,l)}(lam, .)."""
     kmax_fit = int(math.log2(G)) - 1
     mults = []
     for lam in lams:
-        scale = ScaleIndex.from_lambda(l, lam)
-        if scale.k < 2 or scale.k > kmax_fit:
+        k = _kernel_scale(l, lam)
+        if k < 2 or k > kmax_fit:
             raise ValueError(
-                f"lam = {lam:g} at l = {l} needs kernel scale k = {scale.k}, "
+                f"lam = {lam:g} at l = {l} needs kernel scale k = {k}, "
                 f"outside the grid-representable range [2, {kmax_fit}]"
             )
-        mults.append(h_row(scale.k, lam, G))
+        mults.append(h_row(k, lam, G))
     return mults
-
-
-def bourgain_max_probe(theta, G: int, lam_grid, f: np.ndarray) -> float:
-    """Multi-frequency averaging probe: sup over lam of the plateau multiplier.
-
-    For each lam the multiplier at grid frequency xi is
-    sum_n phi_hat(lam * d(xi - theta_n)) with d the signed torus distance;
-    every lam in the grid must exceed 1/tau for the separation tau of theta.
-    """
-    _check_grid(G)
-    theta = np.asarray(theta, dtype=float) % 1.0
-    return _probe_ratio(
-        _bourgain_multipliers(theta, _lambda_floats(lam_grid), G), f, G)
 
 
 def _separated_theta(N: int, rng) -> np.ndarray:
@@ -340,8 +328,7 @@ def _dyadic_lambdas(lo: float, hi: float) -> np.ndarray:
     return lo * 2.0 ** ((np.arange(n) + 1.0) / _PER_OCTAVE)
 
 
-def bourgain_growth_report(n_list, G: int, trials: int, seed: int,
-                           theta_draws: int = 5) -> dict:
+def bourgain_growth_report(n_list, G: int, trials: int, seed: int) -> dict:
     """Growth of the multi-frequency maximal ratio against log^2 N.
 
     Per theta draw the lambda grid runs dyadically from 1/tau to 4G.
@@ -352,10 +339,10 @@ def bourgain_growth_report(n_list, G: int, trials: int, seed: int,
     rng = np.random.default_rng(seed)
     lam_max = 4.0 * G
     rows = []
-    per_draw = max(1, trials // theta_draws)
+    per_draw = max(1, trials // _THETA_DRAWS)
     for N in sorted(int(n) for n in n_list):
         best = 0.0
-        for _ in range(theta_draws):
+        for _ in range(_THETA_DRAWS):
             theta = _separated_theta(N, rng)
             tau = _theta_separation(theta)
             lams = _dyadic_lambdas(1.0 / tau, lam_max)
@@ -379,24 +366,8 @@ def bourgain_growth_report(n_list, G: int, trials: int, seed: int,
         rows.append({"N": N, "max_ratio": best,
                      "ratio_over_log2N": best / log2n ** 2})
     return {"G": G, "seed": seed, "trials": trials,
-            "theta_draws": theta_draws, "per_octave": _PER_OCTAVE,
+            "theta_draws": _THETA_DRAWS, "per_octave": _PER_OCTAVE,
             "lam_max": lam_max, "rows": rows}
-
-
-def oscillatory_max_probe(theta, tau: float, k0: int, G: int, lam_grid,
-                          f: np.ndarray, k_max: int | None = None) -> float:
-    """Oscillatory singular-integral probe: sup over lam <= tau^2.
-
-    Multiplier at xi: sum_n [sum_{k0 <= k <= k_max} H_k(lam, xi - theta_n)]
-    * phi_hat(tau (xi - theta_n)).  Frequencies are snapped to the grid;
-    k_max defaults to log2(G) - 2 (the largest kernel fitting the grid).
-    """
-    _check_grid(G)
-    k_max = k_max if k_max is not None else int(math.log2(G)) - 2
-    theta = np.asarray(theta, dtype=float) % 1.0
-    return _probe_ratio(
-        _oscillatory_multipliers(theta, tau, k0, k_max,
-                                 _lambda_floats(lam_grid), G), f, G)
 
 
 def oscillatory_growth_report(n_list, G: int, k0: int, trials: int,
@@ -425,13 +396,6 @@ def oscillatory_growth_report(n_list, G: int, k0: int, trials: int,
                      "ratio_over_log2N": best / log2n ** 2})
     return {"G": G, "k0": k0, "k_max": k_max, "seed": seed,
             "trials": trials, "per_octave": _PER_OCTAVE, "rows": rows}
-
-
-def single_l_max_probe(l: int, G: int, lam_grid, f: np.ndarray) -> float:
-    """sup over lam of the single-scale chirp multiplier H_{k(lam,l)}(lam, .)."""
-    _check_grid(G)
-    return _probe_ratio(_single_l_multipliers(l, _lambda_floats(lam_grid), G),
-                        f, G)
 
 
 def single_l_report(l_list, G: int, trials: int, seed: int) -> dict:
@@ -482,8 +446,3 @@ def signal_to_json(sig: Signal) -> str:
         "samples": [[float(z.real), float(z.imag)] for z in sig.samples],
     })
 
-
-def signal_from_json(text: str) -> Signal:
-    obj = json.loads(text)
-    samples = np.array([complex(re, im) for re, im in obj["samples"]])
-    return Signal(samples=samples, origin=int(obj["origin"]))

@@ -25,25 +25,19 @@ in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, lru_cache
 
 import numpy as np
 import scipy.fft as sfft
 
 from ._memo import BoundedCache
-from .bumps import psi, psi_k, phi_hat
+from .bumps import psi, psi_k
 
 __all__ = [
     "ConvergenceError",
-    "ScaleIndex",
-    "osc_norm",
     "h_j",
     "h_scaled",
     "h_row",
-    "mu",
-    "phi_kl_hat",
-    "envelope_check",
     "psi_hat",
 ]
 
@@ -60,58 +54,6 @@ _H_ROW_OVERSAMPLE = 8         # h_row's chirp samples per bandwidth unit
 # (rounding counts up would change the quadrature's bits); a rule over the
 # bound, above ~52k dual panels, is computed and not kept
 _PANEL_RULES = BoundedCache(max_bytes=16 * 2 ** 20, max_entries=64)
-
-
-def osc_norm(j: int, x: float, y: float) -> float:
-    """Scale-j anisotropic size 2**(2j)|x| + 2**j |y|."""
-    return (4.0 ** j) * abs(x) + (2.0 ** j) * abs(y)
-
-
-@dataclass(frozen=True)
-class ScaleIndex:
-    """Scale bookkeeping for the single-l operators.
-
-    ``k`` is the unique integer with 1 <= lam * 2**(2k - l) < 2, and
-    ``k_l`` is k for l <= 0 and k - l for l > 0.
-    """
-
-    l: int
-    lam: float
-    k: int
-
-    def __post_init__(self):
-        if not 0.0 < self.lam:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        t = math.ldexp(self.lam, 2 * self.k - self.l)
-        if not 1.0 <= t < 2.0:
-            raise ValueError(
-                f"k={self.k} does not bracket lam={self.lam}, l={self.l}: "
-                f"lam*2^(2k-l)={t}"
-            )
-
-    @classmethod
-    def from_lambda(cls, l: int, lam: float) -> "ScaleIndex":
-        """The unique k with 1 <= lam 2^(2k-l) < 2, when one exists.
-
-        Consecutive k move the product by a factor 4 across a width-one
-        bracket, so for fixed l only alternating octaves of lam admit a
-        scale; elsewhere the single-l operator is empty and this raises.
-        """
-        if not 0.0 < lam:
-            raise ValueError(f"lam must be positive, got {lam}")
-        k = math.ceil((l - math.log2(lam)) / 2.0)
-        for cand in (k - 1, k, k + 1):
-            v = math.ldexp(lam, 2 * cand - l)
-            if 1.0 <= v < 2.0:
-                return cls(l=l, lam=lam, k=cand)
-        raise ValueError(
-            f"no integer scale brackets lam={lam:g} at l={l}; the "
-            "single-l kernel vanishes on this octave"
-        )
-
-    @property
-    def k_l(self) -> int:
-        return self.k if self.l <= 0 else self.k - self.l
 
 
 # ---------------------------------------------------------------------------
@@ -331,40 +273,3 @@ def h_row(k: int, lam: float, G: int) -> np.ndarray:
     out[half_g:] = spec[nfft - G + half_g:]
     return out
 
-
-def mu(scale: ScaleIndex, tol: float = 1e-10) -> complex:
-    """Zero Fourier mode of the single-scale chirp kernel.
-
-    Vanishes identically for odd psi (the integrand is odd); computed by
-    quadrature anyway so the cancellation is measured, not assumed.
-    """
-    return h_scaled(scale.lam * 4.0 ** scale.k, 0.0, tol)
-
-
-def phi_kl_hat(scale: ScaleIndex, xi: float, tol: float = 1e-10) -> complex:
-    """Mean-zero multiplier piece: H_k(lam, xi) - mu * phi_hat(2**k_l xi)."""
-    val = h_scaled(scale.lam * 4.0 ** scale.k, xi * 2.0 ** scale.k, tol)
-    m = mu(scale, tol)
-    return val - m * complex(phi_hat(math.ldexp(xi, scale.k_l)))
-
-
-def envelope_check(j: int, samples, tol: float = 1e-10) -> dict:
-    """Empirical constant for |H_j| <= C min(norm_j, norm_j**-1/2).
-
-    Returns the max over samples of |H_j| / min(...); (0, 0) is rejected
-    since the envelope ratio degenerates there.
-    """
-    samples = list(samples)
-    if not samples:
-        raise ValueError("sample list must be nonempty")
-    best = 0.0
-    arg = None
-    for x, y in samples:
-        nrm = osc_norm(j, x, y)
-        if nrm == 0.0:
-            raise ValueError("sample (0, 0) is degenerate for the envelope ratio")
-        env = min(nrm, nrm ** -0.5)
-        ratio = abs(h_j(j, x, y, tol)) / env
-        if ratio > best:
-            best, arg = ratio, (x, y)
-    return {"j": j, "n_samples": len(samples), "max_ratio": best, "argmax": arg}

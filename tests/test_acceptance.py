@@ -183,7 +183,7 @@ def test_criterion_08_maximal_boundedness_surrogate():
 
 def test_criterion_09_bourgain_growth():
     rep = bourgain_growth_report([2, 4, 8, 16, 32, 64], G=8192,
-                                 trials=100, seed=SEED, theta_draws=5)
+                                 trials=100, seed=SEED)
     vals = [(r["N"], r["ratio_over_log2N"]) for r in rep["rows"] if r["N"] >= 8]
     ok = all(vals[i + 1][1] <= vals[i][1] for i in range(len(vals) - 1))
     assert verdict(9, "multi-frequency growth probe", ok,

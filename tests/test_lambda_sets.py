@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 from fractions import Fraction
 
@@ -10,7 +9,6 @@ from carlesonlab.lambda_sets import (
     cantor_set,
     certificate_to_json,
     cover,
-    dimension_estimate,
     lambda_set_from_json,
     lambda_set_to_json,
     verify_certificate,
@@ -122,40 +120,11 @@ class TestCover:
         assert cert.max_denominator <= 2.0 * float(cert.t) ** -0.5
         assert verify_certificate(c, cert)["ok"]
 
-
-class TestDimensionEstimate:
-    def test_cantor_d2(self):
-        rep = dimension_estimate(
-            cantor_set(2, 6),
-            [Fraction(2, 2 ** (2 ** (n + 1))) for n in range(1, 5)],
-        )
-        assert rep["denominator_exponent"] / math.log(2) <= (0.5 + 0.05) / math.log(2)
-        d_exp = rep["denominator_exponent"]
-        # exponents are reported against log(1/t); compare to 1/D
-        assert d_exp <= 0.5 + 0.05
-        assert rep["N_monotone_in_t"]
-
-    def test_cantor_d3(self):
-        rep = dimension_estimate(
-            cantor_set(3, 5),
-            [Fraction(2, 2 ** (3 ** (n + 1))) for n in range(1, 4)],
-        )
-        assert rep["denominator_exponent"] <= 1.0 / 3.0 + 0.05
-
-    def test_singleton_degenerate(self):
-        e = LambdaSet(points=(Fraction(0),), provenance=("explicit",))
-        rep = dimension_estimate(
-            e, [Fraction(1, 10), Fraction(1, 1000), Fraction(1, 100000)])
-        assert rep["degenerate_fit"]
-        assert rep["box_exponent"] == 0.0
-
-    def test_requires_spread(self):
-        c = cantor_set(2, 4)
-        with pytest.raises(ValueError):
-            dimension_estimate(c, [Fraction(1, 8), Fraction(1, 16)])
-        with pytest.raises(ValueError):
-            dimension_estimate(c, [Fraction(1, 8), Fraction(1, 16),
-                                   Fraction(1, 32)])
+    def test_count_grows_as_t_shrinks(self):
+        c = cantor_set(2, 6)
+        counts = [cover(c, Fraction(2, 2 ** (2 ** (n + 1)))).N
+                  for n in range(1, 5)]
+        assert counts == sorted(counts)
 
 
 class TestFileFormats:

@@ -19,7 +19,6 @@ from carlesonlab.multiplier import (
     e_j,
     frac_part_exact,
     l_js,
-    l_super_s,
     m_j,
     m_j_grid,
     m_j_rational_oracle,
@@ -32,7 +31,7 @@ from carlesonlab.multiplier import (
     _grid_point_in_major_boxes,
     _grid_stage,
 )
-from carlesonlab.oscillatory import h_j, osc_norm
+from carlesonlab.oscillatory import h_j
 
 # frozen from the pre-build j=8..18 sweep: max |dE_j/dlam| / 4^j was 0.339
 DERIVATIVE_RATIO_CAP = 1.0
@@ -229,7 +228,7 @@ class TestLjs:
         r = ReducedRational(3, 1, 0)
         dl, db = 1e-7, 1e-4
         val = abs(gauss_sum(r) * h_j(11, dl, db))
-        n = osc_norm(11, dl, db)
+        n = 4.0 ** 11 * abs(dl) + 2.0 ** 11 * abs(db)   # scale-11 size
         assert val <= abs(gauss_sum(r)) * 50.0 * min(n, n ** -0.5)
 
 
@@ -239,8 +238,10 @@ class TestRegrouping:
         for lam, beta in [(1e-3, 2e-3), (0.501, 0.499)]:
             by_scale = sum(big_l_j(j, lam, beta, eps) for j in range(1, j_max + 1))
             smax = int(eps * j_max)
-            by_shell = sum(l_super_s(s, lam, beta, eps, j_max)
-                           for s in range(1, smax + 1))
+            # shell first: for each s, l_js over s <= eps j <= eps j_max
+            by_shell = sum(l_js(j, s, lam, beta, enumerate_shell(s))
+                           for s in range(1, smax + 1)
+                           for j in range(math.ceil(s / eps), j_max + 1))
             assert abs(by_scale - by_shell) <= 1e-12
 
 

@@ -4,18 +4,9 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from carlesonlab.bumps import psi, psi_k
-from carlesonlab.oscillatory import (
-    ScaleIndex,
-    envelope_check,
-    h_j,
-    h_row,
-    h_scaled,
-    mu,
-    osc_norm,
-    phi_kl_hat,
-    psi_hat,
-)
+from carlesonlab.bumps import phi_hat, psi, psi_k
+from carlesonlab.operators import _kernel_scale
+from carlesonlab.oscillatory import h_j, h_row, h_scaled, psi_hat
 from carlesonlab.oscillatory import _direct_scaled, _dual_scaled, _refine
 
 # constants frozen from the pre-build sweeps (measured value, 2x headroom)
@@ -29,6 +20,33 @@ def brute_trapezoid(j, x, y, n=1_000_001):
     s = 2.0 ** (-j)
     f = np.exp(2j * np.pi * (x * t * t - y * t)) * s * psi(s * t)
     return np.trapezoid(f, t)
+
+
+def _osc_norm(j, x, y):
+    """Scale-j anisotropic size 2**(2j)|x| + 2**j |y|."""
+    return (4.0 ** j) * abs(x) + (2.0 ** j) * abs(y)
+
+
+def _envelope_ratio(j, samples):
+    """max over samples of |H_j| / min(norm_j, norm_j**-1/2)."""
+    worst = 0.0
+    for x, y in samples:
+        n = _osc_norm(j, x, y)
+        worst = max(worst, abs(h_j(j, x, y, 1e-10)) / min(n, n ** -0.5))
+    return worst
+
+
+def _mu(lam, k, tol=1e-10):
+    """Zero Fourier mode of the scale-k chirp kernel: H_k(lam, 0)."""
+    return h_scaled(lam * 4.0 ** k, 0.0, tol)
+
+
+def _phi_kl_hat(l, lam, k, xi, tol=1e-10):
+    """Mean-zero multiplier piece H_k(lam, xi) - mu * phi_hat(2**k_l xi),
+    with k_l = k for l <= 0 and k - l for l > 0."""
+    k_l = k if l <= 0 else k - l
+    val = h_scaled(lam * 4.0 ** k, xi * 2.0 ** k, tol)
+    return val - _mu(lam, k, tol) * complex(phi_hat(math.ldexp(xi, k_l)))
 
 
 class TestHj:
@@ -80,15 +98,33 @@ class TestHj:
         assert abs(h_j(6, 0.0, y) - psi_hat(y * 2.0 ** 6)) <= 1e-13
 
 
+# h_row against h_scaled at G = 4096: every k from 2 to 10, at lam = 0 and
+# lam = 1e-4, over 9 bins; the rows whose first trapezoid image, one period
+# 2^k 2^p away, still carries ~1e-9 of psi-hat miss 1e-12 (ROADMAP item 3)
+_H_ROW_MISSES = {(2, 0.0), (3, 0.0), (4, 0.0), (5, 0.0),
+                 (2, 1e-4), (3, 1e-4), (4, 1e-4)}
+_H_ROW_CASES = [(k, lam) for lam in (0.0, 1e-4) for k in range(2, 11)]
+
+
+def _h_row_error(k, lam):
+    G = 4096
+    row = h_row(k, lam, G)
+    xi = np.fft.fftfreq(G)
+    return max(abs(row[g] - h_scaled(lam * 4.0 ** k, xi[g] * 2.0 ** k, 1e-12))
+               for g in (0, 1, 17, 128, 1000, 2047, 2048, 2049, 4095))
+
+
 class TestHRow:
     def test_matches_pointwise(self):
-        G = 256
-        lam = 3.7e-4
-        row = h_row(5, lam, G)
-        xi = np.fft.fftfreq(G)
-        for g in (0, 1, 17, 128, 200, 255):
-            ref = h_scaled(lam * 4.0 ** 5, xi[g] * 2.0 ** 5, 1e-12)
-            assert abs(row[g] - ref) <= 1e-9, g
+        for k, lam in _H_ROW_CASES:
+            if (k, lam) not in _H_ROW_MISSES:
+                assert _h_row_error(k, lam) <= 1e-12, (k, lam)
+
+    @pytest.mark.xfail(strict=True, reason="h_row's period rule aliases "
+                       "psi-hat's tail at k <= 5 (ROADMAP item 3)")
+    @pytest.mark.parametrize("k, lam", sorted(_H_ROW_MISSES))
+    def test_matches_pointwise_at_small_k(self, k, lam):
+        assert _h_row_error(k, lam) <= 1e-12
 
     def test_rejects_oversize_kernel(self):
         with pytest.raises(ValueError):
@@ -134,20 +170,17 @@ def _h_row_full_grid(k, lam, G):
 
 
 class TestScaleIndex:
+    # the scale index k(l, lam) of the single-l multipliers
     def test_bracketing(self):
-        s = ScaleIndex.from_lambda(0, 1.0)
-        assert s.k == 0 and s.k_l == 0
-        s = ScaleIndex.from_lambda(6, 2.0 ** -14)
-        assert 1.0 <= s.lam * 2.0 ** (2 * s.k - 6) < 2.0
-        assert s.k_l == s.k - 6
+        assert _kernel_scale(0, 1.0) == 0
+        k = _kernel_scale(6, 2.0 ** -14)
+        assert 1.0 <= 2.0 ** -14 * 2.0 ** (2 * k - 6) < 2.0
 
     def test_gap_octave_rejected(self):
-        with pytest.raises(ValueError):
-            ScaleIndex.from_lambda(12, 0.003)
-
-    def test_invalid_k_rejected(self):
-        with pytest.raises(ValueError):
-            ScaleIndex(l=0, lam=1.0, k=5)
+        with pytest.raises(ValueError, match="no integer scale brackets"):
+            _kernel_scale(12, 0.003)
+        with pytest.raises(ValueError, match="lam must be positive"):
+            _kernel_scale(0, 0.0)
 
 
 class TestMu:
@@ -156,43 +189,42 @@ class TestMu:
         # cancellation rather than assuming it
         for l, k in [(0, 4), (6, 10), (-4, 6)]:
             lam = 2.0 ** (l - 2 * k) * 1.3
-            s = ScaleIndex.from_lambda(l, lam)
-            assert abs(mu(s)) <= 1e-12
+            assert abs(_mu(lam, _kernel_scale(l, lam))) <= 1e-12
 
     def test_example_bound(self):
         # reference point k=10, l=6, lam=2^(6-20): |mu| <= C 2^-6 with C <= 10
-        s = ScaleIndex.from_lambda(6, 2.0 ** -14)
-        assert s.k == 10
-        assert abs(mu(s)) <= 10.0 * 2.0 ** -6
+        assert _kernel_scale(6, 2.0 ** -14) == 10
+        assert abs(_mu(2.0 ** -14, 10)) <= 10.0 * 2.0 ** -6
 
     def test_bound_sweep(self):
         worst = 0.0
         for l in range(-6, 7, 2):
             for k in (5, 8, 11):
                 lam = 2.0 ** (l - 2 * k) * 1.5
-                s = ScaleIndex.from_lambda(l, lam)
-                worst = max(worst, abs(mu(s)) / min(2.0 ** l, 2.0 ** -l))
+                worst = max(worst, abs(_mu(lam, _kernel_scale(l, lam)))
+                            / min(2.0 ** l, 2.0 ** -l))
         assert worst < 50.0
 
 
 class TestPhiKlHat:
     def test_zero_frequency(self):
-        s = ScaleIndex.from_lambda(3, 2.0 ** -9)
-        assert abs(phi_kl_hat(s, 0.0)) <= 1e-12
+        lam = 2.0 ** -9
+        assert abs(_phi_kl_hat(3, lam, _kernel_scale(3, lam), 0.0)) <= 1e-12
 
     def test_negative_l_envelope(self):
         # |phi_hat_{k,lam,l}(xi)| <= C / (2^k |xi|) for l <= 0 and large z
-        s = ScaleIndex.from_lambda(-3, 2.0 ** -13 * 1.2)
-        k = s.k
+        lam = 2.0 ** -13 * 1.2
+        k = _kernel_scale(-3, lam)
         xi = 10.0 * 2.0 ** -k
-        assert abs(phi_kl_hat(s, xi)) <= EST_VALUE_CAP / (2.0 ** k * xi)
+        assert abs(_phi_kl_hat(-3, lam, k, xi)) <= EST_VALUE_CAP / (2.0 ** k * xi)
 
     def test_positive_l_band(self):
         # in the stationary band |xi| ~ 2^(l-k) the size is C 2^(-l/2)
         l = 8
-        s = ScaleIndex.from_lambda(l, 2.0 ** (l - 2 * 10) * 1.1)
-        xi = 2.0 ** (l - s.k)
-        assert abs(phi_kl_hat(s, xi)) <= EST_VALUE_CAP * 2.0 ** (-l / 2.0)
+        lam = 2.0 ** (l - 2 * 10) * 1.1
+        k = _kernel_scale(l, lam)
+        xi = 2.0 ** (l - k)
+        assert abs(_phi_kl_hat(l, lam, k, xi)) <= EST_VALUE_CAP * 2.0 ** (-l / 2.0)
 
     def test_envelope_sweep_both_signs_of_l(self):
         rng = np.random.default_rng(7)
@@ -200,7 +232,7 @@ class TestPhiKlHat:
         for l in (-6, -2, 0, 2, 6):
             for k in (6, 9):
                 lam = 2.0 ** (l - 2 * k) * 1.4
-                s = ScaleIndex.from_lambda(l, lam)
+                assert _kernel_scale(l, lam) == k
                 for _ in range(10):
                     xi = (10.0 ** rng.uniform(-3, 1)) * 2.0 ** -k
                     z = 2.0 ** k * xi
@@ -214,7 +246,7 @@ class TestPhiKlHat:
                             env = 2.0 ** (-l / 2.0)
                         else:
                             env = 1.0 / z
-                    worst = max(worst, abs(phi_kl_hat(s, xi)) / env)
+                    worst = max(worst, abs(_phi_kl_hat(l, lam, k, xi)) / env)
         assert worst <= EST_VALUE_CAP
 
     def test_lambda_derivative_variant(self):
@@ -225,8 +257,8 @@ class TestPhiKlHat:
             h = lam * 1e-5
             for xi_scale in (0.03, 0.3, 3.0):
                 xi = xi_scale * 2.0 ** -k
-                vp = phi_kl_hat(ScaleIndex(l=l, lam=lam + h, k=k), xi, 1e-11)
-                vm = phi_kl_hat(ScaleIndex(l=l, lam=lam - h, k=k), xi, 1e-11)
+                vp = _phi_kl_hat(l, lam + h, k, xi, 1e-11)
+                vm = _phi_kl_hat(l, lam - h, k, xi, 1e-11)
                 dv = abs(vp - vm) / (2 * h) / 4.0 ** k
                 z = 2.0 ** k * xi
                 if l <= 0:
@@ -240,33 +272,28 @@ class TestPhiKlHat:
 
 
 class TestEnvelope:
-    def test_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            envelope_check(6, [(0.0, 0.0)])
-        with pytest.raises(ValueError):
-            envelope_check(6, [])
-
     def test_unit_shell(self):
-        # samples on the shell osc_norm = 1
+        # samples on the shell _osc_norm = 1
         samples = []
         for frac in np.linspace(0.0, 1.0, 9):
             samples.append((frac / 4.0 ** 6, (1 - frac) / 2.0 ** 6))
-        rep = envelope_check(6, samples)
-        assert np.isfinite(rep["max_ratio"])
-        assert rep["max_ratio"] < ENVELOPE_CAP
+        ratio = _envelope_ratio(6, samples)
+        assert np.isfinite(ratio)
+        assert ratio < ENVELOPE_CAP
 
     def test_full_sweep_single_constant(self):
         # 200 log-uniform samples per j in 4..14, one constant across j
         rng = np.random.default_rng(12345)
         worst = 0.0
         for j in range(4, 15):
+            samples = []
             for _ in range(200):
                 nrm = 10.0 ** rng.uniform(-3, 3)
                 frac = rng.random()
                 x = nrm * frac / 4.0 ** j * (1 if rng.random() < 0.5 else -1)
                 y = nrm * (1 - frac) / 2.0 ** j * (1 if rng.random() < 0.5 else -1)
-                n = osc_norm(j, x, y)
-                worst = max(worst, abs(h_j(j, x, y, 1e-10)) / min(n, n ** -0.5))
+                samples.append((x, y))
+            worst = max(worst, _envelope_ratio(j, samples))
         # pre-build sweep measured 4.70
         assert worst < ENVELOPE_CAP
 
@@ -281,11 +308,6 @@ class TestEnvelope:
                 frac = rng.random()
                 samples.append((nrm * frac / 4.0 ** j,
                                 nrm * (1 - frac) / 2.0 ** j))
-            consts[j] = envelope_check(j, samples)["max_ratio"]
+            consts[j] = _envelope_ratio(j, samples)
         hi, lo = max(consts.values()), min(consts.values())
         assert hi / lo < 3.0
-
-
-def test_osc_norm_homogeneity():
-    assert osc_norm(7, 2 * 0.1, 0.0) == 2 * osc_norm(7, 0.1, 0.0)
-    assert osc_norm(7, -0.1, -0.2) == osc_norm(7, 0.1, 0.2)
