@@ -8,7 +8,8 @@ whose key path is printed); 4 = any other error (its message is printed,
 without a traceback).  Exits 2-4 write no artifact.
 
 Each config key is declared once, with its default and type, in
-``DEFAULTS``; its flag is the key with ``-`` for ``_``.  Flags override
+``DEFAULTS``, and its closed range, if it has one, in ``BOUNDS``; its flag
+is the key with ``-`` for ``_``.  Flags override
 --config file entries, which override the defaults; the artifact base
 path defaults to ``carlesonlab-<command>``.
 
@@ -36,7 +37,7 @@ from .arithmetic import (_check_epsilon, enumerate_shell, gauss_rows,
                          odd_q_modulus_deviation)
 from .lambda_sets import (CoverError, cantor_set, certificate_to_json, cover,
                           lambda_set_from_json, lambda_set_to_json)
-from .multiplier import GridSpec, decay_report, e_j, l_js, m_j
+from .multiplier import J_CAP, GridSpec, decay_report, e_j, l_js, m_j
 from .operators import (Signal, bourgain_growth_report, carleson_max,
                         norm_probe, oscillatory_growth_report, signal_to_json,
                         single_l_report)
@@ -57,6 +58,24 @@ DEFAULTS = {
     "boxes_per_shell": 4,
     "k0": 3,
     "output": None,
+}
+
+# key -> (lo, hi): a resolved value outside [lo, hi] exits 2; epsilon's
+# open interval is the library's own check
+BOUNDS = {
+    "tol": (TOL_MIN, TOL_MAX),
+    # the gauss table has about 0.2 qmax^3 rows, 4.7 million at 256
+    "qmax": (1, 256),
+    "jmin": (1, J_CAP),
+    "jmax": (1, J_CAP),
+    "grid": (1, math.inf),
+    "strata": (1, math.inf),
+    "trials": (1, math.inf),
+    "radius_factor": (1, math.inf),
+    "den_cap": (1, math.inf),
+    "boxes_per_shell": (0, math.inf),
+    "seed": (0, math.inf),                  # default_rng's domain
+    "k0": (2, math.inf),
 }
 
 CHECK_THRESHOLDS = {
@@ -183,21 +202,10 @@ def _resolve(args: argparse.Namespace) -> dict:
         if val is not None:
             cfg[key] = val
     _check_epsilon(cfg["epsilon"])
-    if not TOL_MIN <= cfg["tol"] <= TOL_MAX:
-        raise ConfigError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], "
-                          f"got {cfg['tol']}")
-    for key in ("qmax", "jmin", "jmax", "grid", "strata", "trials",
-                "radius_factor", "den_cap"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be positive, got {cfg[key]}")
-    if cfg["boxes_per_shell"] < 0:
-        raise ConfigError("boxes_per_shell must be non-negative, "
-                          f"got {cfg['boxes_per_shell']}")
-    if cfg["qmax"] > 256:
-        # the gauss table has about 0.2 qmax^3 rows, 4.7 million at 256
-        raise ConfigError(f"qmax exceeds the cap 256: {cfg['qmax']}")
-    if cfg["jmax"] > 24:
-        raise ConfigError(f"jmax exceeds the direct-sum cap 24: {cfg['jmax']}")
+    for key, (lo, hi) in BOUNDS.items():
+        val = cfg[key]
+        if not lo <= val <= hi:             # a NaN fails too
+            raise ConfigError(f"{key} must lie in [{lo}, {hi}], got {val}")
     return cfg
 
 

@@ -178,8 +178,7 @@ def norm_probe(lam_values, lengths, trials: int, seed: int,
     truncated operator norm.  Every length is sized against SIZE_CAP
     before any transform runs.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
     lengths = [int(x) for x in lengths]
     if not lengths or any(x < 1 for x in lengths):
         raise ValueError("lengths must be positive")
@@ -220,6 +219,11 @@ def _check_grid(G: int):
         raise ValueError(f"grid size must be a power of two >= 16, got {G}")
 
 
+def _check_trials(trials: int):
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+
 def _theta_separation(theta) -> float:
     th = np.sort(np.asarray(theta, dtype=float) % 1.0)
     if len(th) == 1:
@@ -243,11 +247,6 @@ def _bourgain_multipliers(theta: np.ndarray, lams, G: int) -> list:
     The signed torus distances d do not depend on lam, so they are taken
     once for all lam.
     """
-    tau = _theta_separation(theta)
-    if len(theta) > 1 and min(lams) <= 1.0 / tau:
-        raise ValueError(
-            f"lambda grid must lie in (1/tau, inf) = ({1.0/tau:g}, inf)"
-        )
     d = torus_delta(sfft.fftfreq(G)[None, :] - theta[:, None])
     return [np.sum(phi_hat(lam * d), axis=0) for lam in lams]
 
@@ -256,17 +255,6 @@ def _oscillatory_multipliers(theta: np.ndarray, tau: float, k0: int,
                              k_max: int, lams, G: int) -> list:
     """Per lam, sum_n [sum_{k0 <= k <= k_max} H_k(lam, .)] * phi_hat(tau .)
     translated to the grid frequency nearest theta_n."""
-    if k0 < 2:
-        raise ValueError(f"k0 must be >= 2 (kernel must span a grid cell), got {k0}")
-    if 2 ** (k_max + 1) > G:
-        raise ValueError(f"k_max = {k_max} kernel does not fit grid G = {G}")
-    if k0 > k_max:
-        raise ValueError(f"empty scale range: k0 = {k0} > k_max = {k_max}")
-    if not 0 < tau < 1:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    _theta_separation(theta)
-    if max(lams) > tau * tau:
-        raise ValueError("lambda grid must lie in (0, tau^2]")
     window = phi_hat(tau * sfft.fftfreq(G))
     shifts = [int(round(th * G)) % G for th in theta]
     mults = []
@@ -279,40 +267,6 @@ def _oscillatory_multipliers(theta: np.ndarray, tau: float, k0: int,
         for sh in shifts:
             mult += np.roll(base, sh)
         mults.append(mult)
-    return mults
-
-
-def _kernel_scale(l: int, lam: float) -> int:
-    """The unique k with 1 <= lam 2^(2k-l) < 2, when one exists.
-
-    Consecutive k move the product by a factor 4 across a width-one
-    bracket, so for fixed l only alternating octaves of lam admit a
-    scale; elsewhere the single-l operator is empty and this raises.
-    """
-    if not 0.0 < lam:
-        raise ValueError(f"lam must be positive, got {lam}")
-    k = math.ceil((l - math.log2(lam)) / 2.0)
-    for cand in (k - 1, k, k + 1):
-        if 1.0 <= math.ldexp(lam, 2 * cand - l) < 2.0:
-            return cand
-    raise ValueError(
-        f"no integer scale brackets lam={lam:g} at l={l}; the "
-        "single-l kernel vanishes on this octave"
-    )
-
-
-def _single_l_multipliers(l: int, lams, G: int) -> list:
-    """Per lam, the single-scale chirp multiplier H_{k(lam,l)}(lam, .)."""
-    kmax_fit = int(math.log2(G)) - 1
-    mults = []
-    for lam in lams:
-        k = _kernel_scale(l, lam)
-        if k < 2 or k > kmax_fit:
-            raise ValueError(
-                f"lam = {lam:g} at l = {l} needs kernel scale k = {k}, "
-                f"outside the grid-representable range [2, {kmax_fit}]"
-            )
-        mults.append(h_row(k, lam, G))
     return mults
 
 
@@ -334,8 +288,7 @@ def bourgain_growth_report(n_list, G: int, trials: int, seed: int) -> dict:
     Per theta draw the lambda grid runs dyadically from 1/tau to 4G.
     """
     _check_grid(G)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     lam_max = 4.0 * G
     rows = []
@@ -375,10 +328,14 @@ def oscillatory_growth_report(n_list, G: int, k0: int, trials: int,
     """Growth of the oscillatory maximal ratio with tau = 1/(4N).
 
     Multiplier tables are built once per N and shared across the trial
-    batch.
+    batch; the kernel scales run from k0 to k_max = log2(G) - 2.
     """
     _check_grid(G)
+    _check_trials(trials)
     k_max = int(math.log2(G)) - 2
+    if not 2 <= k0 <= k_max:
+        raise ValueError(f"k0 must lie in [2, {k_max}] on grid G = {G}, "
+                         f"got {k0}")
     rng = np.random.default_rng(seed)
     rows = []
     for N in sorted(int(n) for n in n_list):
@@ -408,6 +365,7 @@ def single_l_report(l_list, G: int, trials: int, seed: int) -> dict:
     8 points per octave of lam in [2^(l-2k), 2^(l-2k+1)).
     """
     _check_grid(G)
+    _check_trials(trials)
     k_hi = int(math.log2(G)) - 2
     rng = np.random.default_rng(seed)
     sig = rng.standard_normal((trials, G)) + 1j * rng.standard_normal((trials, G))
@@ -421,14 +379,12 @@ def single_l_report(l_list, G: int, trials: int, seed: int) -> dict:
                 f"l = {l} needs kernel scale k >= {klo} > {k_hi}; "
                 f"increase the grid size"
             )
-        lams = []
-        for k in range(klo, k_hi + 1):
-            base = math.ldexp(1.0, l - 2 * k)
-            lams.extend(base * 2.0 ** (i / _PER_OCTAVE)
-                        for i in range(_PER_OCTAVE))
-        lams = [x for x in lams if x <= 1.0]
-        ratios = _sup_ratio(_single_l_multipliers(l, lams, G), fhat) / norms
-        rows.append({"l": l, "n_lambda": len(lams),
+        # each lam has 1 <= lam 2^(2k-l) < 2 at its own k
+        scales = [(k, math.ldexp(1.0, l - 2 * k) * 2.0 ** (i / _PER_OCTAVE))
+                  for k in range(klo, k_hi + 1) for i in range(_PER_OCTAVE)]
+        mults = (h_row(k, lam, G) for k, lam in scales)
+        ratios = _sup_ratio(mults, fhat) / norms
+        rows.append({"l": l, "n_lambda": len(scales),
                      "max_ratio": float(ratios.max())})
     return {"G": G, "seed": seed, "trials": trials, "k_lo": _SINGLE_L_K_LO,
             "k_hi": k_hi, "per_octave": _PER_OCTAVE, "rows": rows,

@@ -15,9 +15,7 @@ Frozen constants carry the value measured in the pre-build sweep and
 the headroom applied to it.
 """
 
-import json
 from fractions import Fraction
-from math import gcd, log2
 
 import numpy as np
 import pytest

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from carlesonlab import cli, oscillatory
 from carlesonlab.arithmetic import (ReducedRational, gauss_rows, gauss_sum,
                                     odd_q_modulus_deviation)
-from carlesonlab.cli import (_COMMON, CHECK_THRESHOLDS, COMMANDS, DEFAULTS,
-                             Artifacts, _write_csv, main)
+from carlesonlab.cli import (_COMMON, BOUNDS, CHECK_THRESHOLDS, COMMANDS,
+                             DEFAULTS, Artifacts, _write_csv, main)
 from carlesonlab.lambda_sets import (cantor_set, lambda_set_from_json,
                                      lambda_set_to_json)
 
@@ -293,6 +293,19 @@ def test_pool_artifacts_match_the_recorded_digests(tmp_path):
     assert checked == 16
 
 
+def _beyond(key) -> list:
+    """The values one step past each finite end of ``key``'s BOUNDS range."""
+    lo, hi = BOUNDS[key]
+    return [v for v in (lo - 1, hi + 1) if math.isfinite(v)]
+
+
+# (key, value, valid): each finite end of a BOUNDS range, and one step past
+# it
+_BOUND_CASES = [(key, val, True) for key, ends in BOUNDS.items()
+                for val in ends if math.isfinite(val)] \
+    + [(key, val, False) for key in BOUNDS for val in _beyond(key)]
+
+
 class TestExitCodes:
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 2
@@ -303,7 +316,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "gauss_rows", refuse)
         assert run(["gauss", "--qmax", "257", "-o", str(tmp_path / "x")]) == 2
-        assert "qmax exceeds the cap 256" in capsys.readouterr().err
+        assert "qmax must lie in [1, 256], got 257" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_bad_epsilon(self, tmp_path):
@@ -425,7 +438,7 @@ class TestExitCodes:
                 "--strata", "3"]
         assert run(argv + ["--boxes-per-shell", "-1",
                            "-o", str(tmp_path / "x")]) == 2
-        assert ("boxes_per_shell must be non-negative, got -1"
+        assert ("boxes_per_shell must lie in [0, inf], got -1"
                 in capsys.readouterr().err)
         assert not list(tmp_path.iterdir())
         # 0 samples no box and stays valid
@@ -433,6 +446,26 @@ class TestExitCodes:
                            "-o", str(tmp_path / "x")]) in (0, 1)
         assert json.loads((tmp_path / "x.json").read_text()
                           )["config"]["boxes_per_shell"] == 0
+
+    @pytest.mark.parametrize("key, val, valid", _BOUND_CASES,
+                             ids=[f"{k}={v}" for k, v, _ in _BOUND_CASES])
+    def test_config_bounds(self, tmp_path, capsys, key, val, valid):
+        # shell reads none of these keys, so only the bounds decide the exit
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: val}))
+        out = tmp_path / "out"
+        code = run(["shell", "--s", "1", "--config", str(cfg),
+                    "-o", str(out / "x")])
+        if valid:
+            assert code == 0
+            rep = json.loads((out / "x.json").read_text())
+            assert rep["config"][key] == val
+        else:
+            lo, hi = BOUNDS[key]
+            assert code == 2
+            assert (f"{key} must lie in [{lo}, {hi}], got {val}"
+                    in capsys.readouterr().err)
+            assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["x", "0"])
     def test_bad_worker_count(self, tmp_path, capsys, monkeypatch, workers):
@@ -634,7 +667,8 @@ class TestDeterminism:
 # ---------------------------------------------------------------------------
 # exit-code fuzz: every command over its flags with bounded values (grid at
 # most 2^10, trials at most 2, j at most 12, lists of at most three entries);
-# out-of-range, malformed and missing values are drawn on purpose
+# out-of-range, malformed and missing values are drawn on purpose, a config
+# key's out-of-range values one step past its BOUNDS range
 # ---------------------------------------------------------------------------
 
 def _ints(lo, hi):
@@ -644,6 +678,16 @@ def _ints(lo, hi):
 def _mostly(valid, invalid):
     """``valid`` 7 times in 8, else ``invalid``."""
     return st.integers(0, 7).flatmap(lambda i: invalid if i == 0 else valid)
+
+
+def _past(key):
+    """A flag value one step past a finite end of ``key``'s BOUNDS range."""
+    return st.sampled_from([str(v) for v in _beyond(key)])
+
+
+# config files each holding one key one step past its BOUNDS range
+_PAST_CONFIGS = {f"past-{key}-{v}.json": json.dumps({key: v})
+                 for key in BOUNDS for v in _beyond(key)}
 
 
 def _int_list(lo, hi):
@@ -668,49 +712,54 @@ _LAMBDA_SOURCE = _mostly(
 
 # command -> (required flags, other flags), each {flag: values}
 _FUZZ_FLAGS = {
-    "gauss": ({}, {"--qmax": _mostly(_ints(1, 24), _ints(-1, 0))}),
+    "gauss": ({}, {"--qmax": _mostly(_ints(1, 24), _past("qmax"))}),
     "shell": ({"--s": _mostly(_ints(1, 6), st.sampled_from(["0", "17"]))},
               {}),
     "multiplier-sample": (
         {"--j": _mostly(_ints(2, 12), st.sampled_from(["-1", "0", "25"])),
          "--lam": _FLOATS, "--beta": _FLOATS}, {}),
-    "approx-error": ({}, {"--strata": _mostly(_ints(3, 4), _ints(0, 2))}),
+    "approx-error": ({}, {"--strata": _mostly(
+        _ints(3, 4), st.one_of(_past("strata"), _ints(1, 2)))}),
     "cantor": ({"--d": _mostly(_ints(2, 3), _ints(0, 1)),
                 "--depth": _mostly(_ints(1, 6), _ints(-1, 0))}, {}),
     "cover": ({"--t-exp": _mostly(_ints(1, 6), _ints(-1, 0))},
-              {"--den-cap": _mostly(_ints(1, 64), _ints(-1, 0))}),
+              {"--den-cap": _mostly(_ints(1, 64), _past("den_cap"))}),
     "maximal": ({"--length": _mostly(_ints(1, 128), _ints(-1, 0))},
                 {"--radius": _mostly(_ints(1, 256), _ints(-1, 0))}),
     "norm-probe": ({"--lengths": _int_list(1, 128)},
-                   {"--radius-factor": _mostly(_ints(1, 4), _ints(-1, 0))}),
+                   {"--radius-factor": _mostly(_ints(1, 4),
+                                               _past("radius_factor"))}),
     "bourgain-growth": ({"--n-list": _int_list(1, 8)}, {}),
     "oscillatory-growth": ({"--n-list": _int_list(1, 8)},
-                           {"--k0": _mostly(_ints(2, 5), _ints(-1, 8))}),
+                           {"--k0": _mostly(_ints(2, 5), st.one_of(
+                               _past("k0"), _ints(5, 9)))}),
     "single-l": ({"--l-list": _int_list(0, 8)}, {}),
 }
 
 _FUZZ_COMMON = {
-    "--seed": _mostly(_ints(0, 3), st.just("-1")),
+    "--seed": _mostly(_ints(0, 3), _past("seed")),
     "--epsilon": _mostly(st.sampled_from(["0.05", "0.1", "0.14"]),
                          st.sampled_from(["0.2", "nan"])),
     "--tol": _mostly(st.sampled_from(["1e-10", "1e-6"]),
-                     st.sampled_from(["1e-15", "inf"])),
-    "--config": _mostly(st.just("cfg.json"),
-                        st.sampled_from(["junk.json", "missing.json"])),
+                     st.one_of(_past("tol"), st.sampled_from(["1e-15", "inf"]))),
+    "--config": _mostly(st.just("cfg.json"), st.sampled_from(
+        ["junk.json", "missing.json", *sorted(_PAST_CONFIGS)])),
 }
 
-# drawn in every run: the defaults of these are past the bounds (50
-# trials; j up to 14 on a 512 grid with 4 boxes per shell)
+# drawn in every run: the defaults of these cost more than the fuzz can
+# spend (50 trials; j up to 14 on a 512 grid with 4 boxes per shell)
 _BOUNDED = {
-    "--trials": _mostly(_ints(1, 2), _ints(-1, 0)),
+    "--trials": _mostly(_ints(1, 2), _past("trials")),
     "--grid": _mostly(st.sampled_from(["64", "256", "1024"]),
-                      st.sampled_from(["0", "16", "100"])),
+                      st.one_of(_past("grid"), st.sampled_from(["16", "100"]))),
 }
 _BOUNDED_DECAY = {
-    "--jmin": _mostly(_ints(2, 12), _ints(0, 1)), "--jmax": _ints(2, 12),
-    "--boxes-per-shell": _ints(-1, 1),
+    "--jmin": _mostly(_ints(2, 12), st.one_of(_past("jmin"), st.just("1"))),
+    "--jmax": _mostly(_ints(2, 12), _past("jmax")),
+    "--boxes-per-shell": _mostly(_ints(0, 1), _past("boxes_per_shell")),
     # the decay harness's cost grows with the grid
-    "--grid": _mostly(st.just("64"), st.sampled_from(["0", "32", "100"])),
+    "--grid": _mostly(st.just("64"), st.one_of(
+        _past("grid"), st.sampled_from(["32", "100"]))),
 }
 
 _CONFIG = '{"qmax": 4, "trials": 2, "tol": 1e-08}'
@@ -751,6 +800,8 @@ def test_fuzzed_flags_exit_with_a_typed_code(argv):
         (tmp / "lam.json").write_text(lambda_set_to_json(cantor_set(2, 3)))
         (tmp / "junk.json").write_text("{not json")
         (tmp / "cfg.json").write_text(_CONFIG)
+        for name, text in _PAST_CONFIGS.items():
+            (tmp / name).write_text(text)
         argv = [_in_dir(tmp, v) for v in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

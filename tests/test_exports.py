@@ -44,8 +44,13 @@ EXPORTS = {
     "enumerate_shell": ("reached", "shell command; l_js"),
     "shell_size": ("oracle", "arithmetic.enumerate_shell"),
     "gauss_sum": ("oracle", "arithmetic.gauss_rows"),
-    "gauss_row": ("reached", "gauss_decay_scan: criterion 02, bench arith"),
-    "gauss_rows": ("reached", "gauss command"),
+    "gauss_row": ("plumbing", "no code in src calls it; bench/tracer.py's "
+                              "TRACED wraps it by name for the "
+                              "arithmetic.gauss_row.* metrics and "
+                              "bench/test_tracer.py calls it"),
+    "gauss_rows": ("reached", "gauss command, gauss_decay_scan and "
+                              "odd_q_modulus_deviation: criteria 01/02, "
+                              "bench arith"),
     "square_class_reps": ("reached", "gauss_decay_scan: criterion 02"),
     "gauss_decay_scan": ("reached", "criterion 02, bench arith"),
     "odd_q_modulus_deviation": ("reached", "gauss command, criterion 01, "

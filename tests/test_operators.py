@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,10 +11,8 @@ from carlesonlab import operators
 from carlesonlab.operators import (
     Signal,
     _bourgain_multipliers,
-    _kernel_scale,
     _oscillatory_multipliers,
     _pointwise_sup,
-    _single_l_multipliers,
     _sup_ratio,
     apply_kernel,
     apply_kernel_brute,
@@ -24,13 +23,16 @@ from carlesonlab.operators import (
     oscillatory_growth_report,
     single_l_report,
 )
-from carlesonlab.oscillatory import h_row, psi_hat
+from carlesonlab.oscillatory import h_row, h_scaled, psi_hat
 
 # frozen from the pre-build run: R = 2^12 -> 2^13 changed the norm by 0.0034%
 TRUNCATION_STABILITY_CAP = 0.01
 # frozen: the lam -> 0 multiplier is a truncated-Hilbert-type symbol of
 # sup-size ~2.7 (the full symbol has modulus pi)
 HILBERT_SYMBOL_RATIO_CAP = 4.0
+# three separated points at nonzero grid shifts (35, 141 and 251 at G = 256);
+# the one near 1 puts its shifted table across the wrap
+SHIFTED_THETA = np.array([0.137, 0.55, 0.981])
 
 
 def _ratio(mults, f):
@@ -267,13 +269,17 @@ class TestBourgainProbe:
                                            G), f)
         assert abs(one - two) <= 1e-12
 
-    def test_separation_violated(self):
-        with pytest.raises(ValueError):
-            _bourgain_multipliers(np.array([0.1, 0.1]), [8.0], 256)
-
-    def test_lambda_below_inverse_separation(self):
-        with pytest.raises(ValueError):
-            _bourgain_multipliers(np.array([0.0, 0.5]), [1.0], 256)
+    def test_table_is_the_pointwise_sum_at_nonzero_shifts(self):
+        # per (g, n): phi_hat(lam d), d the signed torus distance of g/G
+        # from theta_n; measured max difference 0
+        G = 256
+        xi = sfft.fftfreq(G)
+        lams = [8.0, 40.0, 300.0]
+        for lam, mult in zip(lams, _bourgain_multipliers(SHIFTED_THETA, lams,
+                                                         G)):
+            ref = [sum(float(phi_hat(lam * ((xi[g] - th + 0.5) % 1.0 - 0.5)))
+                       for th in SHIFTED_THETA) for g in range(G)]
+            assert np.max(np.abs(mult - ref)) <= 1e-15, lam
 
     def test_growth_report_runs(self, monkeypatch):
         monkeypatch.setattr(operators, "_THETA_DRAWS", 2)
@@ -315,44 +321,72 @@ class TestOscillatoryProbe:
         assert abs(got - ref) <= 1e-5
         assert got <= HILBERT_SYMBOL_RATIO_CAP
 
-    def test_lambda_range_enforced(self):
-        with pytest.raises(ValueError):
-            _oscillatory_multipliers(np.array([0.0]), 1 / 8, 3, 6, [0.5], 256)
-
-    def test_scale_range_enforced(self):
-        with pytest.raises(ValueError):
-            _oscillatory_multipliers(np.array([0.0]), 1 / 8, 9, 6, [1e-4], 256)
+    def test_table_is_the_pointwise_sum_at_nonzero_shifts(self):
+        # per g: the sum over n of phi_hat(tau xi) sum_k H_k(lam, xi) at the
+        # grid frequency xi of index (g - s_n) mod G, s_n the index nearest
+        # theta_n; k >= 5 and lam > 0, where h_row is within 1e-12 of
+        # h_scaled (TestHRow); measured max difference 1.4e-13
+        G, tau, k0, k_max = 256, 1.0 / 12, 5, 6
+        xi = sfft.fftfreq(G)
+        shifts = [round(th * G) % G for th in SHIFTED_THETA]
+        lams = [tau * tau / 4, tau * tau]
+        for lam, mult in zip(lams, _oscillatory_multipliers(
+                SHIFTED_THETA, tau, k0, k_max, lams, G)):
+            ref = np.zeros(G, dtype=complex)
+            for g in range(G):
+                for s in shifts:
+                    x = xi[(g - s) % G]
+                    ref[g] += phi_hat(tau * x) * sum(
+                        h_scaled(lam * 4.0 ** k, x * 2.0 ** k, 1e-12)
+                        for k in range(k0, k_max + 1))
+            assert np.max(np.abs(mult - ref)) <= 1e-12, lam
 
     @pytest.mark.parametrize("k0", [1, 7, 9])
-    def test_report_rejects_what_the_probe_rejects(self, k0):
-        # G = 256 fits kernel scales 2 <= k <= 6
-        with pytest.raises(ValueError, match="k0"):
-            _oscillatory_multipliers(np.array([0.0]), 1 / 8, k0, 6, [1e-4], 256)
-        with pytest.raises(ValueError, match="k0"):
+    def test_report_rejects_what_the_probe_rejects(self, monkeypatch, k0):
+        # the report sums scales k0..log2(G) - 2, which is 2..6 at G = 256,
+        # and checks k0 before it draws anything
+        def refuse(*args):
+            raise AssertionError("theta was drawn")
+
+        monkeypatch.setattr(operators, "_separated_theta", refuse)
+        message = f"k0 must lie in [2, 6] on grid G = 256, got {k0}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             oscillatory_growth_report([4], G=256, k0=k0, trials=1, seed=0)
 
 
 class TestSingleL:
-    def test_singleton_grid(self):
-        G = 512
-        rng = np.random.default_rng(16)
-        f = rng.standard_normal(G) + 1j * rng.standard_normal(G)
-        lam = 2.0 ** -10
-        got = _ratio(_single_l_multipliers(0, [lam], G), f)
-        mult = h_row(_kernel_scale(0, lam), lam, G)
-        ref = np.linalg.norm(np.abs(sfft.ifft(mult * sfft.fft(f)))) \
-            / np.linalg.norm(f)
-        assert abs(got - ref) <= 1e-12
+    @pytest.mark.parametrize("l", [-3, 0, 2, 6])
+    def test_every_row_is_at_the_scale_of_its_lambda(self, monkeypatch, l):
+        # G = 1024 gives k_hi = 8: scales max(4, l + 2)..8, 8 lam per scale
+        calls = []
 
-    def test_unrepresentable_scale_rejected(self):
-        with pytest.raises(ValueError):
-            _single_l_multipliers(0, [0.9], 256)
+        def recording_h_row(k, lam, G):
+            calls.append((k, lam))
+            return h_row(k, lam, G)
+
+        monkeypatch.setattr(operators, "h_row", recording_h_row)
+        rep = single_l_report([l], G=1024, trials=1, seed=0)
+        ks = range(max(4, l + 2), 9)
+        assert [k for k, _ in calls] == [k for k in ks for _ in range(8)]
+        assert rep["rows"][0]["n_lambda"] == len(calls)
+        for k, lam in calls:
+            assert 1.0 <= lam * 2.0 ** (2 * k - l) < 2.0, (k, lam)
 
     def test_report_decays(self):
         rep = single_l_report([0, 4, 8], G=2 ** 13, trials=4, seed=9)
         ratios = [r["max_ratio"] for r in rep["rows"]]
         assert ratios[0] > ratios[-1] > 0
         assert rep["slope_log2_ratio_vs_l"] < 0
+
+
+@pytest.mark.parametrize("report, args", [
+    (bourgain_growth_report, ([2], 256)),
+    (oscillatory_growth_report, ([4], 256, 3)),
+    (single_l_report, ([0], 1024)),
+])
+def test_growth_reports_reject_zero_trials(report, args):
+    with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+        report(*args, trials=0, seed=0)
 
 
 def test_growth_reports_record_their_fixed_grids():

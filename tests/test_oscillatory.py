@@ -5,7 +5,6 @@ import pytest
 import scipy.fft as sfft
 
 from carlesonlab.bumps import phi_hat, psi, psi_k
-from carlesonlab.operators import _kernel_scale
 from carlesonlab.oscillatory import h_j, h_row, h_scaled, psi_hat
 from carlesonlab.oscillatory import _direct_scaled, _dual_scaled, _refine
 
@@ -169,60 +168,46 @@ def _h_row_full_grid(k, lam, G):
     return out
 
 
-class TestScaleIndex:
-    # the scale index k(l, lam) of the single-l multipliers
-    def test_bracketing(self):
-        assert _kernel_scale(0, 1.0) == 0
-        k = _kernel_scale(6, 2.0 ** -14)
-        assert 1.0 <= 2.0 ** -14 * 2.0 ** (2 * k - 6) < 2.0
-
-    def test_gap_octave_rejected(self):
-        with pytest.raises(ValueError, match="no integer scale brackets"):
-            _kernel_scale(12, 0.003)
-        with pytest.raises(ValueError, match="lam must be positive"):
-            _kernel_scale(0, 0.0)
-
-
+# each lam below is built as 2^(l-2k) c with 1 <= c < 2, so k is the single-l
+# kernel scale of (l, lam): 1 <= lam 2^(2k-l) < 2
 class TestMu:
     def test_vanishes_by_odd_symmetry(self):
         # the zero mode integrand is odd; quadrature measures the
         # cancellation rather than assuming it
         for l, k in [(0, 4), (6, 10), (-4, 6)]:
             lam = 2.0 ** (l - 2 * k) * 1.3
-            assert abs(_mu(lam, _kernel_scale(l, lam))) <= 1e-12
+            assert abs(_mu(lam, k)) <= 1e-12
 
     def test_example_bound(self):
         # reference point k=10, l=6, lam=2^(6-20): |mu| <= C 2^-6 with C <= 10
-        assert _kernel_scale(6, 2.0 ** -14) == 10
-        assert abs(_mu(2.0 ** -14, 10)) <= 10.0 * 2.0 ** -6
+        assert abs(_mu(2.0 ** (6 - 2 * 10), 10)) <= 10.0 * 2.0 ** -6
 
     def test_bound_sweep(self):
         worst = 0.0
         for l in range(-6, 7, 2):
             for k in (5, 8, 11):
                 lam = 2.0 ** (l - 2 * k) * 1.5
-                worst = max(worst, abs(_mu(lam, _kernel_scale(l, lam)))
-                            / min(2.0 ** l, 2.0 ** -l))
+                worst = max(worst, abs(_mu(lam, k)) / min(2.0 ** l, 2.0 ** -l))
         assert worst < 50.0
 
 
 class TestPhiKlHat:
     def test_zero_frequency(self):
-        lam = 2.0 ** -9
-        assert abs(_phi_kl_hat(3, lam, _kernel_scale(3, lam), 0.0)) <= 1e-12
+        k = 6
+        lam = 2.0 ** (3 - 2 * k)
+        assert abs(_phi_kl_hat(3, lam, k, 0.0)) <= 1e-12
 
     def test_negative_l_envelope(self):
         # |phi_hat_{k,lam,l}(xi)| <= C / (2^k |xi|) for l <= 0 and large z
-        lam = 2.0 ** -13 * 1.2
-        k = _kernel_scale(-3, lam)
+        k = 5
+        lam = 2.0 ** (-3 - 2 * k) * 1.2
         xi = 10.0 * 2.0 ** -k
         assert abs(_phi_kl_hat(-3, lam, k, xi)) <= EST_VALUE_CAP / (2.0 ** k * xi)
 
     def test_positive_l_band(self):
         # in the stationary band |xi| ~ 2^(l-k) the size is C 2^(-l/2)
-        l = 8
-        lam = 2.0 ** (l - 2 * 10) * 1.1
-        k = _kernel_scale(l, lam)
+        l, k = 8, 10
+        lam = 2.0 ** (l - 2 * k) * 1.1
         xi = 2.0 ** (l - k)
         assert abs(_phi_kl_hat(l, lam, k, xi)) <= EST_VALUE_CAP * 2.0 ** (-l / 2.0)
 
@@ -232,7 +217,6 @@ class TestPhiKlHat:
         for l in (-6, -2, 0, 2, 6):
             for k in (6, 9):
                 lam = 2.0 ** (l - 2 * k) * 1.4
-                assert _kernel_scale(l, lam) == k
                 for _ in range(10):
                     xi = (10.0 ** rng.uniform(-3, 1)) * 2.0 ** -k
                     z = 2.0 ** k * xi
