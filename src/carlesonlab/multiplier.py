@@ -33,7 +33,7 @@ from .arithmetic import (ReducedRational, _check_epsilon, _collected_qmax,
                          _frac1, _half_widths, enumerate_shell, gauss_sum,
                          torus_delta)
 from .bumps import chi_s, psi_k
-from .oscillatory import h_j
+from .oscillatory import _expi, h_j
 
 __all__ = [
     "GridSpec",
@@ -51,10 +51,12 @@ J_CAP = 24
 _MASK26 = (1 << 26) - 1
 # per-j support and psi_j weights (up to j = 21), and the exact phase
 # reductions lam m^2 and beta m over that support, shared by the points
-# of a box that repeat a lam or a beta
+# of a box that repeat a lam or a beta; a box walks all of its P betas
+# inside each lam row, so the beta memo holds up to 64 of them (its byte
+# bound governs from j = 15 on)
 _SUPPORT = BoundedCache(max_bytes=32 * 2 ** 20, max_entries=1)
 _LAM_PHASES = BoundedCache(max_bytes=8 * 2 ** 20, max_entries=8)
-_BETA_PHASES = BoundedCache(max_bytes=8 * 2 ** 20, max_entries=8)
+_BETA_PHASES = BoundedCache(max_bytes=8 * 2 ** 20, max_entries=64)
 
 
 def _limbs(x: float):
@@ -135,8 +137,8 @@ def m_j(j: int, lam: float, beta: float) -> complex:
     fl = _LAM_PHASES.get((j, lam), lambda: _frac_lam_msq(lam, m))
     fb = _BETA_PHASES.get((j, beta), lambda: frac_part_exact(beta, m))
     # psi_j is odd: the m < 0 half contributes -e(lam m^2 + beta m) psi_j(m)
-    pos = np.exp(2j * np.pi * _frac1(fl - fb))
-    neg = np.exp(2j * np.pi * _frac1(fl + fb))
+    pos = _expi(2 * np.pi * _frac1(fl - fb))
+    neg = _expi(2 * np.pi * _frac1(fl + fb))
     return complex(np.sum(w * (pos - neg)))
 
 
@@ -345,6 +347,10 @@ def _grid_point_in_major_boxes(g: int, h: int, G: int, j: int,
 
 def _sample_shell_centers(s: int, count: int, rng) -> list[ReducedRational]:
     """Seeded random reduced triples from shell s (no full enumeration)."""
+    if s == 1:
+        # the shell's one triple; every draw below is from a one-value
+        # range, which takes nothing from the generator
+        return [ReducedRational(1, 0, 0)][:count]
     out = []
     seen = set()
     tries = 0

@@ -24,7 +24,7 @@ import scipy.fft as sfft
 
 from .bumps import phi_hat
 from .multiplier import _frac_lam_msq, _log2_slope
-from .oscillatory import h_row
+from .oscillatory import _BLOCK_POINTS, _h_rows, h_row
 from .arithmetic import torus_delta
 
 __all__ = [
@@ -118,10 +118,17 @@ def _pointwise_sup(mults, fhat_rows: np.ndarray, out_len: int) -> np.ndarray:
     The sup starts at +0 and max(x, x) = x, so a multiplier byte-equal to
     the last one transformed is skipped, and so is an all-zero one when
     every fhat is finite (0 * inf would be NaN); the result is
-    bit-identical to transforming every multiplier.
+    bit-identical to transforming every multiplier.  With two or more
+    rows, the multipliers are transformed in blocks of up to
+    _BLOCK_POINTS products: a batched inverse FFT is bit-equal to one
+    per multiplier, and a max over non-negative values (or NaN) does not
+    depend on its order.
     """
-    sup = np.zeros((fhat_rows.shape[0], out_len))
+    rows, n = fhat_rows.shape
+    sup = np.zeros((rows, out_len))
     skip_zero = bool(np.isfinite(fhat_rows).all())
+    block = 1 if rows < 2 else max(1, _BLOCK_POINTS // (rows * n))
+    pending = []
     prev = None
     for mult in mults:
         if skip_zero and not mult.any():
@@ -130,10 +137,25 @@ def _pointwise_sup(mults, fhat_rows: np.ndarray, out_len: int) -> np.ndarray:
         if raw == prev:
             continue
         prev = raw
-        vals = np.abs(sfft.ifft(fhat_rows * mult[None, :], axis=1,
-                                overwrite_x=True)[:, :out_len])
-        np.maximum(sup, vals, out=sup)
+        pending.append(mult)
+        if len(pending) == block:
+            _fold_sup(sup, pending, fhat_rows, out_len)
+            pending = []
+    if pending:
+        _fold_sup(sup, pending, fhat_rows, out_len)
     return sup
+
+
+def _fold_sup(sup: np.ndarray, mults: list, fhat_rows: np.ndarray,
+              out_len: int) -> None:
+    """sup = max(sup, |F^-1(mult * fhat)|) over ``mults``, in place."""
+    # the product stays a temporary: kept under a name through the
+    # transform, a 40 x 8192 block of one ran twice as long
+    vals = np.abs(sfft.ifft(
+        fhat_rows[None, :, :] * np.stack(mults)[:, None, :], axis=-1,
+        overwrite_x=True)[:, :, :out_len])
+    for mult_vals in vals:
+        np.maximum(sup, mult_vals, out=sup)
 
 
 def carleson_max(f: Signal, lam_values, R: int) -> Signal:
@@ -189,14 +211,23 @@ def norm_probe(lam_values, lengths, trials: int, seed: int,
     rows = []
     for L, R, (out_len, n) in zip(lengths, radii, sizes):
         kernel_hats = [sfft.fft(kernel_taps(float(lam), R), n) for lam in lams]
+        signals = _trial_signals(L, lams, trials, rng)
+        # the trial spectra go through _pointwise_sup up to _BLOCK_POINTS
+        # at a time, so it transforms one multiplier per block unless the
+        # block holds at most half that many points (few trials); the
+        # ratios are read in trial order, so the first maximum keeps its
+        # family
+        step = max(1, _BLOCK_POINTS // n)
         best = 0.0
         best_family = None
-        for family, sig in _trial_signals(L, lams, trials, rng):
-            sup = _pointwise_sup(kernel_hats, sfft.fft(sig, n)[None, :],
-                                 out_len)[0]
-            ratio = float(np.linalg.norm(sup) / np.linalg.norm(sig))
-            if ratio > best:
-                best, best_family = ratio, family
+        for c in range(0, len(signals), step):
+            chunk = signals[c:c + step]
+            fhat = sfft.fft(np.stack([sig for _, sig in chunk]), n, axis=1)
+            sups = _pointwise_sup(kernel_hats, fhat, out_len)
+            for (family, sig), sup in zip(chunk, sups):
+                ratio = float(np.linalg.norm(sup) / np.linalg.norm(sig))
+                if ratio > best:
+                    best, best_family = ratio, family
         rows.append({"length": L, "radius": R, "max_ratio": best,
                      "argmax_family": best_family})
     growth = [rows[i + 1]["max_ratio"] / rows[i]["max_ratio"]
@@ -229,10 +260,7 @@ def _theta_separation(theta) -> float:
     if len(th) == 1:
         return 1.0
     gaps = np.diff(np.append(th, th[0] + 1.0))
-    tau = float(gaps.min())
-    if tau <= 0.0:
-        raise ValueError("theta values are not separated (duplicate points)")
-    return tau
+    return float(gaps.min())
 
 
 def _sup_ratio(multipliers, fhat_rows) -> np.ndarray:
@@ -241,32 +269,39 @@ def _sup_ratio(multipliers, fhat_rows) -> np.ndarray:
         _pointwise_sup(multipliers, fhat_rows, fhat_rows.shape[1]), axis=1)
 
 
-def _bourgain_multipliers(theta: np.ndarray, lams, G: int) -> list:
-    """Per lam, sum_n phi_hat(lam * d(xi - theta_n)) at the grid frequencies.
+def _bourgain_multipliers(theta: np.ndarray, lams, G: int) -> np.ndarray:
+    """Row i: sum_n phi_hat(lams[i] * d(xi - theta_n)) at the grid
+    frequencies.
 
     The signed torus distances d do not depend on lam, so they are taken
-    once for all lam.
+    once for all lam; the tables are built _BLOCK_POINTS entries of
+    lam * d at a time, each summed over n in order as a single table is.
     """
     d = torus_delta(sfft.fftfreq(G)[None, :] - theta[:, None])
-    return [np.sum(phi_hat(lam * d), axis=0) for lam in lams]
+    lams = np.asarray(lams, dtype=float)
+    step = max(1, _BLOCK_POINTS // d.size)
+    return np.concatenate([
+        np.sum(phi_hat(lams[c:c + step, None, None] * d), axis=1)
+        for c in range(0, len(lams), step)])
 
 
 def _oscillatory_multipliers(theta: np.ndarray, tau: float, k0: int,
-                             k_max: int, lams, G: int) -> list:
-    """Per lam, sum_n [sum_{k0 <= k <= k_max} H_k(lam, .)] * phi_hat(tau .)
-    translated to the grid frequency nearest theta_n."""
+                             k_max: int, lams, G: int) -> np.ndarray:
+    """Row i: sum_n [sum_{k0 <= k <= k_max} H_k(lams[i], .)] * phi_hat(tau .)
+    translated to the grid frequency nearest theta_n.
+
+    Every scale's rows come from one _h_rows call; the sums run in the
+    per-lam order (k, then n).
+    """
     window = phi_hat(tau * sfft.fftfreq(G))
     shifts = [int(round(th * G)) % G for th in theta]
-    mults = []
-    for lam in lams:
-        base = np.zeros(G, dtype=complex)
-        for k in range(k0, k_max + 1):
-            base += h_row(k, float(lam), G)
-        base *= window
-        mult = np.zeros(G, dtype=complex)
-        for sh in shifts:
-            mult += np.roll(base, sh)
-        mults.append(mult)
+    base = np.zeros((len(lams), G), dtype=complex)
+    for k in range(k0, k_max + 1):
+        base += _h_rows(k, lams, G)
+    base *= window
+    mults = np.zeros_like(base)
+    for sh in shifts:
+        mults += np.roll(base, sh, axis=1)
     return mults
 
 

@@ -50,6 +50,9 @@ _GL_ORDER = 10                # Gauss-Legendre nodes per panel
 _PSI_DT_LOG2 = -13            # psi-hat table: psi sampled at step 2**-13,
 _PSI_PAD_LOG2 = 21            # zero-padded to an FFT of length 2**21
 _H_ROW_OVERSAMPLE = 8         # h_row's chirp samples per bandwidth unit
+# entries of one batched array (2 MB of complex values): _h_rows' FFT
+# blocks here, and operators' multiplier, table and trial blocks
+_BLOCK_POINTS = 2 ** 17
 # panel rules of both quadrature paths, keyed by the exact panel count
 # (rounding counts up would change the quadrature's bits); a rule over the
 # bound, above ~52k dual panels, is computed and not kept
@@ -125,6 +128,25 @@ def psi_hat(u):
     return _psi_hat_table()(u)
 
 
+def _expi(theta):
+    """cos(theta) + i sin(theta), as one complex array.
+
+    np.exp(2j * np.pi * x) forms its argument with a real part of +-0 and
+    an imaginary part made by the same products as 2 * np.pi * x, and the
+    complex exponential of (+-0, theta) is (cos theta, sin theta), so
+    _expi(2 * np.pi * x) equals it when numpy's real cos and sin round as
+    the complex exp does.  That is measured, not guaranteed: it holds bit
+    for bit with numpy 2.4 on x86-64 Linux (AVX-512 dispatch), and
+    TestExpi pins it; another platform or SIMD dispatch may differ in the
+    last bit.  The two real kernels are cheaper than the complex one.
+    """
+    theta = np.asarray(theta, dtype=float)
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 @lru_cache(maxsize=1)
 def _gl_nodes():
     return np.polynomial.legendre.leggauss(_GL_ORDER)
@@ -161,7 +183,7 @@ def _direct_scaled(X: float, Y: float, panels: int) -> complex:
     # folded over the odd symmetry of psi:
     #   integral = int_{1/4}^{1} e(X v^2) * (-2i sin(2 pi Y v)) psi(v) dv
     v, w, pv = _direct_rule(panels)
-    vals = np.exp(2j * np.pi * X * v * v) * (-2j * np.sin(2 * np.pi * Y * v)) * pv
+    vals = _expi(2 * np.pi * X * v * v) * (-2j * np.sin(2 * np.pi * Y * v)) * pv
     return complex(np.sum(vals * w))
 
 
@@ -170,8 +192,8 @@ def _dual_scaled(X: float, Y: float, panels: int) -> complex:
     # folded over the odd symmetry of psi_hat.
     u, wq, ph = _dual_rule(panels)
     q = 0.25 / X
-    vals = (np.exp(-2j * np.pi * q * (Y - u) ** 2)
-            - np.exp(-2j * np.pi * q * (Y + u) ** 2)) * ph
+    vals = (_expi(-2 * np.pi * q * (Y - u) ** 2)
+            - _expi(-2 * np.pi * q * (Y + u) ** 2)) * ph
     pref = np.exp(0.25j * np.pi) / math.sqrt(2.0 * X)
     return complex(pref * np.sum(vals * wq))
 
@@ -244,32 +266,53 @@ def h_row(k: int, lam: float, G: int) -> np.ndarray:
 
     Requires ``2**(k+1) <= G`` so the kernel support fits one period.
     """
+    return _h_rows(k, [lam], G)[0]
+
+
+def _h_rows(k: int, lams, G: int) -> np.ndarray:
+    """h_row(k, lam, G) for every lam in ``lams``, one row each.
+
+    Each lam keeps h_row's own sampling step 2^-p; the lams that share a
+    step share its t grid and psi_k samples, and their chirps are
+    transformed in blocks of up to _BLOCK_POINTS FFT points (a batched
+    FFT is bit-equal to one FFT per row).
+    """
     if G & (G - 1):
         raise ValueError(f"grid size G must be a power of two, got {G}")
     if k < 0 or 2 ** (k + 1) > G:
         raise ValueError(f"kernel scale 2^{k} does not fit grid G={G}")
-    bandwidth = 2.0 * lam * 2.0 ** k + 0.5
-    p = max(0, math.ceil(math.log2(_H_ROW_OVERSAMPLE * bandwidth)))
-    # at least 32 samples across the support of psi_k
-    p = max(p, 5 - (k - 2))
-    h = 2.0 ** (-p)
-    nfft = G * 2 ** p
-    half = int(round(2 ** k / h))
-    # samples at t = n*h, n = -half..half.  t^2 is even and psi_k odd bit
-    # for bit, so both are evaluated at n >= 0 only; the sample at -n is
-    # the same product with psi_k negated, which keeps every zero's sign
-    t = np.arange(half + 1, dtype=np.int64) * h
-    chirp = np.exp(2j * np.pi * (lam * t * t))
-    psi_t = psi_k(k, t)
-    buf = np.zeros(nfft, dtype=complex)
-    buf[nfft - half:] = (chirp[:0:-1] * -psi_t[:0:-1]) * h
-    # written last: at 2^(k+1) = G, n = half shares its index with n = -half
-    # (both samples are +-0, as psi_k vanishes at |t| = 2^k)
-    buf[:half + 1] = chirp * psi_t * h
-    spec = sfft.fft(buf)
-    out = np.empty(G, dtype=complex)
+    lams = [float(lam) for lam in lams]
+    by_step = {}
+    for i, lam in enumerate(lams):
+        bandwidth = 2.0 * lam * 2.0 ** k + 0.5
+        p = max(0, math.ceil(math.log2(_H_ROW_OVERSAMPLE * bandwidth)))
+        # at least 32 samples across the support of psi_k
+        p = max(p, 5 - (k - 2))
+        by_step.setdefault(p, []).append(i)
+    out = np.empty((len(lams), G), dtype=complex)
     half_g = G // 2
-    out[:half_g] = spec[:half_g]
-    out[half_g:] = spec[nfft - G + half_g:]
+    for p, rows in by_step.items():
+        h = 2.0 ** (-p)
+        nfft = G * 2 ** p
+        half = int(round(2 ** k / h))
+        # samples at t = n*h, n = -half..half.  t^2 is even and psi_k odd
+        # bit for bit, so both are evaluated at n >= 0 only; the sample at
+        # -n is the same product with psi_k negated, which keeps every
+        # zero's sign
+        t = np.arange(half + 1, dtype=np.int64) * h
+        psi_t = psi_k(k, t)
+        neg_psi = -psi_t[:0:-1]
+        block = max(1, _BLOCK_POINTS // nfft)
+        for c in range(0, len(rows), block):
+            idx = rows[c:c + block]
+            lam_col = np.array([lams[i] for i in idx])[:, None]
+            chirp = _expi(2 * np.pi * (lam_col * t * t))
+            buf = np.zeros((len(idx), nfft), dtype=complex)
+            buf[:, nfft - half:] = (chirp[:, :0:-1] * neg_psi) * h
+            # written last: at 2^(k+1) = G, n = half shares its index with
+            # n = -half (both samples are +-0, as psi_k vanishes at 2^k)
+            buf[:, :half + 1] = chirp * psi_t * h
+            spec = sfft.fft(buf, axis=1)
+            out[idx, :half_g] = spec[:, :half_g]
+            out[idx, half_g:] = spec[:, nfft - G + half_g:]
     return out
-

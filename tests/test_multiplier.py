@@ -30,6 +30,7 @@ from carlesonlab.multiplier import (
     _support,
     _grid_point_in_major_boxes,
     _grid_stage,
+    _sample_shell_centers,
 )
 from carlesonlab.oscillatory import h_j
 
@@ -373,7 +374,36 @@ def _in_major_boxes_loop(g: int, h: int, G: int, j: int, eps: float) -> bool:
     return False
 
 
+def _sample_by_rejection(s, count, rng):
+    """_sample_shell_centers' rejection loop, for every shell."""
+    out, seen, tries = [], set(), 0
+    while len(out) < count and tries < 200 * count:
+        tries += 1
+        q = int(rng.integers(2 ** (s - 1), 2 ** s))
+        a = int(rng.integers(0, q))
+        b = int(rng.integers(0, q))
+        if math.gcd(math.gcd(a, b), q) != 1 or (q, a, b) in seen:
+            continue
+        seen.add((q, a, b))
+        out.append(ReducedRational(q, a, b))
+    return out
+
+
 class TestDecayStages:
+    @pytest.mark.parametrize("count", [0, 1, 4])
+    def test_shell_one_sample_draws_nothing(self, count):
+        # shell 1 holds (1, 0, 0) alone; the rejection loop over it draws
+        # from one-value ranges only, so it leaves the generator unchanged
+        fast, slow, fresh = (np.random.default_rng(31) for _ in range(3))
+        got = _sample_shell_centers(1, count, fast)
+        assert got == _sample_by_rejection(1, count, slow)
+        assert got == [ReducedRational(1, 0, 0)][:count]
+        assert fast.random() == slow.random() == fresh.random()
+        # later shells still draw as the loop does
+        assert _sample_shell_centers(3, 4, fast) \
+            == _sample_by_rejection(3, 4, slow)
+        assert fast.random() == slow.random()
+
     @pytest.mark.parametrize("j", [10, 20])
     def test_grid_stage_subtracts_l_j_at_every_point(self, j):
         # j = 10 has shell 1, whose window around (0, 0) wraps to negative
@@ -449,24 +479,29 @@ class TestDecayStages:
     def test_phase_reductions_once_per_box_and_derivative_point(
             self, monkeypatch):
         # a box reduces each of its sample lams and betas once, and a
-        # derivative point reduces lam + h, lam - h and beta once each
+        # derivative point reduces lam + h, lam - h and beta once each; at
+        # strata 9 and 12 the P betas a box walks inside each lam row stay
+        # in the beta memo, so a box still reduces P of them, not P^2
         j, eps, tol = 12, 0.1, 1e-10
         shells = {1: enumerate_shell(1)}
         centers = [ReducedRational(1, 0, 0), ReducedRational(3, 1, 1),
                    ReducedRational(5, 2, 3)]
-        samples = [_box_samples(j, eps, r, 5 if r.Q == 1 else 3)
-                   for r in centers]
-        points = np.random.default_rng(3).random((4, 2))
-        hstep = 2.0 ** (-2 * j - 8)
-        multiplier._LAM_PHASES.cache_clear()
-        multiplier._BETA_PHASES.cache_clear()
         lam_calls = _count_calls(monkeypatch, "_frac_lam_msq")
         beta_calls = _count_calls(monkeypatch, "frac_part_exact")
-        _box_stage(j, eps, centers, shells, 5, 3, tol)
-        assert [a[0] for a in lam_calls] == \
-            [x for lams, _ in samples for x in lams.tolist()]
-        assert sorted(a[0] for a in beta_calls) == \
-            sorted(x for _, betas in samples for x in betas.tolist())
+        for P in (5, 9, 12):
+            samples = [_box_samples(j, eps, r, P if r.Q == 1 else 3)
+                       for r in centers]
+            multiplier._LAM_PHASES.cache_clear()
+            multiplier._BETA_PHASES.cache_clear()
+            del lam_calls[:], beta_calls[:]
+            _box_stage(j, eps, centers, shells, P, 3, tol)
+            assert [a[0] for a in lam_calls] == \
+                [x for lams, _ in samples for x in lams.tolist()]
+            assert len(beta_calls) == P + 3 + 3, P
+            assert sorted(a[0] for a in beta_calls) == \
+                sorted(x for _, betas in samples for x in betas.tolist())
+        points = np.random.default_rng(3).random((4, 2))
+        hstep = 2.0 ** (-2 * j - 8)
         del lam_calls[:], beta_calls[:]
         _derivative_stage(j, eps, points, shells, tol)
         assert [a[0] for a in lam_calls] == \

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -5,14 +6,17 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
+from carlesonlab.arithmetic import torus_delta
 from carlesonlab.bumps import phi_hat
 from carlesonlab.lambda_sets import cantor_set
 from carlesonlab import operators
 from carlesonlab.operators import (
     Signal,
     _bourgain_multipliers,
+    _dyadic_lambdas,
     _oscillatory_multipliers,
     _pointwise_sup,
+    _separated_theta,
     _sup_ratio,
     apply_kernel,
     apply_kernel_brute,
@@ -214,8 +218,94 @@ class TestPointwiseSup:
             got = _pointwise_sup(mults, fhat, 256)
         assert np.array_equal(got, ref, equal_nan=True)
 
+    def test_blocks_of_multipliers_are_bit_identical(self, monkeypatch):
+        # 4 rows of 4096 points make blocks of 8 multipliers; 19 of the 30
+        # below are transformed (zeros and repeats skipped), in blocks of
+        # 8, 8 and 3
+        rng = np.random.default_rng(19)
+        n = 4096
+        fhat = sfft.fft(rng.standard_normal((4, n))
+                        + 1j * rng.standard_normal((4, n)), axis=1)
+        distinct = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                    for _ in range(19)]
+        zero = np.zeros(n, dtype=complex)
+        mults = [zero]
+        for i, m in enumerate(distinct):
+            mults.append(m)
+            if i % 3 == 0:
+                mults.append(m.copy())
+            if i % 7 == 0:
+                mults.append(zero)
+        blocks = []
+        fold = operators._fold_sup
+
+        def recording_fold(sup, block, *args):
+            blocks.append(len(block))
+            return fold(sup, block, *args)
+
+        monkeypatch.setattr(operators, "_fold_sup", recording_fold)
+        for out_len in (n, 3000):
+            del blocks[:]
+            got = _pointwise_sup(iter(mults), fhat, out_len)
+            assert blocks == [8, 8, 3]
+            ref = _sup_of_every_multiplier(mults, fhat, out_len)
+            assert got.tobytes() == ref.tobytes()
+        # one row keeps blocks of one
+        del blocks[:]
+        got = _pointwise_sup(mults, fhat[:1], n)
+        assert blocks == [1] * 19
+        assert got.tobytes() == _sup_of_every_multiplier(
+            mults, fhat[:1], n).tobytes()
+
+
+def _norm_probe_per_trial(lam_values, lengths, trials, seed,
+                          radius_factor=4):
+    """norm_probe's rows with one _pointwise_sup call per trial signal."""
+    lams = operators._lambda_floats(lam_values)
+    rng = np.random.default_rng(seed)
+    rows = []
+    for L in lengths:
+        R = radius_factor * L
+        out_len, n = operators._conv_size(L, R)
+        kernel_hats = [sfft.fft(kernel_taps(float(lam), R), n) for lam in lams]
+        best, best_family = 0.0, None
+        for family, sig in operators._trial_signals(L, lams, trials, rng):
+            sup = _pointwise_sup(kernel_hats, sfft.fft(sig, n)[None, :],
+                                 out_len)[0]
+            ratio = float(np.linalg.norm(sup) / np.linalg.norm(sig))
+            if ratio > best:
+                best, best_family = ratio, family
+        rows.append({"length": L, "radius": R, "max_ratio": best,
+                     "argmax_family": best_family})
+    return rows
+
 
 class TestNormProbe:
+    @pytest.mark.parametrize("block_points", [2 ** 17, 2000])
+    def test_batched_rows_equal_one_call_per_trial(self, monkeypatch,
+                                                   block_points):
+        # 2000 points put the 64-length trials (n = 576) in blocks of 3
+        # rows and the 128-length ones (n = 1152) in blocks of one
+        monkeypatch.setattr(operators, "_BLOCK_POINTS", block_points)
+        for lam_values, lengths, trials in [
+                (cantor_set(3, 3), [64, 128], 6), ([0.0, 0.1], [64], 11)]:
+            rep = norm_probe(lam_values, lengths, trials=trials, seed=12)
+            assert repr(rep["rows"]) == repr(_norm_probe_per_trial(
+                lam_values, lengths, trials, seed=12))
+
+    def test_first_maximum_keeps_its_family(self, monkeypatch):
+        # equal signals tie; the first of them names the row, within a
+        # block of 3 rows and across blocks
+        def tied(L, lams, trials, rng):
+            sig = np.random.default_rng(5).standard_normal(L) + 0j
+            names = ["impulse", "chirp", "gaussian"]
+            return [(names[i % 3], sig.copy()) for i in range(trials)]
+
+        monkeypatch.setattr(operators, "_trial_signals", tied)
+        monkeypatch.setattr(operators, "_BLOCK_POINTS", 2000)
+        rep = norm_probe([0.1], [64], trials=5, seed=0)
+        assert rep["rows"][0]["argmax_family"] == "impulse"
+
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             norm_probe([0.0], [64], trials=0, seed=1)
@@ -281,6 +371,20 @@ class TestBourgainProbe:
                        for th in SHIFTED_THETA) for g in range(G)]
             assert np.max(np.abs(mult - ref)) <= 1e-15, lam
 
+    @pytest.mark.parametrize("N, G", [(2, 256), (4, 256), (64, 8192)])
+    def test_blocked_tables_are_the_per_lam_tables(self, N, G):
+        # the bench op's sizes and criterion 09's largest, against the
+        # per-lam loop the blocks replaced
+        theta = _separated_theta(N, np.random.default_rng(N))
+        tau = operators._theta_separation(theta)
+        lams = _dyadic_lambdas(1.0 / tau, 4.0 * G)
+        d = torus_delta(sfft.fftfreq(G)[None, :] - theta[:, None])
+        got = _bourgain_multipliers(theta, lams, G)
+        assert len(got) == len(lams)
+        for lam, mult in zip(lams, got):
+            assert mult.tobytes() \
+                == np.sum(phi_hat(lam * d), axis=0).tobytes(), lam
+
     def test_growth_report_runs(self, monkeypatch):
         monkeypatch.setattr(operators, "_THETA_DRAWS", 2)
         rep = bourgain_growth_report([2, 4, 8], G=1024, trials=8, seed=3)
@@ -340,6 +444,28 @@ class TestOscillatoryProbe:
                         h_scaled(lam * 4.0 ** k, x * 2.0 ** k, 1e-12)
                         for k in range(k0, k_max + 1))
             assert np.max(np.abs(mult - ref)) <= 1e-12, lam
+
+    @pytest.mark.parametrize("N, G", [(4, 1024), (16, 1024), (64, 8192)])
+    def test_scale_rows_give_the_per_lam_tables(self, N, G):
+        # the bench op's sizes and G = 8192 with N = 64, against the per-lam
+        # loop over h_row that the (lam, G) arrays replaced
+        theta = _separated_theta(N, np.random.default_rng(N))
+        tau = 1.0 / (4.0 * N)
+        lams = _dyadic_lambdas(tau * tau / 16.0, tau * tau)
+        k0, k_max = 3, int(math.log2(G)) - 2
+        window = phi_hat(tau * sfft.fftfreq(G))
+        shifts = [int(round(th * G)) % G for th in theta]
+        got = _oscillatory_multipliers(theta, tau, k0, k_max, lams, G)
+        assert len(got) == len(lams)
+        for lam, mult in zip(lams, got):
+            base = np.zeros(G, dtype=complex)
+            for k in range(k0, k_max + 1):
+                base += h_row(k, float(lam), G)
+            base *= window
+            ref = np.zeros(G, dtype=complex)
+            for sh in shifts:
+                ref += np.roll(base, sh)
+            assert mult.tobytes() == ref.tobytes(), lam
 
     @pytest.mark.parametrize("k0", [1, 7, 9])
     def test_report_rejects_what_the_probe_rejects(self, monkeypatch, k0):

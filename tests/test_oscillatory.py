@@ -6,7 +6,9 @@ import scipy.fft as sfft
 
 from carlesonlab.bumps import phi_hat, psi, psi_k
 from carlesonlab.oscillatory import h_j, h_row, h_scaled, psi_hat
-from carlesonlab.oscillatory import _direct_scaled, _dual_scaled, _refine
+from carlesonlab.oscillatory import (_direct_scaled, _direct_rule,
+                                     _dual_rule, _dual_scaled, _expi,
+                                     _h_rows, _psi_hat_table, _refine)
 
 # constants frozen from the pre-build sweeps (measured value, 2x headroom)
 ENVELOPE_CAP = 50.0         # asserted bound; pre-build sweep measured 4.70
@@ -166,6 +168,97 @@ def _h_row_full_grid(k, lam, G):
     out[:G // 2] = spec[:G // 2]
     out[G // 2:] = spec[nfft - G + G // 2:]
     return out
+
+
+def _h_row_per_lam(k, lam, G):
+    """h_row's body before rows were built per scale: one lam, np.exp."""
+    p = _h_row_log2_step(k, lam)
+    h = 2.0 ** (-p)
+    nfft = G * 2 ** p
+    half = int(round(2 ** k / h))
+    t = np.arange(half + 1, dtype=np.int64) * h
+    chirp = np.exp(2j * np.pi * (lam * t * t))
+    psi_t = psi_k(k, t)
+    buf = np.zeros(nfft, dtype=complex)
+    buf[nfft - half:] = (chirp[:0:-1] * -psi_t[:0:-1]) * h
+    buf[:half + 1] = chirp * psi_t * h
+    spec = sfft.fft(buf)
+    out = np.empty(G, dtype=complex)
+    out[:G // 2] = spec[:G // 2]
+    out[G // 2:] = spec[nfft - G + G // 2:]
+    return out
+
+
+class TestBatchedRows:
+    @pytest.mark.parametrize("G, k", [(256, 2), (1024, 3), (1024, 6),
+                                      (1024, 8), (4096, 5)])
+    def test_rows_are_the_per_lam_rows_bit_for_bit(self, G, k):
+        # twelve lams on one sampling step (in blocks of 8 and 4 where that
+        # step's FFT has 2^14 points), then lams spread over several steps,
+        # in no particular order
+        spread = [lam for lam in np.geomspace(1.0, 1e-4, 13)
+                  if G * 2 ** _h_row_log2_step(k, lam) <= 2 ** 19]
+        lams = [1e-6 * (1.0 + i / 64) for i in range(12)] + spread \
+            + [0.0, 2.0 ** -10]
+        steps = {_h_row_log2_step(k, lam) for lam in lams}
+        assert len(steps) >= 3
+        rows = _h_rows(k, lams, G)
+        assert rows.shape == (len(lams), G)
+        for lam, row in zip(lams, rows):
+            ref = _h_row_per_lam(k, lam, G)
+            assert row.tobytes() == ref.tobytes(), lam
+            assert h_row(k, lam, G).tobytes() == ref.tobytes(), lam
+
+    def test_rejects_what_h_row_rejects(self):
+        with pytest.raises(ValueError, match="does not fit"):
+            _h_rows(9, [1e-4, 2e-4], 256)
+        with pytest.raises(ValueError, match="power of two"):
+            _h_rows(2, [1e-4], 100)
+
+
+class TestExpi:
+    def test_unit_interval_phases(self):
+        # m_j's phases: 2 pi x for x = frac(...) in [0, 1), 0 included
+        x = np.concatenate([[0.0, 0.5, 0.25, 0.75, np.nextafter(1.0, 0.0)],
+                            np.random.default_rng(21).random(200_000)])
+        assert _expi(2 * np.pi * x).tobytes() \
+            == np.exp(2j * np.pi * x).tobytes()
+
+    def test_dual_path_phases(self):
+        # q = 1/(4X) for X >= 2^12 and r = (Y -+ u)^2 over |Y| <= 2^11 and
+        # the psi-hat support of u
+        rng = np.random.default_rng(22)
+        u_cut = _psi_hat_table().u_cut
+        for X in (2.0 ** 12, 5000.5, 3.3e5, 2.0 ** 30):
+            q = 0.25 / X
+            r = ((rng.random(50_000) - 0.5) * 2 ** 12
+                 + rng.random(50_000) * u_cut) ** 2
+            assert _expi(-2 * np.pi * q * r).tobytes() \
+                == np.exp(-2j * np.pi * q * r).tobytes(), X
+
+    def test_quadrature_paths_match_their_np_exp_forms(self):
+        rng = np.random.default_rng(23)
+        for X, Y, panels in [(0.3, 0.2, 16), (37.5, -12.25, 64),
+                             (4000.0, 900.0, 4096)] + [
+                (float(a), float(b), 256)
+                for a, b in zip(rng.random(6) * 3000, rng.random(6) * 80 - 40)]:
+            v, w, pv = _direct_rule(panels)
+            vals = np.exp(2j * np.pi * X * v * v) \
+                * (-2j * np.sin(2 * np.pi * Y * v)) * pv
+            assert _bits(_direct_scaled(X, Y, panels)) \
+                == _bits(np.sum(vals * w)), (X, Y)
+        for X, Y, panels in [(4096.0, 3.0, 64), (1e5, -700.0, 512),
+                             (2.0 ** 40, 10.0, 64)]:
+            u, wq, ph = _dual_rule(panels)
+            q = 0.25 / X
+            vals = (np.exp(-2j * np.pi * q * (Y - u) ** 2)
+                    - np.exp(-2j * np.pi * q * (Y + u) ** 2)) * ph
+            ref = np.exp(0.25j * np.pi) / math.sqrt(2.0 * X) * np.sum(vals * wq)
+            assert _bits(_dual_scaled(X, Y, panels)) == _bits(ref), (X, Y)
+
+
+def _bits(z) -> bytes:
+    return np.complex128(z).tobytes()
 
 
 # each lam below is built as 2^(l-2k) c with 1 <= c < 2, so k is the single-l
