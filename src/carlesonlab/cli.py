@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -38,9 +39,9 @@ from .arithmetic import (_check_epsilon, enumerate_shell, gauss_rows,
 from .lambda_sets import (CoverError, cantor_set, certificate_to_json, cover,
                           lambda_set_from_json, lambda_set_to_json)
 from .multiplier import J_CAP, GridSpec, decay_report, e_j, l_js, m_j
-from .operators import (Signal, bourgain_growth_report, carleson_max,
-                        norm_probe, oscillatory_growth_report, signal_to_json,
-                        single_l_report)
+from .operators import (Signal, _gaussian, bourgain_growth_report,
+                        carleson_max, norm_probe, oscillatory_growth_report,
+                        signal_to_json, single_l_report)
 from .oscillatory import TOL_MAX, TOL_MIN, ConvergenceError
 
 DEFAULTS = {
@@ -78,13 +79,36 @@ BOUNDS = {
     "k0": (2, math.inf),
 }
 
-CHECK_THRESHOLDS = {
-    "odd_q_modulus_deviation_max": 1e-12,
-    "ej_decay_slope_max": -0.05,
-    "major_arc_slope_max": -0.5,
-    "norm_probe_top_growth_max": 1.10,
-    "single_l_slope_max": -0.1,
+# gate -> (comparator, threshold): each gated number's one rule; no command
+# checks gauss_decay (criterion 02) or derivative_ratio (05) yet
+GATES = {
+    "odd_q_modulus_deviation": (operator.le, 1e-12),
+    "ej_decay_slope": (operator.le, -0.05),
+    "major_arc_slope": (operator.le, -0.5),   # -(1 - 3 eps) + 0.2, eps 0.1
+    "norm_probe_top_growth": (operator.lt, 1.10),
+    "bourgain_largest_step": (operator.le, 0.0),
+    "single_l_slope": (operator.le, -0.1),
+    # frozen pre-build measurements, stored with headroom
+    "gauss_decay": (operator.le, 2.733),      # max |S| Q^0.45 = 1.366040
+    "derivative_ratio": (operator.le, 1.0),   # max |dE_j/dlam| / 4^j = 0.339
 }
+
+
+def passes(gate: str, value) -> bool:
+    """Whether ``value`` exists and meets its gate in ``GATES``."""
+    compare, threshold = GATES[gate]
+    return value is not None and compare(value, threshold)
+
+
+def top_growth(rep: dict) -> float:
+    """A norm-probe report's larger growth over its last two doublings."""
+    return max(rep["growth_ratios"][-2:], default=0.0)
+
+
+def largest_step(rep: dict) -> float:
+    """Largest rise of ratio_over_log2N between consecutive N >= 8, or 0."""
+    vals = [r["ratio_over_log2N"] for r in rep["rows"] if r["N"] >= 8]
+    return max((b - a for a, b in zip(vals, vals[1:])), default=0.0)
 
 
 def _to_native(obj):
@@ -283,11 +307,6 @@ def _columns(rows: list, *keys) -> tuple:
     return list(keys), [[r[k] for r in rows] for k in keys]
 
 
-def _at_most(value, threshold_key: str) -> bool:
-    """Whether ``value`` exists and is at most its check's threshold."""
-    return value is not None and value <= CHECK_THRESHOLDS[threshold_key]
-
-
 def _load_lambda_set(args):
     if getattr(args, "cantor", None):
         return cantor_set(*args.cantor)
@@ -318,7 +337,7 @@ def cmd_gauss(cfg, args) -> Artifacts:
         report={"n_rows": len(columns[0]),
                 "max_odd_modulus_deviation": worst_odd},
         checks=[("odd_q_modulus_law",
-                 _at_most(worst_odd, "odd_q_modulus_deviation_max"))],
+                 passes("odd_q_modulus_deviation", worst_odd))],
         csv=(["Q", "A", "B", "re_S", "im_S", "abs_S"], columns))
 
 
@@ -358,10 +377,9 @@ def cmd_approx_error(cfg, args) -> Artifacts:
     return Artifacts(
         report=rep,
         checks=[
-            ("ej_decay_slope",
-             _at_most(rep["slopes"]["Ej"], "ej_decay_slope_max")),
+            ("ej_decay_slope", passes("ej_decay_slope", rep["slopes"]["Ej"])),
             ("major_arc_slope",
-             _at_most(rep["slopes"]["major_arc"], "major_arc_slope_max")),
+             passes("major_arc_slope", rep["slopes"]["major_arc"])),
         ],
         csv=_columns(rep["per_j"], "j", "sup_abs_Ej", "sup_major_arc_error",
                      "sup_abs_Lj_off_boxes", "derivative_ratio"))
@@ -388,7 +406,7 @@ def cmd_maximal(cfg, args) -> Artifacts:
     L = args.length
     R = args.radius if args.radius is not None else cfg["radius_factor"] * L
     rng = np.random.default_rng(cfg["seed"])
-    f = Signal(rng.standard_normal(L) + 1j * rng.standard_normal(L))
+    f = Signal(_gaussian(rng, L))
     out = carleson_max(f, lam_set, R)
     return Artifacts(
         report={"length": L, "radius": R, "n_lambda": len(lam_set),
@@ -400,11 +418,10 @@ def cmd_norm_probe(cfg, args) -> Artifacts:
     lam_set = _load_lambda_set(args)
     rep = norm_probe(lam_set, args.lengths, cfg["trials"], cfg["seed"],
                      radius_factor=cfg["radius_factor"])
-    top_growth = max(rep["growth_ratios"][-2:], default=0.0)
     return Artifacts(
         report=rep,
         checks=[("top_growth_below_10pct",
-                 top_growth < CHECK_THRESHOLDS["norm_probe_top_growth_max"])],
+                 passes("norm_probe_top_growth", top_growth(rep)))],
         csv=_columns(rep["rows"], "length", "radius", "max_ratio"))
 
 
@@ -414,8 +431,7 @@ _GROWTH_COLUMNS = ("N", "max_ratio", "ratio_over_log2N")
 def cmd_bourgain_growth(cfg, args) -> Artifacts:
     rep = bourgain_growth_report(args.n_list, cfg["grid"], cfg["trials"],
                                  cfg["seed"])
-    vals = [(r["N"], r["ratio_over_log2N"]) for r in rep["rows"] if r["N"] >= 8]
-    monotone = all(vals[i + 1][1] <= vals[i][1] for i in range(len(vals) - 1))
+    monotone = passes("bourgain_largest_step", largest_step(rep))
     return Artifacts(report=rep,
                      checks=[("ratio_over_log2N_non_increasing", monotone)],
                      csv=_columns(rep["rows"], *_GROWTH_COLUMNS))
@@ -434,7 +450,7 @@ def cmd_single_l(cfg, args) -> Artifacts:
                           cfg["seed"])
     return Artifacts(report=rep, checks=[
         ("single_l_decay_slope",
-         _at_most(rep["slope_log2_ratio_vs_l"], "single_l_slope_max")),
+         passes("single_l_slope", rep["slope_log2_ratio_vs_l"])),
     ])
 
 

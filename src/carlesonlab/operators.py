@@ -173,6 +173,11 @@ def carleson_max(f: Signal, lam_values, R: int) -> Signal:
     return Signal(samples=best.astype(complex), origin=f.origin - R)
 
 
+def _gaussian(rng, shape) -> np.ndarray:
+    """Complex Gaussian samples: the real parts are drawn first."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def _trial_signals(L: int, lams: np.ndarray, trials: int, rng) -> list:
     """Deterministic trial family: impulse, per-lambda chirps, Gaussians."""
     out = []
@@ -184,8 +189,7 @@ def _trial_signals(L: int, lams: np.ndarray, trials: int, rng) -> list:
         ph = np.exp(2j * np.pi * _frac_lam_msq(float(lam) % 1.0, n))
         out.append(("chirp", ph.copy()))
     while len(out) < trials:
-        g = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-        out.append(("gaussian", g))
+        out.append(("gaussian", _gaussian(rng, L)))
     return out[:trials]
 
 
@@ -317,6 +321,14 @@ def _dyadic_lambdas(lo: float, hi: float) -> np.ndarray:
     return lo * 2.0 ** ((np.arange(n) + 1.0) / _PER_OCTAVE)
 
 
+def _growth_row(N: int, best: float, **extra) -> dict:
+    """A growth-report row: ``best`` and ``best / log2(N)^2``, with log2(N)
+    read as 1 below N = 2."""
+    log2n = math.log2(N) if N >= 2 else 1.0
+    return {"N": N, **extra, "max_ratio": best,
+            "ratio_over_log2N": best / log2n ** 2}
+
+
 def bourgain_growth_report(n_list, G: int, trials: int, seed: int) -> dict:
     """Growth of the multi-frequency maximal ratio against log^2 N.
 
@@ -335,8 +347,7 @@ def bourgain_growth_report(n_list, G: int, trials: int, seed: int) -> dict:
             tau = _theta_separation(theta)
             lams = _dyadic_lambdas(1.0 / tau, lam_max)
             mults = _bourgain_multipliers(theta, lams, G)
-            sig = rng.standard_normal((per_draw, G)) \
-                + 1j * rng.standard_normal((per_draw, G))
+            sig = _gaussian(rng, (per_draw, G))
             # adversarial rows: spectrum piled on the theta modes, where
             # every multiplier in the grid is close to 1
             fhat = sfft.fft(sig, axis=1)
@@ -350,9 +361,7 @@ def bourgain_growth_report(n_list, G: int, trials: int, seed: int) -> dict:
             ])
             ratios = _sup_ratio(mults, fhat_all) / np.where(norms == 0, 1, norms)
             best = max(best, float(ratios.max()))
-        log2n = math.log2(N) if N >= 2 else 1.0
-        rows.append({"N": N, "max_ratio": best,
-                     "ratio_over_log2N": best / log2n ** 2})
+        rows.append(_growth_row(N, best))
     return {"G": G, "seed": seed, "trials": trials,
             "theta_draws": _THETA_DRAWS, "per_octave": _PER_OCTAVE,
             "lam_max": lam_max, "rows": rows}
@@ -378,14 +387,10 @@ def oscillatory_growth_report(n_list, G: int, k0: int, trials: int,
         tau = 1.0 / (4.0 * N)
         lams = _dyadic_lambdas(tau * tau / 16.0, tau * tau)
         mults = _oscillatory_multipliers(theta, tau, k0, k_max, lams, G)
-        sig = rng.standard_normal((trials, G)) \
-            + 1j * rng.standard_normal((trials, G))
+        sig = _gaussian(rng, (trials, G))
         ratios = _sup_ratio(mults, sfft.fft(sig, axis=1)) \
             / np.linalg.norm(sig, axis=1)
-        best = float(ratios.max())
-        log2n = math.log2(N) if N >= 2 else 1.0
-        rows.append({"N": N, "tau": tau, "max_ratio": best,
-                     "ratio_over_log2N": best / log2n ** 2})
+        rows.append(_growth_row(N, float(ratios.max()), tau=tau))
     return {"G": G, "k0": k0, "k_max": k_max, "seed": seed,
             "trials": trials, "per_octave": _PER_OCTAVE, "rows": rows}
 
@@ -403,7 +408,7 @@ def single_l_report(l_list, G: int, trials: int, seed: int) -> dict:
     _check_trials(trials)
     k_hi = int(math.log2(G)) - 2
     rng = np.random.default_rng(seed)
-    sig = rng.standard_normal((trials, G)) + 1j * rng.standard_normal((trials, G))
+    sig = _gaussian(rng, (trials, G))
     fhat = sfft.fft(sig, axis=1)
     norms = np.linalg.norm(sig, axis=1)
     rows = []

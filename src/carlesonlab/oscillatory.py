@@ -202,17 +202,17 @@ class ConvergenceError(ValueError):
     """A quadrature refinement did not reach its tolerance within the cap."""
 
 
-def _refine(fn, p0: int, tol: float, cap: int) -> complex:
+def _refine(fn, p0: int, tol: float) -> complex:
     prev = fn(p0)
     p = 2 * p0
-    while p <= cap:
+    while p <= _HARD_PANEL_CAP:
         cur = fn(p)
         if abs(cur - prev) <= 0.5 * tol:
             return cur
         prev = cur
         p *= 2
     raise ConvergenceError(
-        f"quadrature did not reach tol={tol} within {cap} panels"
+        f"quadrature did not reach tol={tol} within {_HARD_PANEL_CAP} panels"
     )
 
 
@@ -230,11 +230,11 @@ def _osc_scaled(X: float, Y: float, tol: float) -> complex:
                 f"oscillation budget exceeded: X={X:g}, Y={Y:g} needs "
                 f"~{p0} panels and is outside the dual regime"
             )
-        return _refine(lambda p: _direct_scaled(X, Y, p), p0, tol, _HARD_PANEL_CAP)
+        return _refine(lambda p: _direct_scaled(X, Y, p), p0, tol)
     tab = _psi_hat_table()
     rate = (abs(Y) + tab.u_cut) / (2.0 * X)      # oscillations per unit w
     p0 = max(64, math.ceil(tab.u_cut * (4.0 * rate + 4.0)))
-    return _refine(lambda p: _dual_scaled(X, Y, p), p0, tol, _HARD_PANEL_CAP)
+    return _refine(lambda p: _dual_scaled(X, Y, p), p0, tol)
 
 
 def h_j(j: int, x: float, y: float, tol: float = 1e-10) -> complex:

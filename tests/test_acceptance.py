@@ -11,8 +11,12 @@ Each verdict is also kept as a record (criterion, name, value,
 threshold, pass); ``conftest.py`` writes the records to
 ``verdicts.json`` in the pytest cache and prints its path.
 
-Frozen constants carry the value measured in the pre-build sweep and
-the headroom applied to it.
+Every gated number passes or fails through ``cli.passes``, which reads
+its comparator and threshold from ``cli.GATES``, the table the CLI
+checks read too; the frozen constants there (``gauss_decay``,
+``derivative_ratio``) carry the value measured in the pre-build sweep
+and the headroom applied to it.  Only criteria 03 and 06 hold a bound
+of their own.
 """
 
 from fractions import Fraction
@@ -25,7 +29,7 @@ from carlesonlab.arithmetic import (
     gauss_decay_scan,
     odd_q_modulus_deviation,
 )
-from carlesonlab.cli import CHECK_THRESHOLDS
+from carlesonlab.cli import GATES, largest_step, passes, top_growth
 from carlesonlab.cli import main as cli_main
 from carlesonlab.lambda_sets import cantor_set, cover
 from carlesonlab.multiplier import GridSpec, decay_report
@@ -40,23 +44,20 @@ from carlesonlab.operators import (
 
 SEED = 20240901
 
-# frozen pre-build measurements (value measured once, stored with headroom)
-GAUSS_DECAY_CAP = 2.733          # measured max |S| Q^0.45 = 1.366040 at (2,1,1)
-DERIVATIVE_RATIO_CAP = 1.0       # measured max |dE_j/dlam| / 4^j = 0.339
-
-# the remaining thresholds are the CLI's checks, read from CHECK_THRESHOLDS
-# when a test runs; major_arc_slope_max is -(1 - 3 eps) + 0.2 at eps = 0.1
-
 
 VERDICTS: list = []           # printed verdict lines
 VERDICT_RECORDS: list = []    # the same verdicts, machine-readable
 
 
 def verdict(num: int, name: str, ok: bool, detail: str,
-            value: float | None, threshold: float | None) -> bool:
+            value: float | None = None, gate: str | None = None,
+            threshold: float | None = None) -> bool:
     """Record and print one criterion's verdict.  ``value`` is the measured
-    number the check compares with ``threshold``; both are None where a
-    criterion has no single number."""
+    number the criterion compares with the threshold of its ``GATES``
+    entry ``gate``, or with its own ``threshold`` outside the table; both
+    are None where a criterion has no single number."""
+    if gate is not None:
+        threshold = GATES[gate][1]
     line = f"[criterion {num:02d}] {name}: {'PASS' if ok else 'FAIL'} ({detail})"
     VERDICTS.append(line)
     VERDICT_RECORDS.append({"criterion": num, "name": name, "value": value,
@@ -74,21 +75,21 @@ def decay_rep():
 
 def test_criterion_01_gauss_exact_law():
     rep = odd_q_modulus_deviation(999)
-    cap = CHECK_THRESHOLDS["odd_q_modulus_deviation_max"]
-    ok = rep["max_deviation"] <= cap
+    gate = "odd_q_modulus_deviation"
+    ok = passes(gate, rep["max_deviation"])
     assert verdict(1, "gauss-sum exact modulus law (odd Q <= 999)", ok,
-                   f"max | |S| - Q^-1/2 | = {rep['max_deviation']:.2e} <= {cap}"
-                   f" at (Q, A, B) = {rep['argmax']}",
-                   rep["max_deviation"], cap)
+                   f"max | |S| - Q^-1/2 | = {rep['max_deviation']:.2e} <= "
+                   f"{GATES[gate][1]} at (Q, A, B) = {rep['argmax']}",
+                   rep["max_deviation"], gate)
 
 
 def test_criterion_02_gauss_decay():
     scan = gauss_decay_scan(4096)
-    ok = scan["max_scaled"] <= GAUSS_DECAY_CAP
+    ok = passes("gauss_decay", scan["max_scaled"])
     assert verdict(2, "gauss-sum decay (Q <= 4096)", ok,
                    f"max |S| Q^0.45 = {scan['max_scaled']:.6f} <= "
-                   f"{GAUSS_DECAY_CAP} at {scan['argmax']}",
-                   scan["max_scaled"], GAUSS_DECAY_CAP)
+                   f"{GATES['gauss_decay'][1]} at {scan['argmax']}",
+                   scan["max_scaled"], "gauss_decay")
 
 
 def test_criterion_03_fft_equals_brute_force():
@@ -104,29 +105,26 @@ def test_criterion_03_fft_equals_brute_force():
         worst = max(worst, float(np.max(np.abs(a.samples - b.samples))))
     ok = worst <= 1e-10
     assert verdict(3, "FFT/brute-force convolution equivalence", ok,
-                   f"20 pairs, max abs diff = {worst:.2e} <= 1e-10",
-                   None, None)
+                   f"20 pairs, max abs diff = {worst:.2e} <= 1e-10")
 
 
 def test_criterion_04_major_arc_slope(decay_rep):
     slope = decay_rep["slopes"]["major_arc"]
-    cap = CHECK_THRESHOLDS["major_arc_slope_max"]
-    ok = slope is not None and slope <= cap
+    ok = passes("major_arc_slope", slope)
     assert verdict(4, "major-arc approximation slope (j = 8..18)", ok,
-                   f"slope = {slope:.3f} <= {cap}", slope, cap)
+                   f"slope = {slope:.3f} <= {GATES['major_arc_slope'][1]}",
+                   slope, "major_arc_slope")
 
 
 def test_criterion_05_error_decay(decay_rep):
     slope = decay_rep["slopes"]["Ej"]
     dconst = decay_rep["constants"]["derivative_ratio_max"]
-    cap = CHECK_THRESHOLDS["ej_decay_slope_max"]
-    ok_slope = slope is not None and slope <= cap
-    ok_deriv = dconst <= DERIVATIVE_RATIO_CAP
-    ok = ok_slope and ok_deriv
+    ok = passes("ej_decay_slope", slope) and passes("derivative_ratio", dconst)
     assert verdict(5, "error decay and lambda-derivative bound", ok,
-                   f"sup|E_j| slope = {slope:.3f} <= {cap}; "
-                   f"max |dE/dlam|/4^j = {dconst:.3f} <= {DERIVATIVE_RATIO_CAP}",
-                   slope, cap)
+                   f"sup|E_j| slope = {slope:.3f} <= "
+                   f"{GATES['ej_decay_slope'][1]}; max |dE/dlam|/4^j = "
+                   f"{dconst:.3f} <= {GATES['derivative_ratio'][1]}",
+                   slope, "ej_decay_slope")
 
 
 def test_criterion_06_box_disjointness():
@@ -144,7 +142,7 @@ def test_criterion_06_box_disjointness():
     assert verdict(6, "major-box disjointness at eps = 0.1", ok,
                    f"overlapping adjacent pairs at j=8,12,16: "
                    f"{[r['n_overlapping_adjacent_pairs'] for r in reports.values()]}; "
-                   f"example witness {witness}", total, 0)
+                   f"example witness {witness}", total, threshold=0)
 
 
 def test_criterion_07_cantor_covering():
@@ -163,42 +161,42 @@ def test_criterion_07_cantor_covering():
             checked += 1
     assert verdict(7, "cantor covering certificates (D = 2, 3)", True,
                    f"{checked} certificates verified point-by-point, "
-                   f"denominators <= 2 t^(-1/D)", None, None)
+                   f"denominators <= 2 t^(-1/D)")
 
 
 def test_criterion_08_maximal_boundedness_surrogate():
     rep = norm_probe(cantor_set(3, 5),
                      [2 ** 8, 2 ** 9, 2 ** 10, 2 ** 11, 2 ** 12],
                      trials=200, seed=SEED)
-    top = rep["growth_ratios"][-2:]
-    cap = CHECK_THRESHOLDS["norm_probe_top_growth_max"]
-    ok = all(g < cap for g in top)
+    gate, top = "norm_probe_top_growth", top_growth(rep)
+    ok = passes(gate, top)
     ratios = [round(r["max_ratio"], 4) for r in rep["rows"]]
     assert verdict(8, "maximal-operator boundedness surrogate", ok,
-                   f"ratios {ratios}, top-two growth "
-                   f"{[round(g, 4) for g in top]} < {cap}", max(top), cap)
+                   f"n_lambda = {rep['n_lambda']}, ratios {ratios}, top-two "
+                   f"growth {[round(g, 4) for g in rep['growth_ratios'][-2:]]}"
+                   f" < {GATES[gate][1]}", top, gate)
 
 
 def test_criterion_09_bourgain_growth():
     rep = bourgain_growth_report([2, 4, 8, 16, 32, 64], G=8192,
                                  trials=100, seed=SEED)
-    vals = [(r["N"], r["ratio_over_log2N"]) for r in rep["rows"] if r["N"] >= 8]
-    ok = all(vals[i + 1][1] <= vals[i][1] for i in range(len(vals) - 1))
+    vals = [round(r["ratio_over_log2N"], 4)
+            for r in rep["rows"] if r["N"] >= 8]
+    step = largest_step(rep)
+    ok = passes("bourgain_largest_step", step)
     assert verdict(9, "multi-frequency growth probe", ok,
-                   f"ratio/log2(N)^2 for N >= 8: "
-                   f"{[round(v, 4) for _, v in vals]} non-increasing",
-                   max(b - a for (_, a), (_, b) in zip(vals, vals[1:])), 0.0)
+                   f"ratio/log2(N)^2 for N >= 8: {vals} non-increasing",
+                   step, "bourgain_largest_step")
 
 
 def test_criterion_10_single_l_decay():
     rep = single_l_report([0, 2, 4, 6, 8, 10, 12], G=2 ** 16, trials=8,
                           seed=SEED)
     slope = rep["slope_log2_ratio_vs_l"]
-    cap = CHECK_THRESHOLDS["single_l_slope_max"]
-    ok = slope is not None and slope <= cap
+    ok = passes("single_l_slope", slope)
     assert verdict(10, "single-l maximal decay", ok,
                    f"slope of log2(ratio) vs l = {slope:.3f} <= "
-                   f"{cap}", slope, cap)
+                   f"{GATES['single_l_slope'][1]}", slope, "single_l_slope")
 
 
 ACCEPTANCE_COMMANDS = [
@@ -232,4 +230,4 @@ def test_criterion_11_determinism(tmp_path):
     ok = not mismatched
     assert verdict(11, "seeded determinism of CLI artifacts", ok,
                    f"{len(ACCEPTANCE_COMMANDS)} commands re-run byte-identically"
-                   if ok else f"mismatched: {mismatched}", None, None)
+                   if ok else f"mismatched: {mismatched}")

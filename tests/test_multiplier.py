@@ -12,6 +12,7 @@ from carlesonlab.arithmetic import (MajorBox, ReducedRational, _collected_qmax,
                                     _half_widths, enumerate_shell, gauss_sum,
                                     torus_delta, torus_dist)
 from carlesonlab.bumps import chi_s
+from carlesonlab.cli import passes
 from carlesonlab.multiplier import (
     GridSpec,
     big_l_j,
@@ -33,9 +34,6 @@ from carlesonlab.multiplier import (
     _sample_shell_centers,
 )
 from carlesonlab.oscillatory import h_j
-
-# frozen from the pre-build j=8..18 sweep: max |dE_j/dlam| / 4^j was 0.339
-DERIVATIVE_RATIO_CAP = 1.0
 
 
 class TestExactPhases:
@@ -264,7 +262,7 @@ class TestEj:
             lam, beta = rng.random(), rng.random()
             d = abs(e_j(10, lam + h, beta, 0.1) - e_j(10, lam - h, beta, 0.1))
             worst = max(worst, d / (2 * h) / 4.0 ** 10)
-        assert worst <= DERIVATIVE_RATIO_CAP
+        assert passes("derivative_ratio", worst)
 
 
 class TestDecayReport:
@@ -286,7 +284,8 @@ class TestDecayReport:
                            n_derivative_samples=4, boxes_per_shell=2)
         assert [r["j"] for r in rep["per_j"]] == [8, 9, 10, 11]
         assert rep["slopes"]["Ej"] is not None and rep["slopes"]["Ej"] < 0
-        assert rep["constants"]["derivative_ratio_max"] <= DERIVATIVE_RATIO_CAP
+        assert passes("derivative_ratio",
+                      rep["constants"]["derivative_ratio_max"])
         for r in rep["per_j"]:
             assert np.isfinite(r["sup_abs_Ej"])
 

@@ -90,8 +90,8 @@ class TestHj:
             X = float(rng.uniform(2 ** 12, 2 ** 13))
             Y = float(rng.uniform(-(2 ** 12), 2 ** 12))
             d = _refine(lambda p: _direct_scaled(X, Y, p),
-                        max(16, int(4 * (X + abs(Y)))), 1e-12, 2 ** 21)
-            f = _refine(lambda p: _dual_scaled(X, Y, p), 256, 1e-12, 2 ** 21)
+                        max(16, int(4 * (X + abs(Y)))), 1e-12)
+            f = _refine(lambda p: _dual_scaled(X, Y, p), 256, 1e-12)
             assert abs(d - f) <= 1e-10
 
     def test_x_zero_is_psi_hat(self):
