@@ -87,6 +87,12 @@ class ReducedRational:
         return self.Q.bit_length()
 
 
+def _reduced_pairs(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (a, b) with 0 <= a, b < q and gcd(a, b, q) = 1, row-major."""
+    n = np.arange(q, dtype=np.int64)
+    return np.nonzero(np.gcd.outer(np.gcd(n, q), n) == 1)
+
+
 def enumerate_shell(s: int) -> list[ReducedRational]:
     """All reduced triples with 2**(s-1) <= Q < 2**s, lexicographic in (Q, A, B)."""
     if s < 1:
@@ -95,9 +101,7 @@ def enumerate_shell(s: int) -> list[ReducedRational]:
         raise ValueError(f"shell 2^{s} exceeds cap {SHELL_CAP}")
     out: list[ReducedRational] = []
     for q in range(2 ** (s - 1), 2 ** s):
-        g_aq = np.gcd(np.arange(q, dtype=np.int64), q)
-        mask = np.gcd.outer(g_aq, np.arange(q, dtype=np.int64)) == 1
-        aa, bb = np.nonzero(mask)
+        aa, bb = _reduced_pairs(q)
         out.extend(ReducedRational(q, int(a), int(b)) for a, b in zip(aa, bb))
     return out
 

@@ -34,12 +34,12 @@ from pathlib import Path
 import numpy as np
 import scipy.fft as sfft
 
-from .arithmetic import (_check_epsilon, enumerate_shell, gauss_rows,
-                         odd_q_modulus_deviation)
+from .arithmetic import (_check_epsilon, _reduced_pairs, enumerate_shell,
+                         gauss_rows, odd_q_modulus_deviation)
 from .lambda_sets import (CoverError, cantor_set, certificate_to_json, cover,
                           lambda_set_from_json, lambda_set_to_json)
 from .multiplier import J_CAP, GridSpec, decay_report, e_j, l_js, m_j
-from .operators import (Signal, _gaussian, bourgain_growth_report,
+from .operators import (Signal, _conv_size, _gaussian, bourgain_growth_report,
                         carleson_max, norm_probe, oscillatory_growth_report,
                         signal_to_json, single_l_report)
 from .oscillatory import TOL_MAX, TOL_MIN, ConvergenceError
@@ -111,53 +111,37 @@ def largest_step(rep: dict) -> float:
     return max((b - a for a, b in zip(vals, vals[1:])), default=0.0)
 
 
-def _to_native(obj):
-    """Recursively convert numpy scalars/arrays for deterministic JSON."""
-    if isinstance(obj, dict):
-        return {str(k): _to_native(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_native(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_to_native(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.complexfloating, complex)):
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, Fraction):
-        return float(obj)
-    return obj
-
-
 class NonFiniteReport(ArithmeticError):
     """A computed report holds a NaN or an infinity (exit 3)."""
 
 
-def _non_finite_path(obj, path: str = "report") -> str | None:
-    """Key path of the first NaN or infinity in native ``obj``, if any."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return path
-    items = (obj.items() if isinstance(obj, dict)
-             else enumerate(obj) if isinstance(obj, list) else ())
-    for key, val in items:
-        found = _non_finite_path(val, f"{path}[{key!r}]")
-        if found is not None:
-            return found
-    return None
+def _to_native(obj, path: str = "report"):
+    """``obj`` with numpy scalars and arrays, complex numbers and Fractions
+    converted for deterministic JSON; raises NonFiniteReport with the key
+    path (``path`` for ``obj`` itself) of the first NaN or infinity."""
+    if isinstance(obj, dict):
+        return {str(k): _to_native(v, f"{path}[{str(k)!r}]")
+                for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_to_native(v, f"{path}[{i}]") for i, v in enumerate(obj)]
+    if isinstance(obj, np.ndarray):
+        return _to_native(obj.tolist(), path)
+    if isinstance(obj, (np.complexfloating, complex)):
+        return {"re": _to_native(obj.real, f"{path}['re']"),
+                "im": _to_native(obj.imag, f"{path}['im']")}
+    if isinstance(obj, (float, np.floating, Fraction)):
+        if not math.isfinite(obj):
+            raise NonFiniteReport(f"{path} is not finite")
+        return float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj
 
 
 def _json_text(payload: dict) -> str:
     """Deterministic JSON; a NaN or infinity raises NonFiniteReport."""
-    native = _to_native(payload)
-    try:
-        return json.dumps(native, indent=2, sort_keys=True,
-                          allow_nan=False) + "\n"
-    except ValueError:
-        path = _non_finite_path(native)
-        if path is None:
-            raise
-        raise NonFiniteReport(f"{path} is not finite") from None
+    return json.dumps(_to_native(payload), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def _cells(column) -> list:
@@ -323,10 +307,8 @@ def cmd_gauss(cfg, args) -> Artifacts:
     qmax = cfg["qmax"]
     parts = []
     for q in range(1, qmax + 1):
-        n = np.arange(q)
-        # the reduced (a, b) in row-major order: gcd(gcd(a, q), b) == 1
-        a, b = np.nonzero(np.gcd.outer(np.gcd(n, q), n) == 1)
-        s = gauss_rows(n, q)[a, b]
+        a, b = _reduced_pairs(q)
+        s = gauss_rows(np.arange(q), q)[a, b]
         # hypot, as Python's abs(complex) computes |S|; numpy's complex
         # abs can differ from it in the last bit
         parts.append((np.full(a.size, q), a, b, s.real, s.imag,
@@ -405,6 +387,7 @@ def cmd_maximal(cfg, args) -> Artifacts:
     lam_set = _load_lambda_set(args)
     L = args.length
     R = args.radius if args.radius is not None else cfg["radius_factor"] * L
+    _conv_size(L, R)            # an oversized run exits before its draw
     rng = np.random.default_rng(cfg["seed"])
     f = Signal(_gaussian(rng, L))
     out = carleson_max(f, lam_set, R)

@@ -24,7 +24,7 @@ import scipy.fft as sfft
 
 from .bumps import phi_hat
 from .multiplier import _frac_lam_msq, _log2_slope
-from .oscillatory import _BLOCK_POINTS, _h_rows, h_row
+from .oscillatory import _blocks, _expi, _h_rows, h_row
 from .arithmetic import torus_delta
 
 __all__ = [
@@ -65,12 +65,17 @@ class Signal:
         return float(np.linalg.norm(self.samples))
 
 
+def _chirp(lam: float, m: np.ndarray) -> np.ndarray:
+    """e(lam m^2) at the int64 m, by the Weyl sums' exact phase reduction."""
+    return _expi(2 * np.pi * _frac_lam_msq(float(lam) % 1.0, m))
+
+
 def kernel_taps(lam: float, R: int) -> np.ndarray:
     """Taps e(lam m^2)/m for m in [-R, R]; index m + R; zero at m = 0."""
     if R < 1:
         raise ValueError(f"radius must be >= 1, got {R}")
     m = np.arange(1, R + 1, dtype=np.int64)
-    ph = np.exp(2j * np.pi * _frac_lam_msq(lam % 1.0, m))
+    ph = _chirp(lam, m)
     taps = np.zeros(2 * R + 1, dtype=complex)
     taps[R + 1:] = ph / m
     taps[R - 1::-1] = -ph / m
@@ -119,30 +124,28 @@ def _pointwise_sup(mults, fhat_rows: np.ndarray, out_len: int) -> np.ndarray:
     the last one transformed is skipped, and so is an all-zero one when
     every fhat is finite (0 * inf would be NaN); the result is
     bit-identical to transforming every multiplier.  With two or more
-    rows, the multipliers are transformed in blocks of up to
-    _BLOCK_POINTS products: a batched inverse FFT is bit-equal to one
-    per multiplier, and a max over non-negative values (or NaN) does not
-    depend on its order.
+    rows, the multipliers are transformed in _blocks of rows * n
+    products (with one row, one at a time: measured faster): a batched
+    inverse FFT is bit-equal to one per multiplier, and a max over
+    non-negative values (or NaN) does not depend on its order.
     """
     rows, n = fhat_rows.shape
     sup = np.zeros((rows, out_len))
     skip_zero = bool(np.isfinite(fhat_rows).all())
-    block = 1 if rows < 2 else max(1, _BLOCK_POINTS // (rows * n))
-    pending = []
-    prev = None
-    for mult in mults:
-        if skip_zero and not mult.any():
-            continue
-        raw = mult.tobytes()
-        if raw == prev:
-            continue
-        prev = raw
-        pending.append(mult)
-        if len(pending) == block:
-            _fold_sup(sup, pending, fhat_rows, out_len)
-            pending = []
-    if pending:
-        _fold_sup(sup, pending, fhat_rows, out_len)
+
+    def kept():
+        prev = None
+        for mult in mults:
+            if skip_zero and not mult.any():
+                continue
+            raw = mult.tobytes()
+            if raw != prev:
+                prev = raw
+                yield mult
+
+    blocks = _blocks(kept(), rows * n) if rows > 1 else ([m] for m in kept())
+    for block in blocks:
+        _fold_sup(sup, block, fhat_rows, out_len)
     return sup
 
 
@@ -186,8 +189,7 @@ def _trial_signals(L: int, lams: np.ndarray, trials: int, rng) -> list:
     out.append(("impulse", imp))
     n = np.arange(L, dtype=np.int64)
     for lam in lams:
-        ph = np.exp(2j * np.pi * _frac_lam_msq(float(lam) % 1.0, n))
-        out.append(("chirp", ph.copy()))
+        out.append(("chirp", _chirp(lam, n)))
     while len(out) < trials:
         out.append(("gaussian", _gaussian(rng, L)))
     return out[:trials]
@@ -215,17 +217,11 @@ def norm_probe(lam_values, lengths, trials: int, seed: int,
     rows = []
     for L, R, (out_len, n) in zip(lengths, radii, sizes):
         kernel_hats = [sfft.fft(kernel_taps(float(lam), R), n) for lam in lams]
-        signals = _trial_signals(L, lams, trials, rng)
-        # the trial spectra go through _pointwise_sup up to _BLOCK_POINTS
-        # at a time, so it transforms one multiplier per block unless the
-        # block holds at most half that many points (few trials); the
-        # ratios are read in trial order, so the first maximum keeps its
-        # family
-        step = max(1, _BLOCK_POINTS // n)
+        # the ratios are read in trial order, so the first maximum keeps
+        # its family
         best = 0.0
         best_family = None
-        for c in range(0, len(signals), step):
-            chunk = signals[c:c + step]
+        for chunk in _blocks(_trial_signals(L, lams, trials, rng), n):
             fhat = sfft.fft(np.stack([sig for _, sig in chunk]), n, axis=1)
             sups = _pointwise_sup(kernel_hats, fhat, out_len)
             for (family, sig), sup in zip(chunk, sups):
@@ -278,15 +274,14 @@ def _bourgain_multipliers(theta: np.ndarray, lams, G: int) -> np.ndarray:
     frequencies.
 
     The signed torus distances d do not depend on lam, so they are taken
-    once for all lam; the tables are built _BLOCK_POINTS entries of
-    lam * d at a time, each summed over n in order as a single table is.
+    once for all lam; the tables are built in _blocks of lam * d, each
+    summed over n in order as a single table is.
     """
     d = torus_delta(sfft.fftfreq(G)[None, :] - theta[:, None])
-    lams = np.asarray(lams, dtype=float)
-    step = max(1, _BLOCK_POINTS // d.size)
     return np.concatenate([
-        np.sum(phi_hat(lams[c:c + step, None, None] * d), axis=1)
-        for c in range(0, len(lams), step)])
+        np.sum(phi_hat(np.array(block, dtype=float)[:, None, None] * d),
+               axis=1)
+        for block in _blocks(lams, d.size)])
 
 
 def _oscillatory_multipliers(theta: np.ndarray, tau: float, k0: int,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from functools import cache, lru_cache
+from itertools import islice
 
 import numpy as np
 import scipy.fft as sfft
@@ -51,7 +52,7 @@ _PSI_DT_LOG2 = -13            # psi-hat table: psi sampled at step 2**-13,
 _PSI_PAD_LOG2 = 21            # zero-padded to an FFT of length 2**21
 _H_ROW_OVERSAMPLE = 8         # h_row's chirp samples per bandwidth unit
 # entries of one batched array (2 MB of complex values): _h_rows' FFT
-# blocks here, and operators' multiplier, table and trial blocks
+# blocks and operators' multiplier, table and trial blocks, cut by _blocks
 _BLOCK_POINTS = 2 ** 17
 # panel rules of both quadrature paths, keyed by the exact panel count
 # (rounding counts up would change the quadrature's bits); a rule over the
@@ -145,6 +146,16 @@ def _expi(theta):
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)
     return out
+
+
+def _blocks(items, points_each: int):
+    """Consecutive lists of max(1, _BLOCK_POINTS // points_each) items: the
+    batches of one array of at most _BLOCK_POINTS entries, or of one item
+    that alone is larger."""
+    it = iter(items)
+    size = max(1, _BLOCK_POINTS // points_each)
+    while block := list(islice(it, size)):
+        yield block
 
 
 @lru_cache(maxsize=1)
@@ -274,8 +285,8 @@ def _h_rows(k: int, lams, G: int) -> np.ndarray:
 
     Each lam keeps h_row's own sampling step 2^-p; the lams that share a
     step share its t grid and psi_k samples, and their chirps are
-    transformed in blocks of up to _BLOCK_POINTS FFT points (a batched
-    FFT is bit-equal to one FFT per row).
+    transformed in _blocks of FFT points (a batched FFT is bit-equal to
+    one FFT per row).
     """
     if G & (G - 1):
         raise ValueError(f"grid size G must be a power of two, got {G}")
@@ -302,9 +313,7 @@ def _h_rows(k: int, lams, G: int) -> np.ndarray:
         t = np.arange(half + 1, dtype=np.int64) * h
         psi_t = psi_k(k, t)
         neg_psi = -psi_t[:0:-1]
-        block = max(1, _BLOCK_POINTS // nfft)
-        for c in range(0, len(rows), block):
-            idx = rows[c:c + block]
+        for idx in _blocks(rows, nfft):
             lam_col = np.array([lams[i] for i in idx])[:, None]
             chirp = _expi(2 * np.pi * (lam_col * t * t))
             buf = np.zeros((len(idx), nfft), dtype=complex)

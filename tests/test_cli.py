@@ -5,12 +5,14 @@ import io
 import json
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from carlesonlab import cli, oscillatory
 from carlesonlab.arithmetic import (ReducedRational, gauss_rows, gauss_sum,
@@ -416,6 +418,17 @@ class TestExitCodes:
         assert not list(tmp_path.iterdir())
         return capsys.readouterr().err
 
+    def test_oversized_maximal_exits_before_its_draw(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a signal was drawn")
+
+        monkeypatch.setattr(cli, "_gaussian", refuse)
+        assert run(["maximal", "--cantor", "2", "2", "--length", "33554432",
+                    "-o", str(tmp_path / "x")]) == 2
+        assert "exceeds cap" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv", [
         ["cover", "--cantor", "2", "3", "--t-exp", "0"],
         ["cover", "--cantor", "2", "3", "--t-exp", "-1"],
@@ -600,6 +613,92 @@ class _FailingFile:
         self.fh.write(text[:1])
         self.fh.flush()
         raise OSError("injected write failure")
+
+
+def _two_pass_to_native(obj):
+    """The two-pass report walk's first pass: convert, checking nothing."""
+    if isinstance(obj, dict):
+        return {str(k): _two_pass_to_native(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_two_pass_to_native(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_two_pass_to_native(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.complexfloating, complex)):
+        return {"re": float(obj.real), "im": float(obj.imag)}
+    if isinstance(obj, Fraction):
+        return float(obj)
+    return obj
+
+
+def _non_finite_path(obj, path="report"):
+    """Key path of the first NaN or infinity in converted ``obj``."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return path
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, val in items:
+        found = _non_finite_path(val, f"{path}[{key!r}]")
+        if found is not None:
+            return found
+    return None
+
+
+def _two_pass_json(payload):
+    """The oracle of cli._json_text: convert, dump, and only when the dump
+    refuses a value walk the converted report again for its key path."""
+    native = _two_pass_to_native(payload)
+    try:
+        return json.dumps(native, indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
+    except ValueError:
+        path = _non_finite_path(native)
+        if path is None:
+            raise
+        raise cli.NonFiniteReport(f"{path} is not finite") from None
+
+
+def _json_outcome(to_json, payload):
+    """The text, or the NonFiniteReport message, of ``to_json(payload)``."""
+    try:
+        return to_json(payload)
+    except cli.NonFiniteReport as exc:
+        return f"NonFiniteReport: {exc}"
+
+
+# NaN and +-inf are planted, and floats and complex numbers draw them too;
+# a key is text without digits or a small int, so keys stay distinct after
+# str(), as a report's do
+_REPORT_LEAVES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(), st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32), st.complex_numbers(),
+    st.complex_numbers().map(np.complex128), st.integers(),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                 max_denominator=10 ** 6),
+    st.booleans(), st.none(), st.text(max_size=3),
+    hnp.arrays(st.sampled_from([np.float64, np.int64, np.complex128]),
+               hnp.array_shapes(min_dims=1, max_dims=2, max_side=3)))
+_REPORT_KEYS = st.one_of(st.text(alphabet="ab'\"", max_size=3),
+                         st.integers(0, 9))
+_REPORTS = st.dictionaries(_REPORT_KEYS, st.recursive(
+    _REPORT_LEAVES, lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_REPORT_KEYS, inner, max_size=3)),
+    max_leaves=12), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPORTS)
+@example({"a": [(1, {"b": np.array([[0.5, np.inf]])})], 2: math.nan})
+@example({"z": np.complex128(complex(1.0, -math.inf)), "x": Fraction(1, 3)})
+def test_one_walk_json_matches_the_two_pass_walk(payload):
+    assert _json_outcome(cli._json_text, payload) \
+        == _json_outcome(_two_pass_json, payload)
 
 
 class TestNoPartialArtifacts:

@@ -9,10 +9,12 @@ import scipy.fft as sfft
 from carlesonlab.arithmetic import torus_delta
 from carlesonlab.bumps import phi_hat
 from carlesonlab.lambda_sets import cantor_set
-from carlesonlab import operators
+from carlesonlab import operators, oscillatory
+from carlesonlab.multiplier import _frac_lam_msq
 from carlesonlab.operators import (
     Signal,
     _bourgain_multipliers,
+    _chirp,
     _dyadic_lambdas,
     _oscillatory_multipliers,
     _pointwise_sup,
@@ -110,6 +112,16 @@ class TestApplyKernel:
     def test_taps_reject_bad_radius(self):
         with pytest.raises(ValueError):
             kernel_taps(0.1, 0)
+
+
+class TestChirp:
+    def test_equals_np_exp_of_the_reduced_phase(self):
+        # the kernel taps' and trial chirps' phase, as np.exp formed it
+        m = np.arange(2 ** 14 + 1, dtype=np.int64)
+        for lam in [0.0, -0.3717, -2.5, -1e-300, np.nextafter(1.0, 0.0),
+                    *cantor_set(3, 5).floats]:
+            ref = np.exp(2j * np.pi * _frac_lam_msq(float(lam) % 1.0, m))
+            assert _chirp(lam, m).tobytes() == ref.tobytes(), lam
 
 
 class TestCarlesonMax:
@@ -286,7 +298,7 @@ class TestNormProbe:
                                                    block_points):
         # 2000 points put the 64-length trials (n = 576) in blocks of 3
         # rows and the 128-length ones (n = 1152) in blocks of one
-        monkeypatch.setattr(operators, "_BLOCK_POINTS", block_points)
+        monkeypatch.setattr(oscillatory, "_BLOCK_POINTS", block_points)
         for lam_values, lengths, trials in [
                 (cantor_set(3, 3), [64, 128], 6), ([0.0, 0.1], [64], 11)]:
             rep = norm_probe(lam_values, lengths, trials=trials, seed=12)
@@ -302,7 +314,7 @@ class TestNormProbe:
             return [(names[i % 3], sig.copy()) for i in range(trials)]
 
         monkeypatch.setattr(operators, "_trial_signals", tied)
-        monkeypatch.setattr(operators, "_BLOCK_POINTS", 2000)
+        monkeypatch.setattr(oscillatory, "_BLOCK_POINTS", 2000)
         rep = norm_probe([0.1], [64], trials=5, seed=0)
         assert rep["rows"][0]["argmax_family"] == "impulse"
 

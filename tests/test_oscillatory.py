@@ -6,9 +6,9 @@ import scipy.fft as sfft
 
 from carlesonlab.bumps import phi_hat, psi, psi_k
 from carlesonlab.oscillatory import h_j, h_row, h_scaled, psi_hat
-from carlesonlab.oscillatory import (_direct_scaled, _direct_rule,
-                                     _dual_rule, _dual_scaled, _expi,
-                                     _h_rows, _psi_hat_table, _refine)
+from carlesonlab.oscillatory import (_BLOCK_POINTS, _blocks, _direct_scaled,
+                                     _direct_rule, _dual_rule, _dual_scaled,
+                                     _expi, _h_rows, _psi_hat_table, _refine)
 
 # constants frozen from the pre-build sweeps (measured value, 2x headroom)
 ENVELOPE_CAP = 50.0         # asserted bound; pre-build sweep measured 4.70
@@ -214,6 +214,33 @@ class TestBatchedRows:
             _h_rows(9, [1e-4, 2e-4], 256)
         with pytest.raises(ValueError, match="power of two"):
             _h_rows(2, [1e-4], 100)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("n, points_each, sizes", [
+        (3, 2 * _BLOCK_POINTS, [1, 1, 1]),      # an item alone overflows
+        (3, _BLOCK_POINTS, [1, 1, 1]),
+        (8, _BLOCK_POINTS // 4, [4, 4]),        # exact division
+        (10, _BLOCK_POINTS // 4 + 1, [3, 3, 3, 1]),   # a remainder
+        (5, 1, [5]),
+        (0, 7, []),                             # empty input
+    ])
+    def test_consecutive_blocks_of_the_budget(self, n, points_each, sizes):
+        blocks = list(_blocks(range(n), points_each))
+        assert [len(b) for b in blocks] == sizes
+        assert sum(blocks, []) == list(range(n))
+
+    def test_generator_input_is_drawn_one_block_at_a_time(self):
+        drawn = []
+
+        def items():
+            for i in range(5):
+                drawn.append(i)
+                yield i
+
+        blocks = _blocks(items(), _BLOCK_POINTS // 2)
+        assert next(blocks) == [0, 1] and drawn == [0, 1]
+        assert list(blocks) == [[2, 3], [4]]
 
 
 class TestExpi:
