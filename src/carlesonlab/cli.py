@@ -26,6 +26,7 @@ import json
 import math
 import operator
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,7 +39,8 @@ from .arithmetic import (_check_epsilon, _reduced_pairs, enumerate_shell,
                          gauss_rows, odd_q_modulus_deviation)
 from .lambda_sets import (CoverError, cantor_set, certificate_to_json, cover,
                           lambda_set_from_json, lambda_set_to_json)
-from .multiplier import J_CAP, GridSpec, decay_report, e_j, l_js, m_j
+from .multiplier import (J_CAP, GridSpec, _shells, big_l_j, decay_report,
+                         l_js, m_j)
 from .operators import (Signal, _conv_size, _gaussian, bourgain_growth_report,
                         carleson_max, norm_probe, oscillatory_growth_report,
                         signal_to_json, single_l_report)
@@ -335,15 +337,13 @@ def cmd_multiplier_sample(cfg, args) -> Artifacts:
     j, lam, beta = args.j, args.lam, args.beta
     if not (math.isfinite(lam) and math.isfinite(beta)):
         raise ConfigError(f"--lam and --beta must be finite, got {lam}, {beta}")
-    eps = cfg["epsilon"]
-    per_shell = {}
-    for s in range(1, math.floor(eps * j) + 1):
-        per_shell[str(s)] = l_js(j, s, lam, beta, tol=cfg["tol"])
+    eps, tol = cfg["epsilon"], cfg["tol"]
+    mv = m_j(j, lam, beta)
     return Artifacts(report={
         "j": j, "lam": lam, "beta": beta,
-        "m_j": m_j(j, lam, beta),
-        "l_js": per_shell,
-        "e_j": e_j(j, lam, beta, eps, cfg["tol"]),
+        "m_j": mv,
+        "l_js": {str(s): l_js(j, s, lam, beta, tol) for s in _shells(j, eps)},
+        "e_j": mv - big_l_j(j, lam, beta, eps, tol),
     })
 
 
@@ -527,6 +527,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 # parsing leaves the parser unchanged, so one serves every call of main
 _PARSER = build_parser()
+_LIST_FLAGS = {names[0] for _, flags, _ in COMMANDS.values()
+               for names, kwargs in flags if kwargs.get("type") is _int_list}
+_NEGATIVE_LIST = re.compile(r"-\d+(,-?\d+)+")
+
+
+def _joined_lists(argv) -> list:
+    """argv (sys.argv[1:] when None) with each list flag joined to a next
+    list that starts with a negative entry, as ``--l-list=-3,1``: argparse
+    takes a lone ``-3,1`` for a flag."""
+    out = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if out and out[-1] in _LIST_FLAGS and _NEGATIVE_LIST.fullmatch(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _worker_count() -> int:
@@ -544,7 +560,7 @@ def _worker_count() -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(_joined_lists(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

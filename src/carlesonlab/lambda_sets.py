@@ -154,22 +154,15 @@ def cover(lam_set: LambdaSet, t, den_cap: int = DEFAULT_DEN_CAP) -> CoveringCert
 def _cover_cantor(lam_set: LambdaSet, t: Fraction) -> CoveringCertificate:
     _, D, depth = lam_set.provenance
     # largest label scale 2^(1 - D^(n+1)) that is <= t, i.e. smallest valid n
-    n = 1
-    while Fraction(1, 2 ** (D ** (n + 1) - 1)) > t:
-        n += 1
-        if n > depth:
-            break
-    n = min(n, depth)
+    n = next((n for n in range(1, depth)
+              if Fraction(1, 2 ** (D ** (n + 1) - 1)) <= t), depth)
     radius = _cantor_tail(D, depth, n)
     den = 1 << (D ** n)
-    seen = {}
     mask_exp = D ** depth - D ** n  # truncation: clear digits below level n
-    for p in lam_set.points:
-        scaled = p.numerator * ((1 << (D ** depth)) // p.denominator)
-        key = scaled >> mask_exp
-        seen.setdefault(key, None)
+    keys = {(p.numerator * ((1 << (D ** depth)) // p.denominator)) >> mask_exp
+            for p in lam_set.points}
     intervals = tuple(
-        Interval(num=k, den=den, half_width=radius) for k in sorted(seen)
+        Interval(num=k, den=den, half_width=radius) for k in sorted(keys)
     )
     # the certificate carries the exact achieved interval length; when the
     # request hits a label scale 2^(1 - D^(n+1)) exactly this exceeds the

@@ -42,7 +42,6 @@ __all__ = [
     "m_j_rational_oracle",
     "l_js",
     "big_l_j",
-    "e_j",
     "decay_report",
     "frac_part_exact",
 ]
@@ -233,42 +232,35 @@ def _shell_sum(j: int, s: int, lam: float, beta: float,
     return complex(acc)
 
 
-def l_js(j: int, s: int, lam: float, beta: float,
-         shell: list[ReducedRational] | None = None, tol: float = 1e-10) -> complex:
+def l_js(j: int, s: int, lam: float, beta: float, tol: float = 1e-10) -> complex:
     """Shell-s major-arc approximant at (lam, beta).
 
     At most one center contributes: the chi_s cutoffs at distinct shell
     rationals are disjointly supported.
     """
-    if s < 1:
-        raise ValueError(f"shell index must be >= 1, got {s}")
-    if shell is None:
-        shell = enumerate_shell(s)
-    return _shell_sum(j, s, lam, beta, shell, tol, {})
+    return _shell_sum(j, s, lam, beta, enumerate_shell(s), tol, {})
 
 
-def _l_j(j: int, lam: float, beta: float, epsilon: float, shells: dict | None,
-         tol: float, h_at: dict) -> complex:
-    """big_l_j without the epsilon check; ``h_at`` as in _shell_sum."""
+def _shells(j: int, epsilon: float) -> dict:
+    """The shells s <= epsilon * j of L_j, each enumerated."""
+    return {s: enumerate_shell(s)
+            for s in range(1, math.floor(epsilon * j) + 1)}
+
+
+def _l_j(j: int, lam: float, beta: float, shells: dict, tol: float,
+         h_at: dict) -> complex:
+    """L_j over ``shells`` as built by _shells; ``h_at`` as in _shell_sum."""
     acc = 0.0 + 0.0j
-    for s in range(1, math.floor(epsilon * j) + 1):
-        shell = shells[s] if shells is not None else enumerate_shell(s)
+    for s, shell in shells.items():
         acc += _shell_sum(j, s, lam, beta, shell, tol, h_at)
     return complex(acc)
 
 
 def big_l_j(j: int, lam: float, beta: float, epsilon: float,
-            shells: dict | None = None, tol: float = 1e-10) -> complex:
+            tol: float = 1e-10) -> complex:
     """L_j = sum of l_js over 1 <= s <= epsilon * j."""
     _check_epsilon(epsilon)
-    return _l_j(j, lam, beta, epsilon, shells, tol, {})
-
-
-def e_j(j: int, lam: float, beta: float, epsilon: float = 0.1,
-        tol: float = 1e-10, shells: dict | None = None) -> complex:
-    """Approximation error E_j = M_j - L_j; ``shells`` as in big_l_j."""
-    _check_epsilon(epsilon)
-    return m_j(j, lam, beta) - big_l_j(j, lam, beta, epsilon, shells, tol)
+    return _l_j(j, lam, beta, _shells(j, epsilon), tol, {})
 
 
 @dataclass(frozen=True)
@@ -408,7 +400,7 @@ def _grid_stage(j: int, epsilon: float, G: int, shells: dict, tol: float):
     h_at = {}
     for g, h in zip(*np.nonzero(window)):
         g, h = int(g), int(h)
-        lval = _l_j(j, g / G, h / G, epsilon, shells, tol, h_at)
+        lval = _l_j(j, g / G, h / G, shells, tol, h_at)
         e[g, h] -= lval
         if abs(lval) > sup_l_off and \
                 not _grid_point_in_major_boxes(g, h, G, j, epsilon):
@@ -451,7 +443,7 @@ def _box_stage(j: int, epsilon: float, centers: list[ReducedRational],
         for lam, dl in zip(lams.tolist(), dls):
             for beta, db in zip(betas.tolist(), dbs):
                 mv = m_j(j, lam, beta)
-                ev = abs(mv - _l_j(j, lam, beta, epsilon, shells, tol, h_at))
+                ev = abs(mv - _l_j(j, lam, beta, shells, tol, h_at))
                 err = abs(mv - sgs * _h_at_offset(h_at, j, dl, db, tol))
                 if err > sup_major:
                     sup_major = err
@@ -464,14 +456,14 @@ def _box_stage(j: int, epsilon: float, centers: list[ReducedRational],
     return (sup_e, arg_e), sup_uncovered, (sup_major, arg_major)
 
 
-def _derivative_stage(j: int, epsilon: float, points, shells: dict,
-                      tol: float) -> float:
+def _derivative_stage(j: int, epsilon: float, points, tol: float) -> float:
     """Stage 4: max |dE_j/dlam| / 4**j by central differences at ``points``."""
     hstep = 2.0 ** (-2 * j - 8)
     dmax = 0.0
     for lam, beta in points:
-        ep = e_j(j, float(lam + hstep), float(beta), epsilon, tol, shells)
-        em = e_j(j, float(lam - hstep), float(beta), epsilon, tol, shells)
+        b = float(beta)
+        ep, em = (m_j(j, x, b) - big_l_j(j, x, b, epsilon, tol)
+                  for x in (float(lam + hstep), float(lam - hstep)))
         dmax = max(dmax, abs(ep - em) / (2 * hstep))
     return dmax / 4.0 ** j
 
@@ -513,8 +505,7 @@ def decay_report(j_list, epsilon: float = 0.1, grid: GridSpec | None = None,
     der_points = rng.random((n_derivative_samples, 2))
     per_j = []
     for j in j_list:
-        shells = {s: enumerate_shell(s)
-                  for s in range(1, math.floor(epsilon * j) + 1)}
+        shells = _shells(j, epsilon)
         sampled = _sampled_centers(j, epsilon, shells, boxes_per_shell, rng)
         _, grid_sup, sup_l_off = _grid_stage(j, epsilon, G, shells, tol)
         box_sup, sup_e_uncovered, (sup_major, arg_major) = _box_stage(
@@ -530,8 +521,7 @@ def decay_report(j_list, epsilon: float = 0.1, grid: GridSpec | None = None,
             "argmax_major": arg_major,
             "sup_abs_Lj_off_boxes": sup_l_off,
             "n_boxes_sampled": len(sampled),
-            "derivative_ratio": _derivative_stage(j, epsilon, der_points,
-                                                  shells, tol),
+            "derivative_ratio": _derivative_stage(j, epsilon, der_points, tol),
         })
     out = {
         "epsilon": epsilon,

@@ -10,7 +10,6 @@ import carlesonlab
 from carlesonlab import multiplier as mult
 from carlesonlab import oscillatory as osc
 from carlesonlab._memo import BoundedCache
-from carlesonlab.arithmetic import enumerate_shell
 
 
 def discover_memos() -> list[BoundedCache]:
@@ -101,12 +100,6 @@ class TestBitIdentity:
         cold = mult.decay_report([10], **kwargs)
         warm = mult.decay_report([10], **kwargs)
         assert warm == cold
-
-    def test_e_j_with_shells_equals_e_j_without(self):
-        shells = {1: enumerate_shell(1)}
-        for lam, beta in ((0.5 + 1e-5, 0.5 - 2e-4), (0.31, 0.47)):
-            assert mult.e_j(12, lam, beta, 0.1, shells=shells) \
-                == mult.e_j(12, lam, beta, 0.1)
 
 
 class TestMemoBounds:

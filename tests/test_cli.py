@@ -264,6 +264,27 @@ class TestFlagTypes:
         assert f"argument {flag}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["single-l", "--grid", "256", "--trials", "1"], "--l-list", "-3,1"),
+        (["bourgain-growth", "--grid", "64"], "--n-list", "-2,4"),
+    ])
+    def test_list_with_a_negative_leading_entry(self, tmp_path, capsys, argv,
+                                                flag, value):
+        # a list flag and its value as two tokens run as the = form does:
+        # same exit, same message, same artifact bytes
+        spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+        outcomes = []
+        for base, tokens in ((spaced, [flag, value]),
+                             (joined, [f"{flag}={value}"])):
+            base.mkdir()
+            outcomes.append((run(argv + tokens + ["-o", str(base / "x")]),
+                             capsys.readouterr().err.replace(str(base), "")))
+        assert outcomes[0] == outcomes[1]
+        names = sorted(p.name for p in spaced.iterdir())
+        assert names == sorted(p.name for p in joined.iterdir())
+        for name in names:
+            assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+
     def test_config_file_equals_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"qmax": 12, "grid": 64, "trials": 2}')

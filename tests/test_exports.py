@@ -64,8 +64,8 @@ EXPORTS = {
     "m_j_grid": ("reached", "decay_report's grid stage"),
     "m_j_rational_oracle": ("oracle", "multiplier.m_j"),
     "l_js": ("reached", "multiplier-sample"),
-    "big_l_j": ("reached", "e_j: multiplier-sample"),
-    "e_j": ("reached", "multiplier-sample"),
+    "big_l_j": ("reached", "multiplier-sample, decay_report's derivative "
+                           "stage"),
     "decay_report": ("reached", "approx-error, criteria 04/05, bench decay"),
     "frac_part_exact": ("reached", "m_j's exact phase reduction"),
     # lambda_sets

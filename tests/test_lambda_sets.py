@@ -1,11 +1,14 @@
+import contextlib
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from carlesonlab import lambda_sets
 from carlesonlab.lambda_sets import (
     CoverError,
     LambdaSet,
+    _cantor_tail,
     cantor_set,
     certificate_to_json,
     cover,
@@ -119,6 +122,36 @@ class TestCover:
         assert 2 * cert.intervals[0].half_width <= Fraction(1, 10)
         assert cert.max_denominator <= 2.0 * float(cert.t) ** -0.5
         assert verify_certificate(c, cert)["ok"]
+
+    @pytest.mark.parametrize("D", [2, 3, 4])
+    def test_level_is_the_first_label_at_or_below_t(self, D, monkeypatch):
+        # the level n is the first n whose label scale 2^(1 - D^(n+1)) is
+        # <= t, stepping up from 1 and stopping at depth; the cover reads
+        # its radius at that level, also where its certificate then fails
+        def stepped_level(depth, t):
+            n = 1
+            while Fraction(1, 2 ** (D ** (n + 1) - 1)) > t:
+                n += 1
+                if n > depth:
+                    break
+            return min(n, depth)
+
+        levels = []
+
+        def tail(D, depth, n):
+            levels.append(n)
+            return _cantor_tail(D, depth, n)
+
+        monkeypatch.setattr(lambda_sets, "_cantor_tail", tail)
+        for depth in range(1, 6):
+            c = cantor_set(D, depth)
+            for e in range(1, 40):
+                for t in (Fraction(1, 2 ** e), Fraction(3, 2 ** (e + 2)),
+                          Fraction(2, 3 * 2 ** e)):
+                    del levels[:]
+                    with contextlib.suppress(CoverError):
+                        cover(c, t)
+                    assert levels == [stepped_level(depth, t)], (depth, t)
 
     def test_count_grows_as_t_shrinks(self):
         c = cantor_set(2, 6)

@@ -1,3 +1,4 @@
+import json
 import math
 import struct
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from carlesonlab import multiplier
+from carlesonlab import cli, multiplier
 from carlesonlab.arithmetic import (MajorBox, ReducedRational, _collected_qmax,
                                     _half_widths, enumerate_shell, gauss_sum,
                                     torus_delta, torus_dist)
@@ -17,7 +18,6 @@ from carlesonlab.multiplier import (
     GridSpec,
     big_l_j,
     decay_report,
-    e_j,
     frac_part_exact,
     l_js,
     m_j,
@@ -207,8 +207,7 @@ class TestMj:
 class TestLjs:
     def test_far_from_rationals_vanishes(self):
         # both coordinates > (1/5) 10^-s away from every shell rational
-        shell = enumerate_shell(1)
-        assert l_js(12, 1, 0.31, 0.47, shell) == 0.0
+        assert l_js(12, 1, 0.31, 0.47) == 0.0
 
     def test_single_center_equals_hj(self):
         v = l_js(12, 1, 1e-8, 1e-8)
@@ -219,7 +218,7 @@ class TestLjs:
         assert abs(l_js(12, 2, 0.5 + 1e-8, 1e-8)) <= 1e-15
 
     def test_shell_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="shell index must be >= 1"):
             l_js(10, 0, 0.0, 0.0)
 
     def test_composition_bound(self):
@@ -238,20 +237,27 @@ class TestRegrouping:
             by_scale = sum(big_l_j(j, lam, beta, eps) for j in range(1, j_max + 1))
             smax = int(eps * j_max)
             # shell first: for each s, l_js over s <= eps j <= eps j_max
-            by_shell = sum(l_js(j, s, lam, beta, enumerate_shell(s))
+            by_shell = sum(l_js(j, s, lam, beta)
                            for s in range(1, smax + 1)
                            for j in range(math.ceil(s / eps), j_max + 1))
             assert abs(by_scale - by_shell) <= 1e-12
 
 
+def _e_j(j, lam, beta, epsilon):
+    """E_j = M_j - L_j, as multiplier-sample and the derivative probe
+    compute it."""
+    return m_j(j, lam, beta) - big_l_j(j, lam, beta, epsilon)
+
+
 class TestEj:
     def test_epsilon_validated(self):
         with pytest.raises(ValueError):
-            e_j(10, 0.1, 0.1, epsilon=0.2)
+            big_l_j(10, 0.1, 0.1, epsilon=0.2)
 
     def test_reduces_to_mj_where_cutoffs_vanish(self):
         lam, beta = 0.31, 0.47
-        assert e_j(10, lam, beta, 0.1) == m_j(10, lam, beta)
+        assert big_l_j(10, lam, beta, 0.1) == 0.0
+        assert _e_j(10, lam, beta, 0.1) == m_j(10, lam, beta)
 
     def test_derivative_bound_sampled(self):
         # finite differences at random points, j = 10: |dE/dlam| <= C 4^j
@@ -260,7 +266,7 @@ class TestEj:
         worst = 0.0
         for _ in range(10):
             lam, beta = rng.random(), rng.random()
-            d = abs(e_j(10, lam + h, beta, 0.1) - e_j(10, lam - h, beta, 0.1))
+            d = abs(_e_j(10, lam + h, beta, 0.1) - _e_j(10, lam - h, beta, 0.1))
             worst = max(worst, d / (2 * h) / 4.0 ** 10)
         assert passes("derivative_ratio", worst)
 
@@ -410,7 +416,7 @@ class TestDecayStages:
         G, eps = 64, 0.1
         shells = {s: enumerate_shell(s) for s in range(1, int(eps * j) + 1)}
         e, _, _ = _grid_stage(j, eps, G, shells, 1e-10)
-        lj = np.array([[big_l_j(j, g / G, h / G, eps, shells)
+        lj = np.array([[big_l_j(j, g / G, h / G, eps)
                         for h in range(G)] for g in range(G)])
         assert np.array_equal(e, m_j_grid(j, G) - lj)
         # H_j(dl, 0) = 0 (psi_j is odd), so the wrapped points checked
@@ -468,7 +474,7 @@ class TestDecayStages:
                         sup_major = err
                         arg_major = (lam, beta, [r.Q, r.A, r.B])
                     sup_uncovered = max(sup_uncovered, abs(
-                        mv - big_l_j(j, lam, beta, eps, shells, tol)))
+                        mv - big_l_j(j, lam, beta, eps, tol)))
         calls = _count_calls(monkeypatch, "h_j")
         got = _box_stage(j, eps, centers, shells, 5, strata, tol)
         assert sorted(calls) == sorted((j, x, y, tol) for x, y in classes)
@@ -502,7 +508,7 @@ class TestDecayStages:
         points = np.random.default_rng(3).random((4, 2))
         hstep = 2.0 ** (-2 * j - 8)
         del lam_calls[:], beta_calls[:]
-        _derivative_stage(j, eps, points, shells, tol)
+        _derivative_stage(j, eps, points, tol)
         assert [a[0] for a in lam_calls] == \
             [float(lam + s * hstep) for lam, _ in points for s in (1, -1)]
         assert [a[0] for a in beta_calls] == [float(b) for _, b in points]
@@ -625,3 +631,36 @@ def test_l_js_and_big_l_j_equal_the_pointwise_sum():
         assert repr(big_l_j(j, lam, beta, eps, tol=tol)) \
             == repr(complex(want)), (j, lam, beta)
     assert nonzero >= 6
+
+
+@pytest.mark.parametrize("j, lam, beta", [_WINDOW_POINTS[1], _WINDOW_POINTS[7]])
+def test_multiplier_sample_evaluates_m_j_once(tmp_path, monkeypatch, j, lam,
+                                              beta):
+    # the report's E_j is M_j - L_j with the M_j it reports, and its l_js
+    # are the pointwise shell sums: shell 1 at j = 12, shells 1, 2 at 20
+    tol, eps = 1e-10, 0.1
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return m_j(*args)
+
+    for module in (cli, multiplier):
+        monkeypatch.setattr(module, "m_j", counted)
+    assert cli.main(["multiplier-sample", "--j", str(j), f"--lam={lam!r}",
+                     f"--beta={beta!r}", "-o", str(tmp_path / "p")]) == 0
+    assert calls == [(j, lam, beta)]
+    rep = json.loads((tmp_path / "p.json").read_text())
+
+    def read(z):
+        return repr(complex(z["re"], z["im"]))
+
+    mv = m_j(j, lam, beta)
+    assert read(rep["m_j"]) == repr(mv)
+    assert read(rep["e_j"]) == repr(mv - big_l_j(j, lam, beta, eps, tol))
+    shells = range(1, math.floor(eps * j) + 1)
+    assert list(rep["l_js"]) == [str(s) for s in shells]
+    by_shell = [_pointwise_shell_sum(j, s, lam, beta, tol) for s in shells]
+    assert [read(v) for v in rep["l_js"].values()] == \
+        [repr(v) for v in by_shell]
+    assert any(by_shell)
