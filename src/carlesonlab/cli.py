@@ -9,7 +9,10 @@ without a traceback).  Exits 2-4 write no artifact.
 
 Each config key is declared once, with its default and type, in
 ``DEFAULTS``, and its closed range, if it has one, in ``BOUNDS``; its flag
-is the key with ``-`` for ``_``.  Flags override
+is the key with ``-`` for ``_``.  A command takes the flags of exactly the
+keys its runner reads, besides --config and --output; abbreviated flags
+are refused.  The --config file is lab-wide: it may set any key, and it
+is validated whole for every command.  Flags override
 --config file entries, which override the defaults; the artifact base
 path defaults to ``carlesonlab-<command>``.
 
@@ -25,7 +28,6 @@ import contextlib
 import json
 import math
 import operator
-import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -33,7 +35,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import scipy.fft as sfft
 
 from .arithmetic import (_check_epsilon, _reduced_pairs, enumerate_shell,
                          gauss_rows, odd_q_modulus_deviation)
@@ -386,7 +387,7 @@ def cmd_cover(cfg, args) -> Artifacts:
 def cmd_maximal(cfg, args) -> Artifacts:
     lam_set = _load_lambda_set(args)
     L = args.length
-    R = args.radius if args.radius is not None else cfg["radius_factor"] * L
+    R = cfg["radius_factor"] * L
     _conv_size(L, R)            # an oversized run exits before its draw
     rng = np.random.default_rng(cfg["seed"])
     f = Signal(_gaussian(rng, L))
@@ -462,10 +463,10 @@ _LAMBDA_SOURCE = [
 _COMMON = [
     _flag("--config", help="JSON config file"),
     _flag("--output", "-o", help="artifact base path"),
-    *_config_flags("seed", "epsilon", "tol", "grid", "trials"),
 ]
 
-# command -> (help, own flags, runner); every command also takes _COMMON
+# command -> (help, own flags, runner); every command also takes _COMMON,
+# and its config flags are those of the keys its runner reads
 COMMANDS = {
     "gauss": ("Gauss-sum table as CSV", _config_flags("qmax"), cmd_gauss),
     "shell": ("reduced rationals of one shell",
@@ -473,11 +474,13 @@ COMMANDS = {
     "multiplier-sample": ("M_j, L_js, E_j at a point",
                           [_flag("--j", type=int, required=True),
                            _flag("--lam", type=float, required=True),
-                           _flag("--beta", type=float, required=True)],
+                           _flag("--beta", type=float, required=True),
+                           *_config_flags("epsilon", "tol")],
                           cmd_multiplier_sample),
     "approx-error": ("decay report for E_j",
-                     _config_flags("jmin", "jmax", "strata",
-                                   "boxes_per_shell"),
+                     _config_flags("jmin", "jmax", "grid", "strata",
+                                   "boxes_per_shell", "epsilon", "tol",
+                                   "seed"),
                      cmd_approx_error),
     "cantor": ("Cantor-type modulation set as JSON",
                [_flag("--d", type=int, required=True),
@@ -490,23 +493,25 @@ COMMANDS = {
               cmd_cover),
     "maximal": ("apply the truncated maximal operator",
                 _LAMBDA_SOURCE + [_flag("--length", type=int, required=True),
-                                  _flag("--radius", type=int)],
+                                  *_config_flags("radius_factor", "seed")],
                 cmd_maximal),
     "norm-probe": ("l2 ratio growth over lengths",
                    _LAMBDA_SOURCE + [
                        _flag("--lengths", type=_int_list, required=True,
                              help="comma-separated lengths"),
-                       *_config_flags("radius_factor")],
+                       *_config_flags("radius_factor", "trials", "seed")],
                    cmd_norm_probe),
     "bourgain-growth": ("multi-frequency growth curve",
-                        [_flag("--n-list", type=_int_list, required=True)],
+                        [_flag("--n-list", type=_int_list, required=True),
+                         *_config_flags("grid", "trials", "seed")],
                         cmd_bourgain_growth),
     "oscillatory-growth": ("oscillatory growth curve",
                            [_flag("--n-list", type=_int_list, required=True),
-                            *_config_flags("k0")],
+                            *_config_flags("k0", "grid", "trials", "seed")],
                            cmd_oscillatory_growth),
     "single-l": ("single-scale maximal decay in l",
-                 [_flag("--l-list", type=_int_list, required=True)],
+                 [_flag("--l-list", type=_int_list, required=True),
+                  *_config_flags("grid", "trials", "seed")],
                  cmd_single_l),
 }
 
@@ -516,10 +521,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="carlesonlab",
         description="Verification harnesses for the restricted quadratic "
                     "Carleson operator laboratory.",
+        allow_abbrev=False,
     )
     sub = p.add_subparsers(dest="command", required=True)
     for name, (help_text, flags, _) in COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for names, kwargs in flags + _COMMON:
             sp.add_argument(*names, **kwargs)
     return p
@@ -535,7 +541,8 @@ _NEGATIVE_LIST = re.compile(r"-\d+(,-?\d+)+")
 def _joined_lists(argv) -> list:
     """argv (sys.argv[1:] when None) with each list flag joined to a next
     list that starts with a negative entry, as ``--l-list=-3,1``: argparse
-    takes a lone ``-3,1`` for a flag."""
+    takes a lone ``-3,1`` for a flag.  The parser refuses abbreviations,
+    so the full names are every spelling of a list flag."""
     out = []
     for token in sys.argv[1:] if argv is None else argv:
         if out and out[-1] in _LIST_FLAGS and _NEGATIVE_LIST.fullmatch(token):
@@ -545,29 +552,15 @@ def _joined_lists(argv) -> list:
     return out
 
 
-def _worker_count() -> int:
-    """FFT workers from CARLESONLAB_WORKERS (default 1), an integer >= 1."""
-    text = os.environ.get("CARLESONLAB_WORKERS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError("CARLESONLAB_WORKERS must be an integer >= 1, "
-                          f"got {text!r}")
-    return workers
-
-
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(_joined_lists(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        with sfft.set_workers(_worker_count()):
-            cfg = _resolve(args)
-            run = COMMANDS[args.command][2]
-            return _emit(cfg, args.command, run(cfg, args))
+        cfg = _resolve(args)
+        run = COMMANDS[args.command][2]
+        return _emit(cfg, args.command, run(cfg, args))
     except ConvergenceError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return 3

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import shlex
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -164,7 +165,7 @@ class TestCommands:
     def test_maximal_and_norm_probe(self, tmp_path):
         base = tmp_path / "mx"
         assert run(["maximal", "--cantor", "3", "3", "--length", "64",
-                    "--radius", "128", "-o", str(base)]) == 0
+                    "--radius-factor", "2", "-o", str(base)]) == 0
         rep = json.loads((tmp_path / "mx.json").read_text())
         assert rep["l2_ratio"] > 0
         np_base = tmp_path / "np"
@@ -233,23 +234,44 @@ class TestParser:
         assert capsys.readouterr().out == help_out
 
 
+def _takes(command) -> set:
+    """The flags ``command`` takes, each by its first name."""
+    _, flags, _ = COMMANDS[command]
+    return {names[0] for names, _ in flags + _COMMON}
+
+
+def _offered_keys(command) -> set:
+    """The typed config keys (output, None by default, aside) whose flags
+    ``command`` takes."""
+    keys = {flag[2:].replace("-", "_") for flag in _takes(command)}
+    return keys & set(DEFAULTS) - {"output"}
+
+
 class TestFlagTypes:
-    # every (command, flag) whose dest is a typed config key (the default
-    # of output, None, has no type to follow)
-    _CONFIG_FLAGS = [(command, names[0]) for command, (_, flags, _)
-                     in COMMANDS.items() for names, _ in flags + _COMMON
-                     if DEFAULTS.get(names[0][2:].replace("-", "_"))
-                     is not None]
+    # every (command, flag of a typed config key) pair
+    _CONFIG_FLAGS = [(command, "--" + key.replace("_", "-"))
+                     for command in COMMANDS for key in DEFAULTS
+                     if key != "output"]
 
     def test_every_config_key_has_a_flag(self):
-        keys = {flag[2:].replace("-", "_") for _, flag in self._CONFIG_FLAGS}
+        keys = set().union(*map(_offered_keys, COMMANDS))
         assert keys == set(DEFAULTS) - {"output"}
 
     @pytest.mark.parametrize("command, flag", _CONFIG_FLAGS)
-    def test_flag_parses_to_the_default_type(self, command, flag):
+    def test_flag_parses_to_the_default_type(self, capsys, command, flag):
+        # a flag the command offers parses to its default's type; the flag
+        # of a key the command does not read is refused
         key = flag[2:].replace("-", "_")
-        args = cli._PARSER.parse_args([command, *SMALL[command], flag, "3"])
-        assert type(getattr(args, key)) is type(DEFAULTS[key])
+        argv = [command, *SMALL[command], flag, "3"]
+        if key in _offered_keys(command):
+            args = cli._PARSER.parse_args(argv)
+            assert type(getattr(args, key)) is type(DEFAULTS[key])
+        else:
+            with pytest.raises(SystemExit) as exc:
+                cli._PARSER.parse_args(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} 3" \
+                in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, flag", [
         (["bourgain-growth", "--n-list", "2,x", "--grid", "64"], "--n-list"),
@@ -287,14 +309,95 @@ class TestFlagTypes:
 
     def test_config_file_equals_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"qmax": 12, "grid": 64, "trials": 2}')
-        assert run(["gauss", "--config", str(cfg),
-                    "-o", str(tmp_path / "a" / "g")]) == 0
-        assert run(["gauss", "--qmax", "12", "--grid", "64", "--trials", "2",
-                    "-o", str(tmp_path / "b" / "g")]) == 0
+        cfg.write_text('{"grid": 64, "trials": 2, "seed": 3}')
+        argv = ["bourgain-growth", "--n-list", "2,4"]
+        assert run(argv + ["--config", str(cfg),
+                           "-o", str(tmp_path / "a" / "g")]) == 0
+        assert run(argv + ["--grid", "64", "--trials", "2", "--seed", "3",
+                           "-o", str(tmp_path / "b" / "g")]) == 0
         for name in ("g.csv", "g.json"):
             assert (tmp_path / "a" / name).read_bytes() \
                 == (tmp_path / "b" / name).read_bytes(), name
+
+
+class _ReadRecorder(dict):
+    """A resolved config that records each key read from it."""
+
+    def __init__(self, cfg, read: set):
+        super().__init__(cfg)
+        self.read = read
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def _readme_examples() -> list:
+    """argv (after ``carlesonlab``) of each line of README's "Command
+    line" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()
+             if line.strip()]
+    assert all(argv[0] == "carlesonlab" for argv in lines)
+    return [argv[1:] for argv in lines]
+
+
+class TestFlagSurface:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_flags_are_the_keys_read(self, tmp_path, monkeypatch, command):
+        # a small run reads exactly the config keys whose flags the command
+        # offers (output, the artifact path, aside)
+        read = set()
+        resolve = cli._resolve
+        monkeypatch.setattr(cli, "_resolve",
+                            lambda args: _ReadRecorder(resolve(args), read))
+        assert run([command, *SMALL[command],
+                    "-o", str(tmp_path / "x")]) in (0, 1)
+        assert read - {"output"} == _offered_keys(command)
+
+    @pytest.mark.parametrize("argv", [
+        ["single-l", "--l-list", "0,6", "--trials", "1", "--gr", "256"],
+        ["gauss", "--qm", "4"],
+        ["norm-probe", "--cantor", "2", "2", "--lengths", "64",
+         "--radius-f", "2"],
+    ])
+    def test_abbreviated_flags_exit_two(self, tmp_path, capsys, argv):
+        assert run(argv + ["-o", str(tmp_path / "x")]) == 2
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" \
+            in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_abbreviated_list_flag_fails_as_its_joined_form(self, tmp_path,
+                                                            capsys):
+        # both spellings of an abbreviated list flag meet the same refusal
+        errs = []
+        for tokens in (["--l-li", "-3,1"], ["--l-li=-3,1"]):
+            assert run(["single-l", *tokens, "--grid", "256", "--trials", "1",
+                        "-o", str(tmp_path / "x")]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert not list(tmp_path.iterdir())
+
+    def test_radius_flag_is_gone(self, tmp_path, capsys, monkeypatch):
+        # R is radius_factor * length; --radius is neither a flag nor an
+        # abbreviation of --radius-factor
+        def refuse(*args):
+            raise AssertionError("a signal was drawn")
+
+        monkeypatch.setattr(cli, "_gaussian", refuse)
+        assert run(["maximal", "--cantor", "2", "2", "--length", "64",
+                    "--radius", "128", "-o", str(tmp_path / "x")]) == 2
+        assert "unrecognized arguments: --radius 128" \
+            in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", _readme_examples(),
+                             ids=lambda argv: " ".join(argv[:2]))
+    def test_readme_example_parses(self, argv):
+        args = cli._PARSER.parse_args(cli._joined_lists(argv))
+        assert args.command == argv[0]
 
 
 def test_pool_artifacts_match_the_recorded_digests(tmp_path):
@@ -355,9 +458,12 @@ class TestExitCodes:
         assert "qmax must lie in [1, 256], got 257" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    def test_bad_epsilon(self, tmp_path):
-        assert run(["gauss", "--qmax", "4", "--epsilon", "0.5",
+    def test_bad_epsilon(self, tmp_path, capsys):
+        assert run(["multiplier-sample", "--j", "8", "--lam", "0.3",
+                    "--beta", "0.4", "--epsilon", "0.5",
                     "-o", str(tmp_path / "x")]) == 2
+        assert "epsilon must lie in" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_bad_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -389,7 +495,8 @@ class TestExitCodes:
          "--tol", "inf"],
         ["multiplier-sample", "--j", "8", "--lam", "0.3", "--beta", "0.4",
          "--tol", "-1"],
-        ["gauss", "--qmax", "4", "--tol", "nan"],
+        ["approx-error", "--jmin", "8", "--jmax", "9", "--grid", "64",
+         "--tol", "nan"],
     ])
     def test_bad_tol(self, tmp_path, capsys, argv):
         assert run(argv + ["-o", str(tmp_path / "x")]) == 2
@@ -513,14 +620,6 @@ class TestExitCodes:
             assert (f"{key} must lie in [{lo}, {hi}], got {val}"
                     in capsys.readouterr().err)
             assert not out.exists()
-
-    @pytest.mark.parametrize("workers", ["x", "0"])
-    def test_bad_worker_count(self, tmp_path, capsys, monkeypatch, workers):
-        monkeypatch.setenv("CARLESONLAB_WORKERS", workers)
-        assert run(["shell", "--s", "2", "-o", str(tmp_path / "x")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error") and "WORKERS" in err
-        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("lam, beta", [("inf", "0.4"), ("0.3", "-inf"),
                                            ("nan", "0.4")])
@@ -871,7 +970,8 @@ _FUZZ_FLAGS = {
     "cover": ({"--t-exp": _mostly(_ints(1, 6), _ints(-1, 0))},
               {"--den-cap": _mostly(_ints(1, 64), _past("den_cap"))}),
     "maximal": ({"--length": _mostly(_ints(1, 128), _ints(-1, 0))},
-                {"--radius": _mostly(_ints(1, 256), _ints(-1, 0))}),
+                {"--radius-factor": _mostly(_ints(1, 4),
+                                            _past("radius_factor"))}),
     "norm-probe": ({"--lengths": _int_list(1, 128)},
                    {"--radius-factor": _mostly(_ints(1, 4),
                                                _past("radius_factor"))}),
@@ -892,8 +992,9 @@ _FUZZ_COMMON = {
         ["junk.json", "missing.json", *sorted(_PAST_CONFIGS)])),
 }
 
-# drawn in every run: the defaults of these cost more than the fuzz can
-# spend (50 trials; j up to 14 on a 512 grid with 4 boxes per shell)
+# drawn in every run of a command that takes them: the defaults of these
+# cost more than the fuzz can spend (50 trials; j up to 14 on a 512 grid
+# with 4 boxes per shell)
 _BOUNDED = {
     "--trials": _mostly(_ints(1, 2), _past("trials")),
     "--grid": _mostly(st.sampled_from(["64", "256", "1024"]),
@@ -911,17 +1012,24 @@ _BOUNDED_DECAY = {
 _CONFIG = '{"qmax": 4, "trials": 2, "tol": 1e-08}'
 
 
+def test_fuzz_draws_only_flags_the_command_takes():
+    # so that a drawn value reaches its checks, not "unrecognized arguments"
+    for command, (required, optional) in _FUZZ_FLAGS.items():
+        assert {*required, *optional} <= _takes(command), command
+
+
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
     required, optional = _FUZZ_FLAGS[command]
+    takes = _takes(command)
     # one required flag is left out 1 time in 8; other flags 1 time in 2
     dropped = draw(_mostly(st.none(), st.sampled_from(sorted(required))))\
         if required else None
     flags = {f: v for f, v in required.items() if f != dropped}
     flags.update((f, v) for f, v in {**optional, **_FUZZ_COMMON}.items()
-                 if draw(st.booleans()))
-    flags.update(_BOUNDED)
+                 if f in takes and draw(st.booleans()))
+    flags.update((f, v) for f, v in _BOUNDED.items() if f in takes)
     if command == "approx-error":
         flags.update(_BOUNDED_DECAY)
     # --flag=value, so that a value such as -inf is not read as a flag
