@@ -40,8 +40,8 @@ from .arithmetic import (_check_epsilon, _reduced_pairs, enumerate_shell,
                          gauss_rows, odd_q_modulus_deviation)
 from .lambda_sets import (CoverError, cantor_set, certificate_to_json, cover,
                           lambda_set_from_json, lambda_set_to_json)
-from .multiplier import (J_CAP, GridSpec, _shells, big_l_j, decay_report,
-                         l_js, m_j)
+from .multiplier import (J_CAP, GridSpec, _l_j, _shell_sum, _shells,
+                         decay_report, m_j)
 from .operators import (Signal, _conv_size, _gaussian, bourgain_growth_report,
                         carleson_max, norm_probe, oscillatory_growth_report,
                         signal_to_json, single_l_report)
@@ -295,11 +295,11 @@ def _columns(rows: list, *keys) -> tuple:
 
 
 def _load_lambda_set(args):
-    if getattr(args, "cantor", None):
+    if bool(args.cantor) == bool(args.input):
+        raise ConfigError("provide one of --cantor D DEPTH or --input FILE")
+    if args.cantor:
         return cantor_set(*args.cantor)
-    if getattr(args, "input", None):
-        return lambda_set_from_json(Path(args.input).read_text())
-    raise ConfigError("provide --cantor D DEPTH or --input FILE")
+    return lambda_set_from_json(Path(args.input).read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +338,14 @@ def cmd_multiplier_sample(cfg, args) -> Artifacts:
     j, lam, beta = args.j, args.lam, args.beta
     if not (math.isfinite(lam) and math.isfinite(beta)):
         raise ConfigError(f"--lam and --beta must be finite, got {lam}, {beta}")
-    eps, tol = cfg["epsilon"], cfg["tol"]
     mv = m_j(j, lam, beta)
+    shells, tol = _shells(j, cfg["epsilon"]), cfg["tol"]
     return Artifacts(report={
         "j": j, "lam": lam, "beta": beta,
         "m_j": mv,
-        "l_js": {str(s): l_js(j, s, lam, beta, tol) for s in _shells(j, eps)},
-        "e_j": mv - big_l_j(j, lam, beta, eps, tol),
+        "l_js": {str(s): _shell_sum(j, s, lam, beta, shell, tol)
+                 for s, shell in shells.items()},
+        "e_j": mv - _l_j(j, lam, beta, shells, tol),
     })
 
 

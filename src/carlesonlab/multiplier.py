@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft as sfft
@@ -187,20 +188,22 @@ def _chi_radius(s: int) -> float:
     return 0.2 * 10.0 ** (-s)
 
 
-def _h_at_offset(h_at: dict, j: int, dl: float, db: float,
-                 tol: float) -> complex:
+@lru_cache(maxsize=2 ** 12)
+def _h_class(j: int, x: float, y: float, tol: float) -> complex:
+    """H_j at the class (x, y) = (|dl|, |db|), kept for the process; h_j
+    is looked up per miss, so a wrapper bound over it sees each one."""
+    return h_j(j, x, y, tol)
+
+
+def _h_at_offset(j: int, dl: float, db: float, tol: float) -> complex:
     """H_j(j, dl, db, tol), by its symmetry class.
 
     H_j is odd in y and H_j(-x, y) = -conj H_j(x, y), and every path of
     the quadrature keeps both rules bit for bit (up to the sign of a zero
-    part, which no sum that starts from +0 can see).  So ``h_at`` keeps
-    H_j at the class (|dl|, |db|), evaluated once, and the offset's value
-    is read from it: negated when db < 0, then -conj when dl < 0.
+    part, which no sum that starts from +0 can see).  So the value at
+    the class (|dl|, |db|) is negated when db < 0, then -conj when dl < 0.
     """
-    key = (abs(dl), abs(db))
-    h = h_at.get(key)
-    if h is None:
-        h = h_at[key] = h_j(j, *key, tol)
+    h = _h_class(j, abs(dl), abs(db), tol)
     if db < 0.0:
         h = -h
     if dl < 0.0:
@@ -209,13 +212,8 @@ def _h_at_offset(h_at: dict, j: int, dl: float, db: float,
 
 
 def _shell_sum(j: int, s: int, lam: float, beta: float,
-               shell: list[ReducedRational], tol: float,
-               h_at: dict) -> complex:
-    """Sum over ``shell`` of S(r) H_j(lam - A/Q, beta - B/Q) chi_s chi_s.
-
-    ``h_at`` keeps H_j by symmetry class as in _h_at_offset, so a caller
-    that needs H_j in the same class reuses it.
-    """
+               shell: list[ReducedRational], tol: float) -> complex:
+    """Sum over ``shell`` of S(r) H_j(lam - A/Q, beta - B/Q) chi_s chi_s."""
     radius = _chi_radius(s)
     acc = 0.0 + 0.0j
     for r in shell:
@@ -228,7 +226,7 @@ def _shell_sum(j: int, s: int, lam: float, beta: float,
         cut = float(chi_s(s, dl)) * float(chi_s(s, db))
         if cut == 0.0:
             continue
-        acc += gauss_sum(r) * _h_at_offset(h_at, j, dl, db, tol) * cut
+        acc += gauss_sum(r) * _h_at_offset(j, dl, db, tol) * cut
     return complex(acc)
 
 
@@ -238,7 +236,7 @@ def l_js(j: int, s: int, lam: float, beta: float, tol: float = 1e-10) -> complex
     At most one center contributes: the chi_s cutoffs at distinct shell
     rationals are disjointly supported.
     """
-    return _shell_sum(j, s, lam, beta, enumerate_shell(s), tol, {})
+    return _shell_sum(j, s, lam, beta, enumerate_shell(s), tol)
 
 
 def _shells(j: int, epsilon: float) -> dict:
@@ -247,12 +245,11 @@ def _shells(j: int, epsilon: float) -> dict:
             for s in range(1, math.floor(epsilon * j) + 1)}
 
 
-def _l_j(j: int, lam: float, beta: float, shells: dict, tol: float,
-         h_at: dict) -> complex:
-    """L_j over ``shells`` as built by _shells; ``h_at`` as in _shell_sum."""
+def _l_j(j: int, lam: float, beta: float, shells: dict, tol: float) -> complex:
+    """L_j over ``shells`` as built by _shells."""
     acc = 0.0 + 0.0j
     for s, shell in shells.items():
-        acc += _shell_sum(j, s, lam, beta, shell, tol, h_at)
+        acc += _shell_sum(j, s, lam, beta, shell, tol)
     return complex(acc)
 
 
@@ -260,7 +257,7 @@ def big_l_j(j: int, lam: float, beta: float, epsilon: float,
             tol: float = 1e-10) -> complex:
     """L_j = sum of l_js over 1 <= s <= epsilon * j."""
     _check_epsilon(epsilon)
-    return _l_j(j, lam, beta, _shells(j, epsilon), tol, {})
+    return _l_j(j, lam, beta, _shells(j, epsilon), tol)
 
 
 @dataclass(frozen=True)
@@ -381,9 +378,9 @@ def _grid_stage(j: int, epsilon: float, G: int, shells: dict, tol: float):
     """Stage 2: E_j = M_j - L_j on the uniform G x G grid.
 
     L_j vanishes outside the chi_s windows of the decomposition centers,
-    so L_j is evaluated only at the grid points of those windows, with
-    one dict for the call that keeps H_j by symmetry class (_h_at_offset):
-    a window's offsets come in classes of up to four.
+    so L_j is evaluated only at the grid points of those windows; a
+    window's offsets come in symmetry classes of up to four (_h_at_offset),
+    and the same classes recur at every call for that j.
     Returns (E_j indexed [g, h], (sup |E_j|, argmax), sup |L_j| over the
     grid points outside the collected boxes).
     """
@@ -397,10 +394,9 @@ def _grid_stage(j: int, epsilon: float, G: int, shells: dict, tol: float):
                     for c in (r.A / r.Q, r.B / r.Q))
             window[np.ix_(g, h)] = True
     sup_l_off = 0.0
-    h_at = {}
     for g, h in zip(*np.nonzero(window)):
         g, h = int(g), int(h)
-        lval = _l_j(j, g / G, h / G, shells, tol, h_at)
+        lval = _l_j(j, g / G, h / G, shells, tol)
         e[g, h] -= lval
         if abs(lval) > sup_l_off and \
                 not _grid_point_in_major_boxes(g, h, G, j, epsilon):
@@ -420,17 +416,15 @@ def _box_stage(j: int, epsilon: float, centers: list[ReducedRational],
     samples and adds to sup |E_j| over uncovered boxes instead (L_j does
     not reach it, so |E_j| there is of order |S| until eps j reaches its
     shell).  The model's H_j at a sample is H_j(j, dl, db) at the sample's
-    offset (dl, db) from its box center.  One dict for the call keeps every
-    H_j by symmetry class (|dl|, |db|) as in _h_at_offset, for the L_j sums
-    and the model alike, so a class that recurs (the P x P offsets of the
-    boxes of one j largely coincide, and a centered box's offsets pair off
-    in sign) is evaluated once.
+    offset (dl, db) from its box center, read by symmetry class
+    (|dl|, |db|) as in _h_at_offset, for the L_j sums and the model alike:
+    the P x P offsets of the boxes of one j largely coincide, and a
+    centered box's offsets pair off in sign.
 
     Returns ((sup |E_j|, argmax), sup |E_j| uncovered,
     (sup |M_j - S H_j|, argmax)); an argmax is None while its sup is 0.
     """
     dec = {r for shell in shells.values() for r in shell}
-    h_at = {}
     sup_e, arg_e = 0.0, None
     sup_uncovered = 0.0
     sup_major, arg_major = 0.0, None
@@ -443,8 +437,8 @@ def _box_stage(j: int, epsilon: float, centers: list[ReducedRational],
         for lam, dl in zip(lams.tolist(), dls):
             for beta, db in zip(betas.tolist(), dbs):
                 mv = m_j(j, lam, beta)
-                ev = abs(mv - _l_j(j, lam, beta, shells, tol, h_at))
-                err = abs(mv - sgs * _h_at_offset(h_at, j, dl, db, tol))
+                ev = abs(mv - _l_j(j, lam, beta, shells, tol))
+                err = abs(mv - sgs * _h_at_offset(j, dl, db, tol))
                 if err > sup_major:
                     sup_major = err
                     arg_major = (lam, beta, [r.Q, r.A, r.B])
@@ -456,13 +450,13 @@ def _box_stage(j: int, epsilon: float, centers: list[ReducedRational],
     return (sup_e, arg_e), sup_uncovered, (sup_major, arg_major)
 
 
-def _derivative_stage(j: int, epsilon: float, points, tol: float) -> float:
+def _derivative_stage(j: int, shells: dict, points, tol: float) -> float:
     """Stage 4: max |dE_j/dlam| / 4**j by central differences at ``points``."""
     hstep = 2.0 ** (-2 * j - 8)
     dmax = 0.0
     for lam, beta in points:
         b = float(beta)
-        ep, em = (m_j(j, x, b) - big_l_j(j, x, b, epsilon, tol)
+        ep, em = (m_j(j, x, b) - _l_j(j, x, b, shells, tol)
                   for x in (float(lam + hstep), float(lam - hstep)))
         dmax = max(dmax, abs(ep - em) / (2 * hstep))
     return dmax / 4.0 ** j
@@ -521,7 +515,7 @@ def decay_report(j_list, epsilon: float = 0.1, grid: GridSpec | None = None,
             "argmax_major": arg_major,
             "sup_abs_Lj_off_boxes": sup_l_off,
             "n_boxes_sampled": len(sampled),
-            "derivative_ratio": _derivative_stage(j, epsilon, der_points, tol),
+            "derivative_ratio": _derivative_stage(j, shells, der_points, tol),
         })
     out = {
         "epsilon": epsilon,

@@ -124,10 +124,10 @@ def _pointwise_sup(mults, fhat_rows: np.ndarray, out_len: int) -> np.ndarray:
     the last one transformed is skipped, and so is an all-zero one when
     every fhat is finite (0 * inf would be NaN); the result is
     bit-identical to transforming every multiplier.  With two or more
-    rows, the multipliers are transformed in _blocks of rows * n
-    products (with one row, one at a time: measured faster): a batched
-    inverse FFT is bit-equal to one per multiplier, and a max over
-    non-negative values (or NaN) does not depend on its order.
+    rows or one array of them, the multipliers go in _blocks of rows * n
+    products (one row of lazily built ones, one at a time: faster): a
+    batched inverse FFT is bit-equal to one per multiplier, and a max
+    over non-negative values (or NaN) does not depend on its order.
     """
     rows, n = fhat_rows.shape
     sup = np.zeros((rows, out_len))
@@ -143,7 +143,8 @@ def _pointwise_sup(mults, fhat_rows: np.ndarray, out_len: int) -> np.ndarray:
                 prev = raw
                 yield mult
 
-    blocks = _blocks(kept(), rows * n) if rows > 1 else ([m] for m in kept())
+    batch = rows > 1 or isinstance(mults, np.ndarray)
+    blocks = _blocks(kept(), rows * n) if batch else ([m] for m in kept())
     for block in blocks:
         _fold_sup(sup, block, fhat_rows, out_len)
     return sup
@@ -344,17 +345,20 @@ def bourgain_growth_report(n_list, G: int, trials: int, seed: int) -> dict:
             mults = _bourgain_multipliers(theta, lams, G)
             sig = _gaussian(rng, (per_draw, G))
             # adversarial rows: spectrum piled on the theta modes, where
-            # every multiplier in the grid is close to 1
+            # every multiplier in the grid is close to 1; off those modes
+            # they vanish, so they meet only the multipliers' values there
             fhat = sfft.fft(sig, axis=1)
-            aligned = np.zeros_like(fhat)
             cols = (np.round(theta * G).astype(int)) % G
+            aligned, at_cols = np.zeros_like(fhat), np.zeros_like(mults)
             aligned[:, cols] = fhat[:, cols] + 1.0
-            fhat_all = np.concatenate([fhat, aligned], axis=0)
+            at_cols[:, cols] = mults[:, cols]
+            sups = np.concatenate([_sup_ratio(mults, fhat),
+                                   _sup_ratio(at_cols, aligned)])
             norms = np.concatenate([
                 np.linalg.norm(sig, axis=1),
                 np.linalg.norm(aligned, axis=1) / math.sqrt(G),
             ])
-            ratios = _sup_ratio(mults, fhat_all) / np.where(norms == 0, 1, norms)
+            ratios = sups / np.where(norms == 0, 1, norms)
             best = max(best, float(ratios.max()))
         rows.append(_growth_row(N, best))
     return {"G": G, "seed": seed, "trials": trials,

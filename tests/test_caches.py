@@ -1,4 +1,4 @@
-"""The package's memos: bit-identical values, read-only arrays, byte bounds."""
+"""The package's memos: bit-identical values, read-only arrays, bounds."""
 
 import importlib
 import pkgutil
@@ -33,6 +33,7 @@ POINTS = [(j, lam, beta) for lam, beta in ((0.3, 0.7), (0.25 + 1e-7, 0.5 - 3e-5)
 def clear_all():
     for cache in MEMOS:
         cache.cache_clear()
+    mult._h_class.cache_clear()
 
 
 def stored_bytes(cache: BoundedCache) -> int:
@@ -139,3 +140,19 @@ class TestMemoBounds:
         for cache in MEMOS:
             assert stored_bytes(cache) == cache.nbytes <= cache.max_bytes
             assert len(cache._data) <= cache.max_entries
+
+    def test_h_class_memo_holds_at_most_its_cap(self):
+        # one more class than the cap evicts the least recently used one,
+        # which then misses again; the entries are H_j values themselves
+        cap = mult._h_class.cache_info().maxsize
+        assert cap == 2 ** 12
+        mult._h_class.cache_clear()
+        ys = [i * 2.0 ** -20 for i in range(cap + 1)]
+        for y in ys:
+            mult._h_class(12, 0.0, y, 1e-10)
+        info = mult._h_class.cache_info()
+        assert (info.currsize, info.misses) == (cap, cap + 1)
+        assert mult._h_class(12, 0.0, ys[0], 1e-10) == \
+            osc.h_j(12, 0.0, ys[0], 1e-10)
+        info = mult._h_class.cache_info()
+        assert (info.currsize, info.misses) == (cap, cap + 2)

@@ -458,6 +458,28 @@ class TestExitCodes:
         assert "qmax must lie in [1, 256], got 257" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command, rest", [
+        ("cover", ["--t-exp", "2"]),
+        ("maximal", ["--length", "32"]),
+        ("norm-probe", ["--lengths", "64", "--trials", "2"]),
+    ])
+    def test_exactly_one_lambda_source(self, tmp_path, capsys, command, rest):
+        # --cantor with --input (a missing file, or a readable one), or
+        # neither, exits 2 with no artifact; each alone runs
+        lam = tmp_path / "lam.json"
+        lam.write_text(lambda_set_to_json(cantor_set(2, 3)))
+        out = tmp_path / "out"
+        argv = [command, *rest, "-o", str(out / "x")]
+        for source in (["--cantor", "2", "3", "--input",
+                        str(tmp_path / "missing.json")],
+                       ["--cantor", "2", "3", "--input", str(lam)], []):
+            assert run(argv + source) == 2
+            assert "provide one of --cantor D DEPTH or --input FILE" \
+                in capsys.readouterr().err
+            assert not out.exists()
+        assert run(argv + ["--cantor", "2", "3"]) == 0
+        assert run(argv + ["--input", str(lam)]) == 0
+
     def test_bad_epsilon(self, tmp_path, capsys):
         assert run(["multiplier-sample", "--j", "8", "--lam", "0.3",
                     "--beta", "0.4", "--epsilon", "0.5",

@@ -29,19 +29,20 @@ EXPORTS = {
     "psi": ("reached", "the psi-hat table and psi_k"),
     "psi_k": ("reached", "m_j weights and h_row samples"),
     "chi": ("reached", "chi_s"),
-    "chi_s": ("reached", "l_js cutoffs: multiplier-sample, approx-error"),
+    "chi_s": ("reached", "L_j cutoffs: multiplier-sample, approx-error"),
     "phi_hat": ("reached", "growth-report multipliers: bourgain-growth, "
                            "oscillatory-growth"),
     # oscillatory
     "ConvergenceError": ("plumbing", "non-convergence exits 3"),
-    "h_j": ("reached", "l_js and decay_report: criteria 04/05, bench decay"),
+    "h_j": ("reached", "multiplier-sample and decay_report: criteria "
+                       "04/05, bench decay"),
     "h_scaled": ("oracle", "oscillatory.h_row"),
     "h_row": ("reached", "single-l, oscillatory-growth: criterion 10"),
     "psi_hat": ("reached", "h_j's X = 0 path and dual path; bench setup"),
     # arithmetic
     "ReducedRational": ("plumbing", "the shell rationals A/Q, B/Q"),
     "MajorBox": ("oracle", "multiplier._grid_point_in_major_boxes"),
-    "enumerate_shell": ("reached", "shell command; l_js"),
+    "enumerate_shell": ("reached", "shell command; L_j's shells"),
     "shell_size": ("oracle", "arithmetic.enumerate_shell"),
     "gauss_sum": ("oracle", "arithmetic.gauss_rows"),
     "gauss_row": ("plumbing", "no code in src calls it; bench/tracer.py's "
@@ -63,9 +64,12 @@ EXPORTS = {
     "m_j": ("reached", "multiplier-sample, decay_report"),
     "m_j_grid": ("reached", "decay_report's grid stage"),
     "m_j_rational_oracle": ("oracle", "multiplier.m_j"),
-    "l_js": ("reached", "multiplier-sample"),
-    "big_l_j": ("reached", "multiplier-sample, decay_report's derivative "
-                           "stage"),
+    "l_js": ("plumbing", "the shell-s term of L_j at one point; "
+                         "multiplier-sample and decay_report sum the same "
+                         "term over shells enumerated once"),
+    "big_l_j": ("plumbing", "L_j at one point, as multiplier-sample's E_j "
+                            "sums it; bench/tracer.py's TRACED wraps it by "
+                            "name for the multiplier.big_l_j.* metrics"),
     "decay_report": ("reached", "approx-error, criteria 04/05, bench decay"),
     "frac_part_exact": ("reached", "m_j's exact phase reduction"),
     # lambda_sets

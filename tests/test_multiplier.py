@@ -425,15 +425,21 @@ class TestDecayStages:
 
     def test_grid_stage_evaluates_h_j_once_per_class(self, monkeypatch):
         # j = 12, G = 128: the chi_1 window around (0, 0) holds the 5 x 5
-        # points |g|, |h| <= 2, whose offsets fall in 3 x 3 classes
+        # points |g|, |h| <= 2, whose offsets fall in 3 x 3 classes; the
+        # class memo outlives the call, so a second stage evaluates none
         j, eps, G, tol = 12, 0.1, 128, 1e-10
         shells = {1: enumerate_shell(1)}
         plain = _grid_stage(j, eps, G, shells, tol)
+        multiplier._h_class.cache_clear()
         calls = _count_calls(monkeypatch, "h_j")
         got = _grid_stage(j, eps, G, shells, tol)
         assert sorted(calls) == sorted((j, abs(g) / G, abs(h) / G, tol)
                                        for g in (0, 1, 2) for h in (0, 1, 2))
         assert np.array_equal(got[0], plain[0]) and got[1:] == plain[1:]
+        del calls[:]
+        again = _grid_stage(j, eps, G, shells, tol)
+        assert calls == []
+        assert np.array_equal(again[0], plain[0]) and again[1:] == plain[1:]
 
     def test_box_stage_evaluates_h_j_once_per_class(self, monkeypatch):
         # the decomposition center (1, 0, 0): its 3 x 3 samples and their
@@ -445,10 +451,13 @@ class TestDecayStages:
         lams, betas = _box_samples(j, eps, r, 3)
         classes = {(abs(float(dl)), abs(float(db)))
                    for dl in torus_delta(lams) for db in torus_delta(betas)}
+        multiplier._h_class.cache_clear()
         calls = _count_calls(monkeypatch, "h_j")
         assert _box_stage(*args) == plain
         assert sorted(calls) == sorted((j, x, y, tol) for x, y in classes)
         assert len(calls) == 6
+        del calls[:]
+        assert _box_stage(*args) == plain and calls == []
 
     def test_box_stage_evaluates_h_j_once_per_class_across_boxes(
             self, monkeypatch):
@@ -460,7 +469,7 @@ class TestDecayStages:
         centers = [ReducedRational(3, 1, 1), ReducedRational(5, 2, 3)]
         classes = set()
         (sup_major, arg_major), sup_uncovered = (0.0, None), 0.0
-        # the same loop without the dict: H_j evaluated at every sample
+        # the same loop without the memo: H_j evaluated at every sample
         for r in centers:
             lams, betas = _box_samples(j, eps, r, strata)
             for lam in lams.tolist():
@@ -475,11 +484,15 @@ class TestDecayStages:
                         arg_major = (lam, beta, [r.Q, r.A, r.B])
                     sup_uncovered = max(sup_uncovered, abs(
                         mv - big_l_j(j, lam, beta, eps, tol)))
+        multiplier._h_class.cache_clear()
         calls = _count_calls(monkeypatch, "h_j")
         got = _box_stage(j, eps, centers, shells, 5, strata, tol)
         assert sorted(calls) == sorted((j, x, y, tol) for x, y in classes)
         assert len(classes) == 6
         assert got == ((0.0, None), sup_uncovered, (sup_major, arg_major))
+        del calls[:]
+        assert _box_stage(j, eps, centers, shells, 5, strata, tol) == got
+        assert calls == []
 
     def test_phase_reductions_once_per_box_and_derivative_point(
             self, monkeypatch):
@@ -508,10 +521,19 @@ class TestDecayStages:
         points = np.random.default_rng(3).random((4, 2))
         hstep = 2.0 ** (-2 * j - 8)
         del lam_calls[:], beta_calls[:]
-        _derivative_stage(j, eps, points, tol)
+        _derivative_stage(j, shells, points, tol)
         assert [a[0] for a in lam_calls] == \
             [float(lam + s * hstep) for lam, _ in points for s in (1, -1)]
         assert [a[0] for a in beta_calls] == [float(b) for _, b in points]
+
+    def test_decay_report_enumerates_each_shell_once_per_j(self,
+                                                            monkeypatch):
+        # the four stages share the shells of a j, the derivative probe
+        # included
+        calls = _count_calls(monkeypatch, "enumerate_shell")
+        decay_report([10, 11], grid=GridSpec(G=64, strata=3),
+                     n_derivative_samples=3, boxes_per_shell=1)
+        assert calls == [(1,), (1,)]
 
     def test_report_equals_pointwise_h_j(self, monkeypatch):
         # every stage, with H_j evaluated at each offset instead of read
@@ -520,7 +542,7 @@ class TestDecayStages:
                   n_derivative_samples=4, boxes_per_shell=1, seed=11)
         by_class = decay_report(range(10, 13), **kw)
         monkeypatch.setattr(multiplier, "_h_at_offset",
-                            lambda h_at, j, dl, db, tol: h_j(j, dl, db, tol))
+                            lambda j, dl, db, tol: h_j(j, dl, db, tol))
         assert repr(decay_report(range(10, 13), **kw)) == repr(by_class)
 
 
@@ -580,7 +602,7 @@ class TestHjSymmetryClass:
         # from +0, so they cannot see it
         X, Y = point
         x, y, tol = math.ldexp(X, -2 * j), math.ldexp(Y, -j), 1e-10
-        got = multiplier._h_at_offset({}, j, x, y, tol)
+        got = multiplier._h_at_offset(j, x, y, tol)
         assert _unsigned_zero_bits(got) == _unsigned_zero_bits(h_j(j, x, y, tol))
 
 
@@ -664,3 +686,12 @@ def test_multiplier_sample_evaluates_m_j_once(tmp_path, monkeypatch, j, lam,
     assert [read(v) for v in rep["l_js"].values()] == \
         [repr(v) for v in by_shell]
     assert any(by_shell)
+
+
+def test_multiplier_sample_enumerates_each_shell_once(tmp_path, monkeypatch):
+    # shells 1 and 2 at j = 20: the l_js and E_j sums share one
+    # enumeration of each
+    calls = _count_calls(monkeypatch, "enumerate_shell")
+    assert cli.main(["multiplier-sample", "--j", "20", "--lam", "0.5011",
+                     "--beta", "0.4993", "-o", str(tmp_path / "p")]) == 0
+    assert calls == [(1,), (2,)]

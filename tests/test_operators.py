@@ -262,12 +262,14 @@ class TestPointwiseSup:
             assert blocks == [8, 8, 3]
             ref = _sup_of_every_multiplier(mults, fhat, out_len)
             assert got.tobytes() == ref.tobytes()
-        # one row keeps blocks of one
-        del blocks[:]
-        got = _pointwise_sup(mults, fhat[:1], n)
-        assert blocks == [1] * 19
-        assert got.tobytes() == _sup_of_every_multiplier(
-            mults, fhat[:1], n).tobytes()
+        # one row keeps blocks of one, unless the multipliers are one
+        # array: then 32 of 4096 points fit a block, so all 19 go in one
+        for given, want in ((mults, [1] * 19), (np.array(mults), [19])):
+            del blocks[:]
+            got = _pointwise_sup(given, fhat[:1], n)
+            assert blocks == want
+            assert got.tobytes() == _sup_of_every_multiplier(
+                mults, fhat[:1], n).tobytes()
 
 
 def _norm_probe_per_trial(lam_values, lengths, trials, seed,
@@ -396,6 +398,27 @@ class TestBourgainProbe:
         for lam, mult in zip(lams, got):
             assert mult.tobytes() \
                 == np.sum(phi_hat(lam * d), axis=0).tobytes(), lam
+
+    @pytest.mark.parametrize("N, seed", [(2, 5), (8, 6), (32, 7)])
+    def test_aligned_rows_need_the_multipliers_at_their_modes_only(self, N,
+                                                                   seed):
+        # the report's aligned rows vanish off the theta modes, so their
+        # sups against the multipliers zeroed off those modes (at_cols,
+        # whose all-zero rows are skipped) are their sups against the
+        # full multipliers, bit for bit
+        G = 256
+        rng = np.random.default_rng(seed)
+        theta = operators._separated_theta(N, rng)
+        lams = operators._dyadic_lambdas(
+            1.0 / operators._theta_separation(theta), 4.0 * G)
+        mults = _bourgain_multipliers(theta, lams, G)
+        fhat = sfft.fft(rng.standard_normal((3, G)), axis=1)
+        cols = np.round(theta * G).astype(int) % G
+        aligned, at_cols = np.zeros_like(fhat), np.zeros_like(mults)
+        aligned[:, cols] = fhat[:, cols] + 1.0
+        at_cols[:, cols] = mults[:, cols]
+        assert _pointwise_sup(at_cols, aligned, G).tobytes() \
+            == _pointwise_sup(mults, aligned, G).tobytes()
 
     def test_growth_report_runs(self, monkeypatch):
         monkeypatch.setattr(operators, "_THETA_DRAWS", 2)
