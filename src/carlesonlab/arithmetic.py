@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
-import scipy.fft as sfft
 
 __all__ = [
     "ReducedRational",
@@ -151,7 +150,7 @@ def gauss_rows(A, Q: int) -> np.ndarray:
     n = np.arange(Q, dtype=np.int64)
     roots = np.exp(2j * np.pi * n / Q)
     a = np.asarray(A, dtype=np.int64).reshape(-1, 1)
-    return sfft.fft(roots[(a * ((n * n) % Q)) % Q], axis=1) / Q
+    return np.fft.fft(roots[(a * ((n * n) % Q)) % Q], axis=1) / Q
 
 
 def gauss_row(A: int, Q: int) -> np.ndarray:

@@ -27,7 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as sfft
 
 from ._memo import BoundedCache
 from .arithmetic import (ReducedRational, _check_epsilon, _collected_qmax,
@@ -165,7 +164,7 @@ def m_j_grid(j: int, G: int) -> np.ndarray:
     is a 2-D transform of the mass binned by (m^2 mod G, m mod G):
     M[g, h] = sum_{a,b} T[a, b] e(ga/G) e(-hb/G).
     """
-    if G & (G - 1):
+    if G < 1 or G & (G - 1):
         raise ValueError(f"G must be a power of two, got {G}")
     if not 0 <= j <= J_CAP:
         raise ValueError(f"j must lie in [0, {J_CAP}], got {j}")
@@ -176,7 +175,17 @@ def m_j_grid(j: int, G: int) -> np.ndarray:
     idx = np.concatenate([a * G + b_pos, a * G + b_neg])
     vals = np.concatenate([w, -w])
     t = np.bincount(idx, weights=vals, minlength=G * G).reshape(G, G)
-    return sfft.fft(sfft.ifft(t, axis=0) * G, axis=1)
+    # the inverse transform of the real table along axis 0 is the conjugate
+    # of its forward real transform, scaled by 1/G, with the rows past G/2
+    # filled by Hermitian symmetry: half the work of a complex inverse, and
+    # bit-equal to scipy.fft.ifft's real-input path, from which a complex
+    # inverse of the table differs in the last bit
+    half = G // 2 + 1
+    out = np.empty((G, G), dtype=complex)
+    np.conj(np.fft.rfft(t, axis=0, norm="forward"), out=out[:half])
+    np.conj(out[G - half:0:-1], out=out[half:])
+    out *= G
+    return np.fft.fft(out, axis=1, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-import scipy.fft as sfft
 
 from .bumps import phi_hat
 from .multiplier import _frac_lam_msq, _log2_slope
@@ -82,21 +83,40 @@ def kernel_taps(lam: float, R: int) -> np.ndarray:
     return taps
 
 
+@cache
+def _fast_lengths() -> list[int]:
+    """Every 2^a 3^b 5^c 7^d 11^e <= SIZE_CAP, ascending: the lengths whose
+    FFT factors into pocketfft's fast radices."""
+    lengths = [1]
+    for p in (2, 3, 5, 7, 11):
+        for x in list(lengths):
+            while (x := x * p) <= SIZE_CAP:
+                lengths.append(x)
+    return sorted(lengths)
+
+
+def _next_fast_len(n: int) -> int:
+    """The smallest 11-smooth length >= n, for 1 <= n <= SIZE_CAP
+    (scipy.fft.next_fast_len(n) for complex input)."""
+    lengths = _fast_lengths()
+    return lengths[bisect_left(lengths, n)]
+
+
 def _conv_size(L: int, R: int) -> tuple[int, int]:
     """(out_len, n): the linear-convolution length L + 2R and the cyclic FFT
     length that holds it; raises past SIZE_CAP."""
     out_len = L + 2 * R
     if out_len > SIZE_CAP:
         raise ValueError(f"output length {out_len} exceeds cap {SIZE_CAP}")
-    return out_len, sfft.next_fast_len(out_len)
+    return out_len, _next_fast_len(out_len)
 
 
 def apply_kernel(f: Signal, lam: float, R: int) -> Signal:
     """Exact linear convolution with the truncated kernel via cyclic FFT."""
     out_len, n = _conv_size(len(f.samples), R)
-    fh = sfft.fft(f.samples, n)
-    kh = sfft.fft(kernel_taps(lam, R), n)
-    conv = sfft.ifft(fh * kh)[:out_len]
+    fh = np.fft.fft(f.samples, n)
+    kh = np.fft.fft(kernel_taps(lam, R), n)
+    conv = np.fft.ifft(fh * kh)[:out_len]
     return Signal(samples=conv, origin=f.origin - R)
 
 
@@ -153,11 +173,10 @@ def _pointwise_sup(mults, fhat_rows: np.ndarray, out_len: int) -> np.ndarray:
 def _fold_sup(sup: np.ndarray, mults: list, fhat_rows: np.ndarray,
               out_len: int) -> None:
     """sup = max(sup, |F^-1(mult * fhat)|) over ``mults``, in place."""
-    # the product stays a temporary: kept under a name through the
-    # transform, a 40 x 8192 block of one ran twice as long
-    vals = np.abs(sfft.ifft(
-        fhat_rows[None, :, :] * np.stack(mults)[:, None, :], axis=-1,
-        overwrite_x=True)[:, :, :out_len])
+    # the inverse is written over the product (out=): into a fresh array,
+    # numpy.fft ran slower
+    prod = fhat_rows[None, :, :] * np.stack(mults)[:, None, :]
+    vals = np.abs(np.fft.ifft(prod, axis=-1, out=prod)[:, :, :out_len])
     for mult_vals in vals:
         np.maximum(sup, mult_vals, out=sup)
 
@@ -172,8 +191,8 @@ def carleson_max(f: Signal, lam_values, R: int) -> Signal:
     lams = _lambda_floats(lam_values)
     out_len, n = _conv_size(len(f.samples), R)
     best = _pointwise_sup(
-        (sfft.fft(kernel_taps(float(lam), R), n) for lam in lams),
-        sfft.fft(f.samples, n)[None, :], out_len)[0]
+        (np.fft.fft(kernel_taps(float(lam), R), n) for lam in lams),
+        np.fft.fft(f.samples, n)[None, :], out_len)[0]
     return Signal(samples=best.astype(complex), origin=f.origin - R)
 
 
@@ -217,13 +236,14 @@ def norm_probe(lam_values, lengths, trials: int, seed: int,
     rng = np.random.default_rng(seed)
     rows = []
     for L, R, (out_len, n) in zip(lengths, radii, sizes):
-        kernel_hats = [sfft.fft(kernel_taps(float(lam), R), n) for lam in lams]
+        kernel_hats = [np.fft.fft(kernel_taps(float(lam), R), n)
+                       for lam in lams]
         # the ratios are read in trial order, so the first maximum keeps
         # its family
         best = 0.0
         best_family = None
         for chunk in _blocks(_trial_signals(L, lams, trials, rng), n):
-            fhat = sfft.fft(np.stack([sig for _, sig in chunk]), n, axis=1)
+            fhat = np.fft.fft(np.stack([sig for _, sig in chunk]), n, axis=1)
             sups = _pointwise_sup(kernel_hats, fhat, out_len)
             for (family, sig), sup in zip(chunk, sups):
                 ratio = float(np.linalg.norm(sup) / np.linalg.norm(sig))
@@ -278,7 +298,7 @@ def _bourgain_multipliers(theta: np.ndarray, lams, G: int) -> np.ndarray:
     once for all lam; the tables are built in _blocks of lam * d, each
     summed over n in order as a single table is.
     """
-    d = torus_delta(sfft.fftfreq(G)[None, :] - theta[:, None])
+    d = torus_delta(np.fft.fftfreq(G)[None, :] - theta[:, None])
     return np.concatenate([
         np.sum(phi_hat(np.array(block, dtype=float)[:, None, None] * d),
                axis=1)
@@ -293,7 +313,7 @@ def _oscillatory_multipliers(theta: np.ndarray, tau: float, k0: int,
     Every scale's rows come from one _h_rows call; the sums run in the
     per-lam order (k, then n).
     """
-    window = phi_hat(tau * sfft.fftfreq(G))
+    window = phi_hat(tau * np.fft.fftfreq(G))
     shifts = [int(round(th * G)) % G for th in theta]
     base = np.zeros((len(lams), G), dtype=complex)
     for k in range(k0, k_max + 1):
@@ -347,7 +367,7 @@ def bourgain_growth_report(n_list, G: int, trials: int, seed: int) -> dict:
             # adversarial rows: spectrum piled on the theta modes, where
             # every multiplier in the grid is close to 1; off those modes
             # they vanish, so they meet only the multipliers' values there
-            fhat = sfft.fft(sig, axis=1)
+            fhat = np.fft.fft(sig, axis=1)
             cols = (np.round(theta * G).astype(int)) % G
             aligned, at_cols = np.zeros_like(fhat), np.zeros_like(mults)
             aligned[:, cols] = fhat[:, cols] + 1.0
@@ -387,7 +407,7 @@ def oscillatory_growth_report(n_list, G: int, k0: int, trials: int,
         lams = _dyadic_lambdas(tau * tau / 16.0, tau * tau)
         mults = _oscillatory_multipliers(theta, tau, k0, k_max, lams, G)
         sig = _gaussian(rng, (trials, G))
-        ratios = _sup_ratio(mults, sfft.fft(sig, axis=1)) \
+        ratios = _sup_ratio(mults, np.fft.fft(sig, axis=1)) \
             / np.linalg.norm(sig, axis=1)
         rows.append(_growth_row(N, float(ratios.max()), tau=tau))
     return {"G": G, "k0": k0, "k_max": k_max, "seed": seed,
@@ -408,7 +428,7 @@ def single_l_report(l_list, G: int, trials: int, seed: int) -> dict:
     k_hi = int(math.log2(G)) - 2
     rng = np.random.default_rng(seed)
     sig = _gaussian(rng, (trials, G))
-    fhat = sfft.fft(sig, axis=1)
+    fhat = np.fft.fft(sig, axis=1)
     norms = np.linalg.norm(sig, axis=1)
     rows = []
     for l in sorted(int(x) for x in l_list):

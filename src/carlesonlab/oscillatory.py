@@ -29,7 +29,6 @@ from functools import cache, lru_cache
 from itertools import islice
 
 import numpy as np
-import scipy.fft as sfft
 
 from ._memo import BoundedCache
 from .bumps import psi, psi_k
@@ -82,9 +81,10 @@ class _PsiHatTable:
         buf = np.zeros(nfft, dtype=complex)
         idx = (np.arange(n) - n // 2) % nfft
         buf[idx] = vals
-        spec = sfft.fft(buf) * dt
+        np.fft.fft(buf, out=buf)
+        buf *= dt
         self.du = 1.0 / (nfft * dt)
-        self.imag = spec.imag[:nfft // 2].copy()   # psi-hat = 1j * imag, odd
+        self.imag = buf.imag[:nfft // 2].copy()   # psi-hat = 1j * imag, odd
         # effective support: beyond u_cut the transform is below 5e-16
         above = np.nonzero(np.abs(self.imag) > 5e-16)[0]
         self.u_cut = (above[-1] + 1) * self.du if len(above) else 0.0
@@ -270,7 +270,7 @@ def h_row(k: int, lam: float, G: int) -> np.ndarray:
     """H_k(lam, xi) for all grid frequencies xi_g, FFT layout.
 
     ``xi_g = g/G`` for ``g < G/2`` and ``(g-G)/G`` for ``g >= G/2``; the
-    result aligns index-by-index with ``scipy.fft.fft`` of a length-G
+    result aligns index-by-index with ``numpy.fft.fft`` of a length-G
     signal.  The integral is evaluated by trapezoid summation of the
     chirp at ``_H_ROW_OVERSAMPLE`` times its bandwidth; the integrand is
     smooth and compactly supported, so the only error is spectral aliasing.
@@ -321,7 +321,9 @@ def _h_rows(k: int, lams, G: int) -> np.ndarray:
             # written last: at 2^(k+1) = G, n = half shares its index with
             # n = -half (both samples are +-0, as psi_k vanishes at 2^k)
             buf[:, :half + 1] = chirp * psi_t * h
-            spec = sfft.fft(buf, axis=1)
-            out[idx, :half_g] = spec[:, :half_g]
-            out[idx, half_g:] = spec[:, nfft - G + half_g:]
+            # in place: into a fresh array, numpy.fft ran slower at these
+            # lengths
+            np.fft.fft(buf, axis=1, out=buf)
+            out[idx, :half_g] = buf[:, :half_g]
+            out[idx, half_g:] = buf[:, nfft - G + half_g:]
     return out

@@ -203,6 +203,12 @@ class TestMj:
             ref = m_j(9, 37 / G, h / G)
             assert abs(grid[37, h] - ref) <= 1e-10
 
+    @pytest.mark.parametrize("G", [0, -1, -4, 3, 96])
+    def test_grid_size_not_a_power_of_two_is_rejected(self, G):
+        # 0 & -1 == 0: a bare bit test lets G = 0 through to the transform
+        with pytest.raises(ValueError, match="must be a power of two"):
+            m_j_grid(9, G)
+
 
 class TestLjs:
     def test_far_from_rationals_vanishes(self):
