@@ -25,7 +25,6 @@ from .arithmetic import (
 from .multiplier import (
     GridSpec,
     decay_report,
-    l_js,
     m_j,
     m_j_grid,
 )

@@ -80,11 +80,6 @@ class ReducedRational:
         if gcd(gcd(self.A, self.B), self.Q) != 1:
             raise ValueError(f"gcd(A, B, Q) != 1 for {self!r}")
 
-    @property
-    def shell(self) -> int:
-        """s with 2**(s-1) <= Q < 2**s."""
-        return self.Q.bit_length()
-
 
 def _reduced_pairs(q: int) -> tuple[np.ndarray, np.ndarray]:
     """The (a, b) with 0 <= a, b < q and gcd(a, b, q) = 1, row-major."""

@@ -40,7 +40,6 @@ __all__ = [
     "m_j",
     "m_j_grid",
     "m_j_rational_oracle",
-    "l_js",
     "big_l_j",
     "decay_report",
     "frac_part_exact",
@@ -222,7 +221,9 @@ def _h_at_offset(j: int, dl: float, db: float, tol: float) -> complex:
 
 def _shell_sum(j: int, s: int, lam: float, beta: float,
                shell: list[ReducedRational], tol: float) -> complex:
-    """Sum over ``shell`` of S(r) H_j(lam - A/Q, beta - B/Q) chi_s chi_s."""
+    """Sum over ``shell`` of S(r) H_j(lam - A/Q, beta - B/Q) chi_s chi_s:
+    the shell-s term of L_j, to which at most one center contributes (the
+    chi_s cutoffs at distinct shell rationals are disjointly supported)."""
     radius = _chi_radius(s)
     acc = 0.0 + 0.0j
     for r in shell:
@@ -237,15 +238,6 @@ def _shell_sum(j: int, s: int, lam: float, beta: float,
             continue
         acc += gauss_sum(r) * _h_at_offset(j, dl, db, tol) * cut
     return complex(acc)
-
-
-def l_js(j: int, s: int, lam: float, beta: float, tol: float = 1e-10) -> complex:
-    """Shell-s major-arc approximant at (lam, beta).
-
-    At most one center contributes: the chi_s cutoffs at distinct shell
-    rationals are disjointly supported.
-    """
-    return _shell_sum(j, s, lam, beta, enumerate_shell(s), tol)
 
 
 def _shells(j: int, epsilon: float) -> dict:
@@ -264,7 +256,7 @@ def _l_j(j: int, lam: float, beta: float, shells: dict, tol: float) -> complex:
 
 def big_l_j(j: int, lam: float, beta: float, epsilon: float,
             tol: float = 1e-10) -> complex:
-    """L_j = sum of l_js over 1 <= s <= epsilon * j."""
+    """L_j = sum of the shell terms over 1 <= s <= epsilon * j."""
     _check_epsilon(epsilon)
     return _l_j(j, lam, beta, _shells(j, epsilon), tol)
 

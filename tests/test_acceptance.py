@@ -1,11 +1,11 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
 Heavy harnesses are shared via module-scoped fixtures.  Runtimes measured
-on a 2-vCPU VM (Python 3.11, numpy 2.4, one FFT worker): the shared decay
-harness behind criteria 4-5 takes ~23 s; criteria 9 and 10 ~16-18 s
-each; criterion 8 ~5 s; criterion 2 ~3 s; criteria 1 (~0.1 s: one
-Gauss row per unit square class), 3, 6, 7 and 11 (which re-runs a set of
-CLI commands twice) about a second or less.
+in two runs on a 2-vCPU VM (Python 3.11, numpy 2.4): the shared decay
+harness behind criteria 4-5 takes 20-26 s; criterion 10 15-18 s;
+criterion 9 13-15 s; criteria 2 and 8 about 4 s each; criteria 1 (0.1 s:
+one Gauss row per unit square class), 3, 6, 7 and 11 (which re-runs a set
+of CLI commands twice) under a second each.
 
 Each verdict is also kept as a record (criterion, name, value,
 threshold, pass); ``conftest.py`` writes the records to

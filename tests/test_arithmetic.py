@@ -1,11 +1,11 @@
 import math
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_oracles import check_row, covered_set_reps
 
 from carlesonlab import arithmetic
 from carlesonlab.arithmetic import (
@@ -23,7 +23,6 @@ from carlesonlab.arithmetic import (
     shell_size,
     square_class_reps,
     torus_delta,
-    torus_dist,
 )
 
 
@@ -35,35 +34,6 @@ def brute_shell(s):
                 if gcd(gcd(a, b), q) == 1:
                     out.append((q, a, b))
     return out
-
-
-def collected_boxes(qmax):
-    """Every reduced triple (Q, A, B) with Q <= qmax, by brute force."""
-    return [t for s in range(1, qmax.bit_length() + 1)
-            for t in brute_shell(s) if t[0] <= qmax]
-
-
-def min_torus_gap(sorted_vals):
-    """Least gap between circularly adjacent points of [0, 1)."""
-    return min(b - a for a, b in zip(sorted_vals,
-                                     sorted_vals[1:] + [sorted_vals[0] + 1]))
-
-
-def covered_set_reps(Q):
-    """Square-class representatives by the loop over every unit: the
-    smallest unit not yet covered starts a class and covers its coset."""
-    if Q == 1:
-        return [0]
-    n = np.arange(Q, dtype=np.int64)
-    units = n[np.gcd(n, Q) == 1]
-    squares = np.unique((units * units) % Q)
-    covered = np.zeros(Q, dtype=bool)
-    reps = []
-    for u in units:
-        if not covered[u]:
-            reps.append(int(u))
-            covered[(u * squares) % Q] = True
-    return reps
 
 
 def per_multiple_beta_centers(q, qmax):
@@ -95,6 +65,8 @@ def all_units_modulus_deviation(qmax):
 
 
 def raw_gauss(A, B, Q):
+    """The defining sum at any integers (A, B, Q), where gauss_sum takes
+    reduced triples only: for the periodicity of the formula itself."""
     r = np.arange(Q, dtype=np.int64)
     phase = (A * r * r - B * r) % Q  # exact integer reduction
     return np.exp(2j * np.pi * phase / Q).sum() / Q
@@ -117,7 +89,7 @@ class TestShells:
 
     @pytest.mark.parametrize("s", range(1, 7))
     def test_shell_size_counts_the_enumeration(self, s):
-        assert shell_size(s) == len(enumerate_shell(s))
+        check_row("arithmetic.enumerate_shell", s)
 
     def test_lexicographic_and_no_duplicates(self):
         got = [(r.Q, r.A, r.B) for r in enumerate_shell(4)]
@@ -136,7 +108,6 @@ class TestReducedRational:
             ReducedRational(2, 0, 0)  # gcd 2
         with pytest.raises(ValueError):
             ReducedRational(4, 5, 1)  # A out of range
-        assert ReducedRational(4, 2, 1).shell == 3
 
 
 class TestGaussSum:
@@ -162,13 +133,11 @@ class TestGaussSum:
         rng = np.random.default_rng(3)
         for _ in range(20):
             q = int(rng.integers(2, 700))
-            a_list = np.unique(rng.integers(0, q, size=4))
+            a_list = np.unique(rng.integers(0, q, size=4)).tolist()
             b = int(rng.integers(0, q))
-            rows = gauss_rows(a_list, q)
-            assert rows.shape == (len(a_list), q)
-            for a, row in zip(a_list.tolist(), rows):
+            for a, row in zip(a_list, gauss_rows(a_list, q)):
                 assert np.array_equal(row, gauss_row(a, q))
-                assert abs(row[b] - raw_gauss(a, b, q)) <= 1e-12
+            check_row("arithmetic.gauss_rows", (q, a_list, [b]))
 
     def test_unit_orbit_invariance(self):
         # S(A u^2, B u, Q) = S(A, B, Q) exactly (index substitution)
@@ -179,8 +148,8 @@ class TestGaussSum:
             a = units[rng.integers(len(units))]
             b = int(rng.integers(0, q))
             u = units[rng.integers(len(units))]
-            s1 = raw_gauss(a, b, q)
-            s2 = raw_gauss((a * u * u) % q, (b * u) % q, q)
+            s1 = gauss_sum(ReducedRational(q, a, b))
+            s2 = gauss_sum(ReducedRational(q, (a * u * u) % q, (b * u) % q))
             assert abs(s1 - s2) <= 1e-12
 
     def test_noncoprime_A_vanishes(self):
@@ -189,7 +158,7 @@ class TestGaussSum:
         # unless d | B, impossible for reduced triples.
         for (a, b, q) in [(2, 1, 4), (3, 1, 9), (6, 5, 8), (10, 3, 25)]:
             assert gcd(gcd(a, b), q) == 1 and gcd(a, q) > 1
-            assert abs(raw_gauss(a, b, q)) <= 1e-12
+            assert abs(gauss_sum(ReducedRational(q, a, b))) <= 1e-12
 
     def test_square_class_reps_cover_units(self):
         for q in (7, 12, 16, 45):
@@ -210,9 +179,8 @@ class TestGaussSum:
 
     def test_square_class_reps_match_covered_set_loop(self):
         # 8 | Q with three or more odd primes: 840, 1320, 2520, 9240
-        for q in list(range(1, 1025)) + [840, 1320, 2047, 2048, 2520, 3465,
-                                         4095, 4096, 9240]:
-            assert square_class_reps(q) == covered_set_reps(q), q
+        check_row("arithmetic.square_class_reps", list(range(1, 1025)) + [
+            840, 1320, 2047, 2048, 2520, 3465, 4095, 4096, 9240])
 
     @pytest.mark.parametrize("q", [45, 63, 64, 105, 243])
     def test_class_rows_are_permutations(self, q):
@@ -366,55 +334,15 @@ class TestBoxScanOracle:
         (14, 0.05), (12, 0.05), (8, 0.1), (7, 0.1), (5, 0.13), (4, 0.13),
     ])
     def test_against_all_pairs(self, j, eps):
-        rep = find_box_overlaps(j, eps)
-        boxes = collected_boxes(rep["qmax"])
-        wl, wb = 2.0 ** ((eps - 2.0) * j), 2.0 ** ((eps - 1.0) * j)
-        q, a, b = np.array(boxes, dtype=np.int64).T
-        lam, beta = a / q, b / q
-        # all ordered pairs, in row blocks; each box overlaps itself once
-        n_overlapping = -len(boxes)
-        for i in range(0, len(boxes), 512):
-            near_l = torus_dist(lam[i:i + 512, None] - lam) <= 2.0 * wl
-            near_b = torus_dist(beta[i:i + 512, None] - beta) <= 2.0 * wb
-            n_overlapping += int(np.count_nonzero(near_l & near_b))
-        assert rep["disjoint"] == (n_overlapping == 0)
-        # exact center geometry
-        by_lambda = {}
-        for Q, A, B in boxes:
-            by_lambda.setdefault(Fraction(A, Q), []).append(Fraction(B, Q))
-        centers = sorted(by_lambda)
-        assert rep["n_lambda_centers"] == len(centers)
-        assert rep["min_lambda_gap"] == pytest.approx(
-            float(min_torus_gap(centers)), rel=1e-12)
-        assert rep["min_beta_gap_same_center"] == pytest.approx(
-            float(min(min_torus_gap(sorted(v)) for v in by_lambda.values())),
-            rel=1e-12)
-        # every witness is a distinct pair of collected, overlapping boxes
-        assert bool(rep["witnesses"]) == (not rep["disjoint"])
-        collected = set(boxes)
-        for (q1, a1, b1), (q2, a2, b2) in rep["witnesses"]:
-            assert {(q1, a1, b1), (q2, a2, b2)} <= collected
-            assert (q1, a1, b1) != (q2, a2, b2)
-            assert torus_dist(a1 / q1 - a2 / q2) <= 2.0 * wl
-            assert torus_dist(b1 / q1 - b2 / q2) <= 2.0 * wb
+        check_row("arithmetic.find_box_overlaps", (j, eps))
 
     @pytest.mark.parametrize("j, eps", [
         (8, 0.1), (10, 0.1), (8, 0.13), (7, 0.12),
     ])
     def test_overlap_count_is_the_per_fraction_sum(self, j, eps):
-        # one beta family per lambda center a/q, built from that center's
-        # own boxes (A, B, Q) = (a Q/q, B, Q) with gcd(A, B, Q) = 1
+        # the count is the sum over the lambda centers of their adjacent
+        # beta pairs within 2 wb, where no two centers lie within 2 wl
         rep = find_box_overlaps(j, eps)
-        qmax, wb = rep["qmax"], rep["half_width_beta"]
         assert rep["min_lambda_gap"] > 2.0 * rep["half_width_lambda"]
-        total = 0
-        for q in range(1, qmax + 1):
-            for a in range(q):
-                if gcd(a, q) != 1:
-                    continue
-                v = np.sort([B / Q for Q in range(q, qmax + 1, q)
-                             for B in range(Q)
-                             if gcd(gcd(a * (Q // q), B), Q) == 1])
-                total += int(np.count_nonzero(
-                    np.diff(np.append(v, v[0] + 1.0)) <= 2.0 * wb))
-        assert rep["n_overlapping_adjacent_pairs"] == total > 0
+        assert rep["n_overlapping_adjacent_pairs"] > 0
+        check_row("arithmetic.find_box_overlaps", (j, eps))

@@ -5,7 +5,8 @@
 * ``reached``: a CLI command, an acceptance criterion or a bench op runs
   it, directly or through the code of another reached name;
 * ``oracle``: an independent slow path kept to check the fast path it
-  names (``module.name``);
+  names (``module.name``), in a row of the oracle table
+  (``test_oracles.ROWS``);
 * ``plumbing``: a type, error, serializer or helper that carries data
   between the reached names.
 
@@ -15,6 +16,8 @@ deleted rather than listed.
 
 import importlib
 import inspect
+
+from test_oracles import ROWS
 
 import carlesonlab
 
@@ -64,9 +67,6 @@ EXPORTS = {
     "m_j": ("reached", "multiplier-sample, decay_report"),
     "m_j_grid": ("reached", "decay_report's grid stage"),
     "m_j_rational_oracle": ("oracle", "multiplier.m_j"),
-    "l_js": ("plumbing", "the shell-s term of L_j at one point; "
-                         "multiplier-sample and decay_report sum the same "
-                         "term over shells enumerated once"),
     "big_l_j": ("plumbing", "L_j at one point, as multiplier-sample's E_j "
                             "sums it; bench/tracer.py's TRACED wraps it by "
                             "name for the multiplier.big_l_j.* metrics"),
@@ -120,6 +120,15 @@ def test_every_class_is_known_and_every_oracle_names_a_fast_path():
                 importlib.import_module(f"carlesonlab.{modname}"), fast)), name
             # a private fast path is not in the table
             assert EXPORTS.get(fast, ("reached",))[0] == "reached", name
+
+
+def test_every_oracle_has_its_row_in_the_oracle_table():
+    pairs = {(fast, row.oracle) for row in ROWS for fast in row.fast}
+    for modname in MODULES:
+        for name in importlib.import_module(f"carlesonlab.{modname}").__all__:
+            kind, fast = EXPORTS[name]
+            if kind == "oracle":
+                assert (fast, f"{modname}.{name}") in pairs, name
 
 
 def test_package_exports_only_module_exports():

@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from test_oracles import check_row
 
 from carlesonlab import lambda_sets
 from carlesonlab.lambda_sets import (
@@ -83,12 +84,10 @@ class TestCover:
         assert cert.max_denominator <= 2.0 * float(cert.t) ** (-1.0 / 3.0)
 
     def test_certificates_reverified_pointwise(self):
-        for D, depth, t in [(2, 5, Fraction(1, 8)), (3, 4, Fraction(2, 2 ** 27)),
-                            (2, 6, Fraction(1, 2 ** 7))]:
-            c = cantor_set(D, depth)
-            cert = cover(c, t)
-            rep = verify_certificate(c, cert)
-            assert rep["ok"], rep
+        check_row("lambda_sets.cover", *[
+            (cantor_set(D, depth), t) for D, depth, t in [
+                (2, 5, Fraction(1, 8)), (3, 4, Fraction(2, 2 ** 27)),
+                (2, 6, Fraction(1, 2 ** 7))]])
 
     def test_explicit_singleton(self):
         e = LambdaSet(points=(Fraction(0),), provenance=("explicit",))

@@ -1,37 +1,33 @@
 import json
 import math
-import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_oracles import check_row
 
 from carlesonlab import cli, multiplier
-from carlesonlab.arithmetic import (MajorBox, ReducedRational, _collected_qmax,
-                                    _half_widths, enumerate_shell, gauss_sum,
-                                    torus_delta, torus_dist)
-from carlesonlab.bumps import chi_s
+from carlesonlab.arithmetic import (ReducedRational, enumerate_shell,
+                                    gauss_sum, torus_delta)
 from carlesonlab.cli import passes
 from carlesonlab.multiplier import (
     GridSpec,
     big_l_j,
     decay_report,
     frac_part_exact,
-    l_js,
     m_j,
     m_j_grid,
-    m_j_rational_oracle,
     _box_samples,
     _box_stage,
     _derivative_stage,
     _frac_lam_msq,
     _limbs,
     _support,
-    _grid_point_in_major_boxes,
     _grid_stage,
     _sample_shell_centers,
+    _shell_sum,
 )
 from carlesonlab.oscillatory import h_j
 
@@ -181,10 +177,7 @@ class TestMj:
         assert abs(a + b) <= 1e-12
 
     def test_rational_phase_oracle(self):
-        lam, beta = 0.25 + 1e-7, 0.5 + 1e-5
-        got = m_j(10, lam, beta)
-        ref = m_j_rational_oracle(10, Fraction(lam), Fraction(beta))
-        assert abs(got - ref) <= 1e-10
+        check_row("multiplier.m_j", (10, 0.25 + 1e-7, 0.5 + 1e-5))
 
     def test_cost_cap(self):
         with pytest.raises(ValueError):
@@ -197,11 +190,8 @@ class TestMj:
             m_j(8, lam, beta)
 
     def test_row_and_grid_match_pointwise(self):
-        G = 128
-        grid = m_j_grid(9, G)
-        for h in (0, 3, 64, 100):
-            ref = m_j(9, 37 / G, h / G)
-            assert abs(grid[37, h] - ref) <= 1e-10
+        check_row("multiplier.m_j_grid",
+                  *[(9, 128, 37, h) for h in (0, 3, 64, 100)])
 
     @pytest.mark.parametrize("G", [0, -1, -4, 3, 96])
     def test_grid_size_not_a_power_of_two_is_rejected(self, G):
@@ -211,21 +201,23 @@ class TestMj:
 
 
 class TestLjs:
+    # the shell-s term of L_j at one point
     def test_far_from_rationals_vanishes(self):
         # both coordinates > (1/5) 10^-s away from every shell rational
-        assert l_js(12, 1, 0.31, 0.47) == 0.0
+        assert _shell_sum(12, 1, 0.31, 0.47, enumerate_shell(1), 1e-10) == 0.0
 
     def test_single_center_equals_hj(self):
-        v = l_js(12, 1, 1e-8, 1e-8)
+        v = _shell_sum(12, 1, 1e-8, 1e-8, enumerate_shell(1), 1e-10)
         ref = h_j(12, 1e-8, 1e-8)
         assert abs(v - ref) <= 1e-10
 
     def test_vanishing_gauss_sum_center(self):
-        assert abs(l_js(12, 2, 0.5 + 1e-8, 1e-8)) <= 1e-15
+        v = _shell_sum(12, 2, 0.5 + 1e-8, 1e-8, enumerate_shell(2), 1e-10)
+        assert abs(v) <= 1e-15
 
     def test_shell_validation(self):
         with pytest.raises(ValueError, match="shell index must be >= 1"):
-            l_js(10, 0, 0.0, 0.0)
+            _shell_sum(10, 0, 0.0, 0.0, enumerate_shell(0), 1e-10)
 
     def test_composition_bound(self):
         # |S * H_j| <= |S| * envelope at box-scale offsets
@@ -242,8 +234,10 @@ class TestRegrouping:
         for lam, beta in [(1e-3, 2e-3), (0.501, 0.499)]:
             by_scale = sum(big_l_j(j, lam, beta, eps) for j in range(1, j_max + 1))
             smax = int(eps * j_max)
-            # shell first: for each s, l_js over s <= eps j <= eps j_max
-            by_shell = sum(l_js(j, s, lam, beta)
+            # shell first: for each s, the shell-s terms over s <= eps j
+            # <= eps j_max
+            by_shell = sum(_shell_sum(j, s, lam, beta, enumerate_shell(s),
+                                      1e-10)
                            for s in range(1, smax + 1)
                            for j in range(math.ceil(s / eps), j_max + 1))
             assert abs(by_scale - by_shell) <= 1e-12
@@ -309,80 +303,23 @@ class TestDecayReport:
         assert a == b
 
 
-def _grid_points_in_boxes(j: int, eps: float, G: int) -> set:
-    """Brute force: every grid point of every box with Q <= qmax, found box
-    by box with MajorBox.contains."""
-    qmax = _collected_qmax(j, eps)
-    wl, wb = _half_widths(j, eps)
-    grid = np.arange(G) / G
-    inside = set()
-    for q in range(1, qmax + 1):
-        for a in range(q):
-            gs = np.nonzero(torus_dist(grid - a / q) <= wl)[0]
-            if len(gs) == 0:
-                continue
-            for b in range(q):
-                if np.gcd.reduce([a, b, q]) != 1:
-                    continue
-                box = MajorBox(ReducedRational(q, a, b), j, eps)
-                hs = np.nonzero(torus_dist(grid - b / q) <= wb)[0]
-                inside.update((int(g), int(h)) for g in gs for h in hs
-                              if box.contains(g / G, h / G))
-    return inside
-
-
 class TestGridMembership:
     @pytest.mark.parametrize("j,eps,G", [(8, 0.13, 512), (10, 0.1, 128)])
     def test_matches_brute_force_box_scan(self, j, eps, G):
         # at (8, 0.13, 512) G * qmax * wl >= 1, so a grid point can sit in a
         # box whose lambda center is not g/G itself; the probes are every
         # point inside, the beta steps just outside, and random points
-        inside = _grid_points_in_boxes(j, eps, G)
-        assert inside
-        rng = np.random.default_rng(j)
-        probes = inside | {(g, (h + dh) % G) for g, h in inside
-                           for dh in (-1, 1)}
-        probes |= {(int(g), int(h)) for g, h in rng.integers(0, G, (2000, 2))}
-        wrong = [p for p in sorted(probes)
-                 if _grid_point_in_major_boxes(*p, G, j, eps) != (p in inside)]
-        assert wrong == []
+        check_row("multiplier._grid_point_in_major_boxes",
+                  (j, eps, G, 2000, None))
 
     @pytest.mark.parametrize("j,eps,G", [(10, 0.1, 128), (12, 0.1, 128),
                                          (14, 0.1, 64), (16, 0.1, 64),
                                          (8, 0.13, 512)])
     def test_candidates_match_the_scalar_loop(self, j, eps, G):
-        # the chi windows around (0, 0), where the decay harness asks, and
-        # random points
-        rng = np.random.default_rng(j)
-        probes = {(g % G, h % G) for g in range(-12, 13)
-                  for h in range(-12, 13)}
-        probes |= {(int(g), int(h)) for g, h in rng.integers(0, G, (1500, 2))}
-        wrong = [p for p in sorted(probes)
-                 if _grid_point_in_major_boxes(*p, G, j, eps)
-                 != _in_major_boxes_loop(*p, G, j, eps)]
-        assert wrong == []
-
-
-def _in_major_boxes_loop(g: int, h: int, G: int, j: int, eps: float) -> bool:
-    """_grid_point_in_major_boxes with one scalar test per candidate
-    (q0, mult, b), returning at the first hit."""
-    qmax = _collected_qmax(j, eps)
-    wl, wb = _half_widths(j, eps)
-    lam = g / G
-    qs = np.arange(1, qmax + 1, dtype=np.int64)
-    nums = np.floor(lam * qs + 0.5).astype(np.int64) % qs
-    near = (np.abs(torus_delta(lam - nums / qs)) <= wl) & \
-        (np.gcd(nums, qs) == 1)
-    beta = h / G
-    for q0 in qs[near].tolist():
-        for mult in range(1, qmax // q0 + 1):
-            q = q0 * mult
-            b0 = math.floor(beta * q)
-            for b in (b0 - 1, b0, b0 + 1, b0 + 2):
-                if abs(torus_delta(beta - b / q)) <= wb and \
-                        math.gcd(b % q, mult) == 1:
-                    return True
-    return False
+        # the candidate search at the chi windows around (0, 0), where the
+        # decay harness asks, and at 1500 random points
+        check_row("multiplier._grid_point_in_major_boxes",
+                  (j, eps, G, 1500, 0))
 
 
 def _sample_by_rejection(s, count, rng):
@@ -566,65 +503,18 @@ def _count_calls(monkeypatch, name: str) -> list:
     return calls
 
 
-def _unsigned_zero_bits(z: complex) -> bytes:
-    """The bits of z's parts, with a zero part taken as +0."""
-    return struct.pack("<dd", z.real + 0.0, z.imag + 0.0)
-
-
-# scaled (X, Y) ranges of each path of the quadrature: X = 0 reads the psi-hat
-# table (zero beyond its cut, about 349), small X the direct panels, and
-# X > 4096 with 4 (X + |Y|) over the direct budget the Fresnel dual; a
-# negative X is the explicit conjugate of the dual or direct value at -X
-_PATH_RANGES = {
-    "table": (st.just(0.0), st.floats(0.0, 600.0)),
-    "direct": (st.floats(2.0 ** -30, 4095.0), st.floats(0.0, 1000.0)),
-    "dual": (st.floats(4097.0, 2.0 ** 20), st.floats(0.0, 2.0 ** 14)),
-}
-
-
-@st.composite
-def _scaled_points(draw):
-    path = draw(st.sampled_from(sorted(_PATH_RANGES)))
-    x_range, y_range = _PATH_RANGES[path]
-    X = math.copysign(draw(x_range), draw(st.sampled_from([1.0, -1.0])))
-    Y = math.copysign(draw(y_range), draw(st.sampled_from([1.0, -1.0])))
-    return X, Y
-
-
 class TestHjSymmetryClass:
     """H_j(x, -y) = -H_j(x, y) and H_j(-x, y) = -conj H_j(x, y) on every
-    path, so _h_at_offset may read an offset's H_j from its class."""
+    path, so _h_at_offset may read an offset's H_j from its class; the
+    oracle table draws the scaled points of each path."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(j=st.integers(0, 20), point=_scaled_points())
-    @example(j=12, point=(0.0, -0.0)).via("both zeros signed")
-    @example(j=12, point=(-0.0, 3.0)).via("table, x = -0")
-    @example(j=12, point=(-100.0, 0.0)).via("direct conjugate, y = 0")
-    @example(j=12, point=(-1e5, -0.0)).via("dual conjugate, y = -0")
-    @example(j=12, point=(0.0, -400.0)).via("table beyond its cut")
-    def test_class_rule_is_h_j(self, j, point):
-        # bit for bit, except that a zero part's sign depends on the path
-        # (H_j(-x, 0) is conj H_j(x, -0.0) there); the decay sums start
-        # from +0, so they cannot see it
-        X, Y = point
-        x, y, tol = math.ldexp(X, -2 * j), math.ldexp(Y, -j), 1e-10
-        got = multiplier._h_at_offset(j, x, y, tol)
-        assert _unsigned_zero_bits(got) == _unsigned_zero_bits(h_j(j, x, y, tol))
-
-
-def _pointwise_shell_sum(j, s, lam, beta, tol):
-    """The shell-s sum with H_j evaluated at each offset itself."""
-    radius = 0.2 * 10.0 ** (-s)
-    acc = 0.0 + 0.0j
-    for r in enumerate_shell(s):
-        dl = float(torus_delta(lam - r.A / r.Q))
-        db = float(torus_delta(beta - r.B / r.Q))
-        if abs(dl) >= radius or abs(db) >= radius:
-            continue
-        cut = float(chi_s(s, dl)) * float(chi_s(s, db))
-        if cut != 0.0:
-            acc += gauss_sum(r) * h_j(j, dl, db, tol) * cut
-    return complex(acc)
+    def test_class_rule_is_h_j(self):
+        check_row("multiplier._h_at_offset",
+                  (12, 0.0, -0.0),      # both zeros signed
+                  (12, -0.0, 3.0),      # table, x = -0
+                  (12, -100.0, 0.0),    # direct conjugate, y = 0
+                  (12, -1e5, -0.0),     # dual conjugate, y = -0
+                  (12, 0.0, -400.0))    # table beyond its cut
 
 
 # points in the chi windows around (0, 0) at j = 12 (shell 1) and around
@@ -642,30 +532,18 @@ _WINDOW_POINTS = [
 
 
 def test_l_js_and_big_l_j_equal_the_pointwise_sum():
-    # l_js and big_l_j read H_j by symmetry class; the sum over the shell
-    # with H_j at each offset gives the same value to the last bit
-    tol, eps = 1e-10, 0.1
-    nonzero = 0
-    for j, lam, beta in _WINDOW_POINTS:
-        shells = range(1, math.floor(eps * j) + 1)
-        by_shell = [_pointwise_shell_sum(j, s, lam, beta, tol) for s in shells]
-        nonzero += any(by_shell)
-        for s, want in zip(shells, by_shell):
-            assert repr(l_js(j, s, lam, beta, tol=tol)) == repr(want), \
-                (j, s, lam, beta)
-        want = 0.0 + 0.0j
-        for v in by_shell:
-            want += v
-        assert repr(big_l_j(j, lam, beta, eps, tol=tol)) \
-            == repr(complex(want)), (j, lam, beta)
-    assert nonzero >= 6
+    # the shell terms and big_l_j read H_j by symmetry class; the sum over
+    # each shell with H_j at each offset gives the same value to the last bit
+    check_row("multiplier._l_j", *_WINDOW_POINTS)
+    assert sum(big_l_j(*p, 0.1) != 0.0 for p in _WINDOW_POINTS) >= 6
 
 
 @pytest.mark.parametrize("j, lam, beta", [_WINDOW_POINTS[1], _WINDOW_POINTS[7]])
 def test_multiplier_sample_evaluates_m_j_once(tmp_path, monkeypatch, j, lam,
                                               beta):
     # the report's E_j is M_j - L_j with the M_j it reports, and its l_js
-    # are the pointwise shell sums: shell 1 at j = 12, shells 1, 2 at 20
+    # are the shell sums (held to the pointwise sums by the oracle table):
+    # shell 1 at j = 12, shells 1, 2 at 20
     tol, eps = 1e-10, 0.1
     calls = []
 
@@ -688,7 +566,8 @@ def test_multiplier_sample_evaluates_m_j_once(tmp_path, monkeypatch, j, lam,
     assert read(rep["e_j"]) == repr(mv - big_l_j(j, lam, beta, eps, tol))
     shells = range(1, math.floor(eps * j) + 1)
     assert list(rep["l_js"]) == [str(s) for s in shells]
-    by_shell = [_pointwise_shell_sum(j, s, lam, beta, tol) for s in shells]
+    by_shell = [_shell_sum(j, s, lam, beta, enumerate_shell(s), tol)
+                for s in shells]
     assert [read(v) for v in rep["l_js"].values()] == \
         [repr(v) for v in by_shell]
     assert any(by_shell)

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.fft as sfft
+from test_oracles import check_row
 
-from carlesonlab.arithmetic import torus_delta
 from carlesonlab.bumps import phi_hat
 from carlesonlab.lambda_sets import cantor_set
 from carlesonlab import operators, oscillatory
@@ -21,7 +21,6 @@ from carlesonlab.operators import (
     _separated_theta,
     _sup_ratio,
     apply_kernel,
-    apply_kernel_brute,
     bourgain_growth_report,
     carleson_max,
     kernel_taps,
@@ -29,7 +28,7 @@ from carlesonlab.operators import (
     oscillatory_growth_report,
     single_l_report,
 )
-from carlesonlab.oscillatory import h_row, h_scaled, psi_hat
+from carlesonlab.oscillatory import h_row, psi_hat
 
 # frozen from the pre-build run: R = 2^12 -> 2^13 changed the norm by 0.0034%
 TRUNCATION_STABILITY_CAP = 0.01
@@ -69,10 +68,7 @@ class TestApplyKernel:
             R = int(rng.integers(1, 1024))
             lam = float(rng.random())
             f = Signal(rng.standard_normal(L) + 1j * rng.standard_normal(L))
-            x = apply_kernel(f, lam, R)
-            y = apply_kernel_brute(f, lam, R)
-            assert x.origin == y.origin
-            assert np.max(np.abs(x.samples - y.samples)) <= 1e-10
+            check_row("operators.apply_kernel", (f, R, [lam]))
 
     def test_linearity(self):
         rng = np.random.default_rng(2)
@@ -135,12 +131,7 @@ class TestCarlesonMax:
     def test_three_lambdas_match_brute_force_max(self):
         rng = np.random.default_rng(7)
         f = Signal(rng.standard_normal(48) + 1j * rng.standard_normal(48))
-        lams = [0.125, 0.37, 0.81]
-        got = carleson_max(f, lams, 40)
-        ref = np.max([np.abs(apply_kernel_brute(f, lam, 40).samples)
-                      for lam in lams], axis=0)
-        assert got.origin == f.origin - 40
-        assert np.max(np.abs(got.samples.real - ref)) <= 1e-12
+        check_row("operators.carleson_max", (f, 40, [0.125, 0.37, 0.81]))
 
     def test_monotone_in_modulation_set(self):
         rng = np.random.default_rng(5)
@@ -178,15 +169,6 @@ class TestCarlesonMax:
         assert abs(n2 - n1) / n1 <= TRUNCATION_STABILITY_CAP
 
 
-def _sup_of_every_multiplier(mults, fhat_rows, out_len):
-    """The pointwise sup with one inverse FFT per multiplier, none skipped."""
-    sup = np.zeros((fhat_rows.shape[0], out_len))
-    for mult in mults:
-        vals = np.abs(sfft.ifft(fhat_rows * mult[None, :], axis=1))
-        np.maximum(sup, vals[:, :out_len], out=sup)
-    return sup
-
-
 class TestPointwiseSup:
     @pytest.fixture
     def case(self):
@@ -204,13 +186,10 @@ class TestPointwiseSup:
 
     @pytest.mark.parametrize("out_len", [256, 200])
     def test_skipping_is_bit_identical(self, case, out_len):
+        # as a list, and as the generator carleson_max passes
         mults, fhat = case
-        ref = _sup_of_every_multiplier(mults, fhat, out_len)
-        got = _pointwise_sup(mults, fhat, out_len)
-        assert got.tobytes() == ref.tobytes()
-        # carleson_max passes a generator
-        assert _pointwise_sup(iter(mults), fhat, out_len).tobytes() \
-            == ref.tobytes()
+        check_row("operators._pointwise_sup", (mults, fhat, out_len, "list"),
+                  (mults, fhat, out_len, "iter"))
 
     def test_fhat_is_left_unchanged(self, case):
         mults, fhat = case
@@ -226,9 +205,7 @@ class TestPointwiseSup:
         zero = np.zeros(256, dtype=complex)
         with np.errstate(invalid="ignore"):
             assert np.isnan(_pointwise_sup([zero], fhat, 256)[0]).all()
-            ref = _sup_of_every_multiplier(mults, fhat, 256)
-            got = _pointwise_sup(mults, fhat, 256)
-        assert np.array_equal(got, ref, equal_nan=True)
+        check_row("operators._pointwise_sup", (mults, fhat, 256, "list"))
 
     def test_blocks_of_multipliers_are_bit_identical(self, monkeypatch):
         # 4 rows of 4096 points make blocks of 8 multipliers; 19 of the 30
@@ -258,18 +235,16 @@ class TestPointwiseSup:
         monkeypatch.setattr(operators, "_fold_sup", recording_fold)
         for out_len in (n, 3000):
             del blocks[:]
-            got = _pointwise_sup(iter(mults), fhat, out_len)
+            _pointwise_sup(iter(mults), fhat, out_len)
             assert blocks == [8, 8, 3]
-            ref = _sup_of_every_multiplier(mults, fhat, out_len)
-            assert got.tobytes() == ref.tobytes()
+            check_row("operators._pointwise_sup",
+                      (mults, fhat, out_len, "iter"))
         # one row keeps blocks of one, unless the multipliers are one
         # array: then 32 of 4096 points fit a block, so all 19 go in one
-        for given, want in ((mults, [1] * 19), (np.array(mults), [19])):
+        for form, want in (("list", [1] * 19), ("array", [19])):
             del blocks[:]
-            got = _pointwise_sup(given, fhat[:1], n)
+            check_row("operators._pointwise_sup", (mults, fhat[:1], n, form))
             assert blocks == want
-            assert got.tobytes() == _sup_of_every_multiplier(
-                mults, fhat[:1], n).tobytes()
 
 
 def _norm_probe_per_trial(lam_values, lengths, trials, seed,
@@ -375,29 +350,18 @@ class TestBourgainProbe:
 
     def test_table_is_the_pointwise_sum_at_nonzero_shifts(self):
         # per (g, n): phi_hat(lam d), d the signed torus distance of g/G
-        # from theta_n; measured max difference 0
-        G = 256
-        xi = sfft.fftfreq(G)
-        lams = [8.0, 40.0, 300.0]
-        for lam, mult in zip(lams, _bourgain_multipliers(SHIFTED_THETA, lams,
-                                                         G)):
-            ref = [sum(float(phi_hat(lam * ((xi[g] - th + 0.5) % 1.0 - 0.5)))
-                       for th in SHIFTED_THETA) for g in range(G)]
-            assert np.max(np.abs(mult - ref)) <= 1e-15, lam
+        # from theta_n
+        check_row("operators._bourgain_multipliers",
+                  (SHIFTED_THETA, [8.0, 40.0, 300.0], 256))
 
     @pytest.mark.parametrize("N, G", [(2, 256), (4, 256), (64, 8192)])
     def test_blocked_tables_are_the_per_lam_tables(self, N, G):
         # the bench op's sizes and criterion 09's largest, against the
-        # per-lam loop the blocks replaced
+        # pointwise sum per lam
         theta = _separated_theta(N, np.random.default_rng(N))
         tau = operators._theta_separation(theta)
-        lams = _dyadic_lambdas(1.0 / tau, 4.0 * G)
-        d = torus_delta(sfft.fftfreq(G)[None, :] - theta[:, None])
-        got = _bourgain_multipliers(theta, lams, G)
-        assert len(got) == len(lams)
-        for lam, mult in zip(lams, got):
-            assert mult.tobytes() \
-                == np.sum(phi_hat(lam * d), axis=0).tobytes(), lam
+        check_row("operators._bourgain_multipliers",
+                  (theta, _dyadic_lambdas(1.0 / tau, 4.0 * G), G))
 
     @pytest.mark.parametrize("N, seed", [(2, 5), (8, 6), (32, 7)])
     def test_aligned_rows_need_the_multipliers_at_their_modes_only(self, N,
@@ -461,24 +425,10 @@ class TestOscillatoryProbe:
         assert got <= HILBERT_SYMBOL_RATIO_CAP
 
     def test_table_is_the_pointwise_sum_at_nonzero_shifts(self):
-        # per g: the sum over n of phi_hat(tau xi) sum_k H_k(lam, xi) at the
-        # grid frequency xi of index (g - s_n) mod G, s_n the index nearest
-        # theta_n; k >= 5 and lam > 0, where h_row is within 1e-12 of
-        # h_scaled (TestHRow); measured max difference 1.4e-13
-        G, tau, k0, k_max = 256, 1.0 / 12, 5, 6
-        xi = sfft.fftfreq(G)
-        shifts = [round(th * G) % G for th in SHIFTED_THETA]
-        lams = [tau * tau / 4, tau * tau]
-        for lam, mult in zip(lams, _oscillatory_multipliers(
-                SHIFTED_THETA, tau, k0, k_max, lams, G)):
-            ref = np.zeros(G, dtype=complex)
-            for g in range(G):
-                for s in shifts:
-                    x = xi[(g - s) % G]
-                    ref[g] += phi_hat(tau * x) * sum(
-                        h_scaled(lam * 4.0 ** k, x * 2.0 ** k, 1e-12)
-                        for k in range(k0, k_max + 1))
-            assert np.max(np.abs(mult - ref)) <= 1e-12, lam
+        # k >= 5 and lam > 0, where h_row is within 1e-12 of h_scaled
+        tau = 1.0 / 12
+        check_row("operators._oscillatory_multipliers",
+                  (SHIFTED_THETA, tau, 5, 6, [tau * tau / 4, tau * tau], 256))
 
     @pytest.mark.parametrize("N, G", [(4, 1024), (16, 1024), (64, 8192)])
     def test_scale_rows_give_the_per_lam_tables(self, N, G):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.fft as sfft
+from test_oracles import H_ROW_BINS, H_ROW_MISSES, check_row
 
-from carlesonlab.bumps import phi_hat, psi, psi_k
+from carlesonlab.bumps import phi_hat, psi_k
 from carlesonlab.oscillatory import h_j, h_row, h_scaled, psi_hat
 from carlesonlab.oscillatory import (_BLOCK_POINTS, _blocks, _direct_scaled,
                                      _direct_rule, _dual_rule, _dual_scaled,
@@ -14,13 +15,6 @@ from carlesonlab.oscillatory import (_BLOCK_POINTS, _blocks, _direct_scaled,
 ENVELOPE_CAP = 50.0         # asserted bound; pre-build sweep measured 4.70
 EST_VALUE_CAP = 10.0        # measured 4.71 (l<=0) / 4.05 (l>0)
 EST_DERIVATIVE_CAP = 25.0   # measured 10.1 (l<=0) / 4.01 (l>0)
-
-
-def brute_trapezoid(j, x, y, n=1_000_001):
-    t = np.linspace(-(2.0 ** j), 2.0 ** j, n)
-    s = 2.0 ** (-j)
-    f = np.exp(2j * np.pi * (x * t * t - y * t)) * s * psi(s * t)
-    return np.trapezoid(f, t)
 
 
 def _osc_norm(j, x, y):
@@ -59,15 +53,13 @@ class TestHj:
 
     def test_against_dense_trapezoid(self):
         # dense-grid oracle: 10^6-node trapezoid at j=8
-        val = h_j(8, 2.0 ** -14, 2.0 ** -6, 1e-11)
-        ref = brute_trapezoid(8, 2.0 ** -14, 2.0 ** -6)
-        assert abs(val - ref) <= 1e-9
+        check_row("oscillatory.h_j", (8, 2.0 ** -14, 2.0 ** -6))
 
     @pytest.mark.parametrize("j,x,y", [
         (4, 0.001, -0.2), (6, 0.01, 0.3), (10, 2.0 ** -21, 2.0 ** -11),
     ])
     def test_more_oracle_points(self, j, x, y):
-        assert abs(h_j(j, x, y, 1e-11) - brute_trapezoid(j, x, y)) <= 1e-9
+        check_row("oscillatory.h_j", (j, x, y))
 
     def test_conjugation(self):
         a = h_j(6, -0.003, -0.11)
@@ -99,33 +91,13 @@ class TestHj:
         assert abs(h_j(6, 0.0, y) - psi_hat(y * 2.0 ** 6)) <= 1e-13
 
 
-# h_row against h_scaled at G = 4096: every k from 2 to 10, at lam = 0 and
-# lam = 1e-4, over 9 bins; the rows whose first trapezoid image, one period
-# 2^k 2^p away, still carries ~1e-9 of psi-hat miss 1e-12 (ROADMAP item 3)
-_H_ROW_MISSES = {(2, 0.0), (3, 0.0), (4, 0.0), (5, 0.0),
-                 (2, 1e-4), (3, 1e-4), (4, 1e-4)}
-_H_ROW_CASES = [(k, lam) for lam in (0.0, 1e-4) for k in range(2, 11)]
-
-
-def _h_row_error(k, lam):
-    G = 4096
-    row = h_row(k, lam, G)
-    xi = np.fft.fftfreq(G)
-    return max(abs(row[g] - h_scaled(lam * 4.0 ** k, xi[g] * 2.0 ** k, 1e-12))
-               for g in (0, 1, 17, 128, 1000, 2047, 2048, 2049, 4095))
-
-
 class TestHRow:
     def test_matches_pointwise(self):
-        for k, lam in _H_ROW_CASES:
-            if (k, lam) not in _H_ROW_MISSES:
-                assert _h_row_error(k, lam) <= 1e-12, (k, lam)
-
-    @pytest.mark.xfail(strict=True, reason="h_row's period rule aliases "
-                       "psi-hat's tail at k <= 5 (ROADMAP item 3)")
-    @pytest.mark.parametrize("k, lam", sorted(_H_ROW_MISSES))
-    def test_matches_pointwise_at_small_k(self, k, lam):
-        assert _h_row_error(k, lam) <= 1e-12
+        # every k from 2 to 10 at lam = 0 and 1e-4, G = 4096, but the misses
+        # the oracle table holds as strict xfails (ROADMAP item 3)
+        check_row("oscillatory.h_row", *[
+            (k, lam, 4096, H_ROW_BINS) for lam in (0.0, 1e-4)
+            for k in range(2, 11) if (k, lam) not in H_ROW_MISSES])
 
     def test_rejects_oversize_kernel(self):
         with pytest.raises(ValueError):
@@ -170,25 +142,6 @@ def _h_row_full_grid(k, lam, G):
     return out
 
 
-def _h_row_per_lam(k, lam, G):
-    """h_row's body before rows were built per scale: one lam, np.exp."""
-    p = _h_row_log2_step(k, lam)
-    h = 2.0 ** (-p)
-    nfft = G * 2 ** p
-    half = int(round(2 ** k / h))
-    t = np.arange(half + 1, dtype=np.int64) * h
-    chirp = np.exp(2j * np.pi * (lam * t * t))
-    psi_t = psi_k(k, t)
-    buf = np.zeros(nfft, dtype=complex)
-    buf[nfft - half:] = (chirp[:0:-1] * -psi_t[:0:-1]) * h
-    buf[:half + 1] = chirp * psi_t * h
-    spec = sfft.fft(buf)
-    out = np.empty(G, dtype=complex)
-    out[:G // 2] = spec[:G // 2]
-    out[G // 2:] = spec[nfft - G + G // 2:]
-    return out
-
-
 class TestBatchedRows:
     @pytest.mark.parametrize("G, k", [(256, 2), (1024, 3), (1024, 6),
                                       (1024, 8), (4096, 5)])
@@ -205,7 +158,7 @@ class TestBatchedRows:
         rows = _h_rows(k, lams, G)
         assert rows.shape == (len(lams), G)
         for lam, row in zip(lams, rows):
-            ref = _h_row_per_lam(k, lam, G)
+            ref = _h_row_full_grid(k, lam, G)
             assert row.tobytes() == ref.tobytes(), lam
             assert h_row(k, lam, G).tobytes() == ref.tobytes(), lam
 
