@@ -42,9 +42,11 @@ from .lambda_sets import (CoverError, cantor_set, certificate_to_json, cover,
                           lambda_set_from_json, lambda_set_to_json)
 from .multiplier import (J_CAP, GridSpec, _l_j, _shell_sum, _shells,
                          decay_report, m_j)
-from .operators import (Signal, _conv_size, _gaussian, bourgain_growth_report,
-                        carleson_max, norm_probe, oscillatory_growth_report,
-                        signal_to_json, single_l_report)
+from .operators import (Signal, _bourgain_size, _conv_size, _gaussian,
+                        _oscillatory_size, _single_l_size,
+                        bourgain_growth_report, carleson_max, norm_probe,
+                        oscillatory_growth_report, signal_to_json,
+                        single_l_report)
 from .oscillatory import TOL_MAX, TOL_MIN, ConvergenceError
 
 DEFAULTS = {
@@ -81,6 +83,20 @@ BOUNDS = {
     "seed": (0, math.inf),                  # default_rng's domain
     "k0": (2, math.inf),
 }
+
+# entries of the largest array one run may allocate: approx-error's
+# m_j_grid table, G x G, and the torus reports' (rows, G) arrays and h_row
+# transforms; each is sized from the resolved config before anything is
+# allocated, and a larger run exits 2 (maximal and norm-probe size their
+# convolutions against operators.SIZE_CAP)
+ARRAY_CAP = 2 ** 24
+
+
+def _check_size(entries: int) -> None:
+    if entries > ARRAY_CAP:
+        raise ConfigError(f"the run's largest array would hold {entries} "
+                          f"entries, past the cap {ARRAY_CAP}")
+
 
 # gate -> (comparator, threshold): each gated number's one rule; no command
 # checks gauss_decay (criterion 02) or derivative_ratio (05) yet
@@ -350,6 +366,7 @@ def cmd_multiplier_sample(cfg, args) -> Artifacts:
 
 
 def cmd_approx_error(cfg, args) -> Artifacts:
+    _check_size(cfg["grid"] ** 2)
     rep = decay_report(
         range(cfg["jmin"], cfg["jmax"] + 1),
         epsilon=cfg["epsilon"],
@@ -414,6 +431,7 @@ _GROWTH_COLUMNS = ("N", "max_ratio", "ratio_over_log2N")
 
 
 def cmd_bourgain_growth(cfg, args) -> Artifacts:
+    _check_size(_bourgain_size(args.n_list, cfg["grid"], cfg["trials"]))
     rep = bourgain_growth_report(args.n_list, cfg["grid"], cfg["trials"],
                                  cfg["seed"])
     monotone = passes("bourgain_largest_step", largest_step(rep))
@@ -423,6 +441,8 @@ def cmd_bourgain_growth(cfg, args) -> Artifacts:
 
 
 def cmd_oscillatory_growth(cfg, args) -> Artifacts:
+    _check_size(_oscillatory_size(args.n_list, cfg["grid"], cfg["k0"],
+                                  cfg["trials"]))
     rep = oscillatory_growth_report(args.n_list, cfg["grid"], cfg["k0"],
                                     cfg["trials"], cfg["seed"])
     finite = all(math.isfinite(r["max_ratio"]) for r in rep["rows"])
@@ -431,6 +451,7 @@ def cmd_oscillatory_growth(cfg, args) -> Artifacts:
 
 
 def cmd_single_l(cfg, args) -> Artifacts:
+    _check_size(_single_l_size(args.l_list, cfg["grid"], cfg["trials"]))
     rep = single_l_report(args.l_list, cfg["grid"], cfg["trials"],
                           cfg["seed"])
     return Artifacts(report=rep, checks=[

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bumps import phi_hat
 from .multiplier import _frac_lam_msq, _log2_slope
-from .oscillatory import _blocks, _expi, _h_rows, h_row
+from .oscillatory import _blocks, _expi, _h_row_step, _h_rows, h_row
 from .arithmetic import torus_delta
 
 __all__ = [
@@ -337,6 +337,20 @@ def _dyadic_lambdas(lo: float, hi: float) -> np.ndarray:
     return lo * 2.0 ** ((np.arange(n) + 1.0) / _PER_OCTAVE)
 
 
+def _oscillatory_lambdas(N: int) -> tuple[float, np.ndarray]:
+    """tau = 1/(4N) and the lambda grid of the oscillatory report at N."""
+    tau = 1.0 / (4.0 * N)
+    return tau, _dyadic_lambdas(tau * tau / 16.0, tau * tau)
+
+
+def _single_l_scales(l: int, k_hi: int) -> list:
+    """The (k, lam) of the single-l report at l: k from max(k_lo, l + 2)
+    to k_hi, each lam with 1 <= lam 2^(2k-l) < 2 at its own k."""
+    return [(k, math.ldexp(1.0, l - 2 * k) * 2.0 ** (i / _PER_OCTAVE))
+            for k in range(max(_SINGLE_L_K_LO, l + 2), k_hi + 1)
+            for i in range(_PER_OCTAVE)]
+
+
 def _growth_row(N: int, best: float, **extra) -> dict:
     """A growth-report row: ``best`` and ``best / log2(N)^2``, with log2(N)
     read as 1 below N = 2."""
@@ -403,8 +417,7 @@ def oscillatory_growth_report(n_list, G: int, k0: int, trials: int,
     rows = []
     for N in sorted(int(n) for n in n_list):
         theta = _separated_theta(N, rng)
-        tau = 1.0 / (4.0 * N)
-        lams = _dyadic_lambdas(tau * tau / 16.0, tau * tau)
+        tau, lams = _oscillatory_lambdas(N)
         mults = _oscillatory_multipliers(theta, tau, k0, k_max, lams, G)
         sig = _gaussian(rng, (trials, G))
         ratios = _sup_ratio(mults, np.fft.fft(sig, axis=1)) \
@@ -432,15 +445,13 @@ def single_l_report(l_list, G: int, trials: int, seed: int) -> dict:
     norms = np.linalg.norm(sig, axis=1)
     rows = []
     for l in sorted(int(x) for x in l_list):
-        klo = max(_SINGLE_L_K_LO, l + 2)
-        if klo > k_hi:
+        scales = _single_l_scales(l, k_hi)
+        if not scales:
             raise ValueError(
-                f"l = {l} needs kernel scale k >= {klo} > {k_hi}; "
+                f"l = {l} needs kernel scale k >= "
+                f"{max(_SINGLE_L_K_LO, l + 2)} > {k_hi}; "
                 f"increase the grid size"
             )
-        # each lam has 1 <= lam 2^(2k-l) < 2 at its own k
-        scales = [(k, math.ldexp(1.0, l - 2 * k) * 2.0 ** (i / _PER_OCTAVE))
-                  for k in range(klo, k_hi + 1) for i in range(_PER_OCTAVE)]
         mults = (h_row(k, lam, G) for k, lam in scales)
         ratios = _sup_ratio(mults, fhat) / norms
         rows.append({"l": l, "n_lambda": len(scales),
@@ -449,6 +460,38 @@ def single_l_report(l_list, G: int, trials: int, seed: int) -> dict:
             "k_hi": k_hi, "per_octave": _PER_OCTAVE, "rows": rows,
             "slope_log2_ratio_vs_l": _log2_slope(
                 (r["l"], r["max_ratio"]) for r in rows)}
+
+
+# ---------------------------------------------------------------------------
+# sizes: an upper bound on the entries of a torus report's largest array,
+# from its arguments alone and before it allocates anything; a batch of
+# _blocks holds at most max(_BLOCK_POINTS, one row) of them.  Arguments a
+# report refuses before it allocates (N < 1, an l with no kernel scale, a
+# grid or k0 out of range) add nothing.
+# ---------------------------------------------------------------------------
+
+def _bourgain_size(n_list, G: int, trials: int) -> int:
+    """The (rows, G) arrays of a draw: at most ``trials`` signal rows, N
+    theta distances, and the lambda grid from 1/tau >= 1 to 4G."""
+    lams = len(_dyadic_lambdas(1.0, 4.0 * G))
+    return G * max(trials, lams, *n_list)
+
+
+def _oscillatory_size(n_list, G: int, k0: int, trials: int) -> int:
+    """The N theta points, the (rows, G) signal and multiplier arrays, and
+    the h_row transforms, whose step shrinks as lambda grows."""
+    ks = range(k0, int(math.log2(G)) - 1)
+    lam_rows = [_oscillatory_lambdas(N)[1] for N in n_list if N >= 1]
+    fft = [G << _h_row_step(k, lams[-1]) for lams in lam_rows for k in ks]
+    return max([G * trials, *n_list,
+                *(G * len(lams) for lams in lam_rows), *fft])
+
+
+def _single_l_size(l_list, G: int, trials: int) -> int:
+    """The (trials, G) signal arrays and every h_row transform."""
+    fft = [G << _h_row_step(k, lam) for l in l_list
+           for k, lam in _single_l_scales(l, int(math.log2(G)) - 2)]
+    return max([G * trials, *fft])
 
 
 # ---------------------------------------------------------------------------

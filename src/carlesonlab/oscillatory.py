@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from functools import cache, lru_cache
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 
@@ -49,6 +50,7 @@ _HARD_PANEL_CAP = 2 ** 21
 _GL_ORDER = 10                # Gauss-Legendre nodes per panel
 _PSI_DT_LOG2 = -13            # psi-hat table: psi sampled at step 2**-13,
 _PSI_PAD_LOG2 = 21            # zero-padded to an FFT of length 2**21
+_PSI_HAT_FLOOR = 5e-16        # psi-hat's effective support ends below it
 _H_ROW_OVERSAMPLE = 8         # h_row's chirp samples per bandwidth unit
 # entries of one batched array (2 MB of complex values): _h_rows' FFT
 # blocks and operators' multiplier, table and trial blocks, cut by _blocks
@@ -66,27 +68,24 @@ _PANEL_RULES = BoundedCache(max_bytes=16 * 2 ** 20, max_entries=64)
 class _PsiHatTable:
     """Dense uniform table of psi-hat with 8-point Lagrange interpolation.
 
-    psi is smooth and supported in |t| <= 1, so psi-hat is entire of
-    exponential type 2*pi and a zero-padded FFT of samples at step dt
-    aliases only by |psi-hat(1/dt - u)|, which is far below 1e-15 here.
-    psi-hat is odd and purely imaginary; the table stores u >= 0.
+    Entry k is psi-hat(k du) / 1j, from the zero-padded FFT (of length
+    2**_PSI_PAD_LOG2, times dt) of psi sampled at step dt = 2**_PSI_DT_LOG2
+    over [-1, 1), so du = 1 / (dt 2**_PSI_PAD_LOG2).  psi is smooth and
+    supported in |t| <= 1, so psi-hat is entire of exponential type 2*pi
+    and that FFT aliases only by |psi-hat(1/dt - u)|, which is far below
+    1e-15 here.  psi-hat is odd and purely imaginary, and read as 0 from
+    u_cut on, past the last entry above _PSI_HAT_FLOOR; the table ships as
+    package data holding the entries below u_cut and the 8 of the
+    interpolation stencil past it.  tests/test_fft_backend.py holds the
+    file to that FFT bit for bit, and regenerates it.
     """
 
     def __init__(self):
-        dt = 2.0 ** _PSI_DT_LOG2
-        n = int(round(2.0 / dt))          # samples covering [-1, 1)
-        nfft = 2 ** _PSI_PAD_LOG2
-        t = (np.arange(n) - n // 2) * dt
-        vals = psi(t)
-        buf = np.zeros(nfft, dtype=complex)
-        idx = (np.arange(n) - n // 2) % nfft
-        buf[idx] = vals
-        np.fft.fft(buf, out=buf)
-        buf *= dt
-        self.du = 1.0 / (nfft * dt)
-        self.imag = buf.imag[:nfft // 2].copy()   # psi-hat = 1j * imag, odd
-        # effective support: beyond u_cut the transform is below 5e-16
-        above = np.nonzero(np.abs(self.imag) > 5e-16)[0]
+        self.du = 2.0 ** -(_PSI_DT_LOG2 + _PSI_PAD_LOG2)
+        self.imag = np.load(Path(__file__).with_name("_psi_hat.npy"),
+                            allow_pickle=False)
+        # effective support: beyond u_cut the transform is below the floor
+        above = np.nonzero(np.abs(self.imag) > _PSI_HAT_FLOOR)[0]
         self.u_cut = (above[-1] + 1) * self.du if len(above) else 0.0
 
     def __call__(self, u):
@@ -280,6 +279,15 @@ def h_row(k: int, lam: float, G: int) -> np.ndarray:
     return _h_rows(k, [lam], G)[0]
 
 
+def _h_row_step(k: int, lam: float) -> int:
+    """The p of h_row's sampling step 2^-p at scale k and chirp lam: its
+    FFT has G * 2^p points."""
+    bandwidth = 2.0 * lam * 2.0 ** k + 0.5
+    p = max(0, math.ceil(math.log2(_H_ROW_OVERSAMPLE * bandwidth)))
+    # at least 32 samples across the support of psi_k
+    return max(p, 5 - (k - 2))
+
+
 def _h_rows(k: int, lams, G: int) -> np.ndarray:
     """h_row(k, lam, G) for every lam in ``lams``, one row each.
 
@@ -295,11 +303,7 @@ def _h_rows(k: int, lams, G: int) -> np.ndarray:
     lams = [float(lam) for lam in lams]
     by_step = {}
     for i, lam in enumerate(lams):
-        bandwidth = 2.0 * lam * 2.0 ** k + 0.5
-        p = max(0, math.ceil(math.log2(_H_ROW_OVERSAMPLE * bandwidth)))
-        # at least 32 samples across the support of psi_k
-        p = max(p, 5 - (k - 2))
-        by_step.setdefault(p, []).append(i)
+        by_step.setdefault(_h_row_step(k, lam), []).append(i)
     out = np.empty((len(lams), G), dtype=complex)
     half_g = G // 2
     for p, rows in by_step.items():
@@ -313,10 +317,17 @@ def _h_rows(k: int, lams, G: int) -> np.ndarray:
         t = np.arange(half + 1, dtype=np.int64) * h
         psi_t = psi_k(k, t)
         neg_psi = -psi_t[:0:-1]
+        # one work array per step, sized by the first (largest) block: the
+        # transform overwrites it, so each block zeroes the gap between
+        # its two sample runs again
+        work = None
         for idx in _blocks(rows, nfft):
             lam_col = np.array([lams[i] for i in idx])[:, None]
             chirp = _expi(2 * np.pi * (lam_col * t * t))
-            buf = np.zeros((len(idx), nfft), dtype=complex)
+            if work is None:
+                work = np.empty((len(idx), nfft), dtype=complex)
+            buf = work[:len(idx)]
+            buf[:, half + 1:nfft - half] = 0
             buf[:, nfft - half:] = (chirp[:, :0:-1] * neg_psi) * h
             # written last: at 2^(k+1) = G, n = half shares its index with
             # n = -half (both samples are +-0, as psi_k vanishes at 2^k)

@@ -6,6 +6,7 @@ import json
 import math
 import shlex
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from carlesonlab import cli, oscillatory
+from carlesonlab import cli, multiplier, operators, oscillatory
 from carlesonlab.arithmetic import (ReducedRational, gauss_rows, gauss_sum,
                                     odd_q_modulus_deviation)
 from carlesonlab.cli import (_COMMON, BOUNDS, COMMANDS, DEFAULTS, GATES,
@@ -580,6 +581,48 @@ class TestExitCodes:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
+        ["approx-error", "--jmin", "8", "--jmax", "8", "--grid", str(2 ** 13)],
+        ["bourgain-growth", "--n-list", "2", "--grid", "256",
+         "--trials", str(10 ** 12)],
+        ["bourgain-growth", "--n-list", f"2,{2 ** 20}", "--grid", "256",
+         "--trials", "1"],
+        # 32 rows of 2^14, but an h_row transform of 2^27 points at N = 1
+        ["oscillatory-growth", "--n-list", "1,4", "--grid", str(2 ** 14),
+         "--trials", "1"],
+        ["oscillatory-growth", "--n-list", str(10 ** 12), "--grid", "256",
+         "--trials", "1"],
+        ["single-l", "--l-list", "0,6", "--grid", str(2 ** 40),
+         "--trials", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_oversized_run_exits_before_it_allocates(self, tmp_path, capsys,
+                                                     monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("an array was built")
+
+        for module, name in [(operators, "_gaussian"), (operators, "_h_rows"),
+                             (operators, "h_row"),
+                             (operators, "_separated_theta"),
+                             (multiplier, "m_j_grid")]:
+            monkeypatch.setattr(module, name, refuse)
+        tracemalloc.start()
+        try:
+            code = run(argv + ["-o", str(tmp_path / "x")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "past the cap" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        assert peak < 2 ** 20
+
+    def test_l_without_a_kernel_scale(self, tmp_path, capsys):
+        # grid 16 fits no scale k >= 4: the size has only the signal rows
+        assert run(["single-l", "--l-list", "0", "--grid", "16",
+                    "--trials", "1", "-o", str(tmp_path / "x")]) == 2
+        assert "needs kernel scale k >= 4 > 2" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
         ["cover", "--cantor", "2", "3", "--t-exp", "0"],
         ["cover", "--cantor", "2", "3", "--t-exp", "-1"],
         ["cantor", "--d", "4", "--depth", "12"],
@@ -900,6 +943,34 @@ SMALL = {
     "single-l": ["--l-list", "0,6", "--grid", "4096", "--trials", "2",
                  "--seed", "42"],
 }
+
+
+# entries of the largest array of each sized command's SMALL run
+_SMALL_SIZES = {
+    "approx-error": 64 ** 2,
+    "bourgain-growth": operators._bourgain_size([2, 4], 256, 4),
+    "oscillatory-growth": operators._oscillatory_size([4, 8], 256,
+                                                      DEFAULTS["k0"], 2),
+    "single-l": operators._single_l_size([0, 6], 4096, 2),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL_SIZES))
+def test_array_cap_admits_a_run_of_its_size(tmp_path, monkeypatch, command):
+    monkeypatch.setattr(cli, "ARRAY_CAP", _SMALL_SIZES[command] - 1)
+    assert run([command, *SMALL[command], "-o", str(tmp_path / "a")]) == 2
+    assert not list(tmp_path.iterdir())
+    monkeypatch.setattr(cli, "ARRAY_CAP", _SMALL_SIZES[command])
+    assert run([command, *SMALL[command], "-o", str(tmp_path / "b")]) in (0, 1)
+
+
+def test_criterion_configs_sit_far_below_the_array_cap():
+    # criteria 04/05 (G = 512), 09 and 10, the largest runs of these
+    # reports; the bench pool's are smaller still
+    sizes = [512 ** 2,
+             operators._bourgain_size([2, 4, 8, 16, 32, 64], 8192, 100),
+             operators._single_l_size([0, 2, 4, 6, 8, 10, 12], 2 ** 16, 8)]
+    assert max(sizes) <= cli.ARRAY_CAP // 16
 
 
 def test_reports_embed_command_and_config(tmp_path):

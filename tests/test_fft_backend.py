@@ -6,17 +6,24 @@ guaranteed: both wrap pocketfft, and with numpy 2.4 and scipy 1.17 on
 x86-64 Linux every case below is bit-equal; another version or platform
 may differ in the last bit.  The cases are the transforms the package
 makes: complex rows along either axis, batched and zero-padded, written
-to a fresh array or in place; the 2^21-point psi-hat table; and
-``m_j_grid``'s inverse of a real table.  numpy has no ``next_fast_len``,
-so the convolution lengths come from ``operators._next_fast_len``, which
-is held to scipy's, and a fresh interpreter checks that importing the
-package loads no scipy.
+to a fresh array or in place, and ``m_j_grid``'s inverse of a real
+table.  numpy has no ``next_fast_len``, so the convolution lengths come
+from ``operators._next_fast_len``, which is held to scipy's.
+
+The psi-hat table is the one transform the package does not make: it
+ships as package data, ``_psi_hat.npy``, and this module holds the file
+to the 2^21-point scipy.fft build bit for bit, the only place that build
+runs.  Run as a script, ``PYTHONPATH=src python tests/test_fft_backend.py``,
+it writes the file from that build.  Fresh interpreters check that
+importing the package loads no scipy and no table.
 """
 
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from importlib import resources
 from itertools import count, product
 from pathlib import Path
 
@@ -27,7 +34,8 @@ import scipy.fft as sfft
 from carlesonlab.bumps import psi
 from carlesonlab.multiplier import _support, m_j_grid
 from carlesonlab.operators import SIZE_CAP, _fast_lengths, _next_fast_len
-from carlesonlab.oscillatory import (_PSI_DT_LOG2, _PSI_PAD_LOG2,
+from carlesonlab.oscillatory import (_PSI_DT_LOG2, _PSI_HAT_FLOOR,
+                                     _PSI_PAD_LOG2, _PsiHatTable,
                                      _psi_hat_table)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -60,15 +68,53 @@ class TestComplexTransforms:
             assert x.tobytes() == ref.tobytes()
 
 
-def test_psi_hat_table():
+def _psi_hat_fft() -> np.ndarray:
+    """The psi-hat table's transform (``_PsiHatTable``'s docstring): the
+    imaginary part of all 2^20 entries at u >= 0, by scipy.fft."""
     dt = 2.0 ** _PSI_DT_LOG2
     n = int(round(2.0 / dt))
     nfft = 2 ** _PSI_PAD_LOG2
     idx = np.arange(n) - n // 2
     buf = np.zeros(nfft, dtype=complex)
     buf[idx % nfft] = psi(idx * dt)
-    ref = (sfft.fft(buf) * dt).imag[:nfft // 2]
-    assert _psi_hat_table().imag.tobytes() == ref.tobytes()
+    return (sfft.fft(buf) * dt).imag[:nfft // 2]
+
+
+def _shipped_entries(full: np.ndarray) -> np.ndarray:
+    """The entries of ``full`` the package ships: those up to the last one
+    above the floor, and the 8 of the interpolation stencil past it."""
+    cut = np.nonzero(np.abs(full) > _PSI_HAT_FLOOR)[0][-1] + 1
+    return full[:cut + 8]
+
+
+def test_psi_hat_table():
+    # the shipped file is the transform's first cut + 8 entries bit for
+    # bit, and every entry it leaves out is at most the floor
+    full = _psi_hat_fft()
+    tab = _psi_hat_table()
+    n = len(tab.imag)
+    assert tab.imag.tobytes() == full[:n].tobytes()
+    assert np.abs(full[n:]).max() <= _PSI_HAT_FLOOR
+    assert n == len(_shipped_entries(full))
+    assert tab.u_cut == (n - 8) * tab.du
+
+
+def test_psi_hat_table_loads_without_a_transform():
+    tracemalloc.start()
+    try:
+        _PsiHatTable()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+def test_psi_hat_table_is_package_data():
+    tomllib = pytest.importorskip("tomllib")
+    conf = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+    assert conf["tool"]["setuptools"]["package-data"]["carlesonlab"] \
+        == ["_psi_hat.npy"]
+    assert (resources.files("carlesonlab") / "_psi_hat.npy").is_file()
 
 
 @pytest.mark.parametrize("j, G", [(4, 64), (9, 1), (9, 2), (9, 128),
@@ -110,26 +156,40 @@ class TestNextFastLen:
             == [sfft.next_fast_len(n) for n in ns]
 
 
-def _scipy_modules_after(statement: str) -> str:
-    """The scipy modules in sys.modules after ``statement`` runs in a fresh
-    interpreter that imports the package from this checkout."""
+def _after(statement: str, expr: str) -> str:
+    """``expr``, printed after ``statement`` runs in a fresh interpreter
+    that imports the package from this checkout."""
     path = os.pathsep.join(filter(None, [str(SRC),
                                          os.environ.get("PYTHONPATH")]))
     code = (f"import sys\n{statement}\n"
             "assert carlesonlab.__file__.startswith(sys.argv[1])\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.partition('.')[0] == 'scipy'))\n")
+            f"print({expr})\n")
     done = subprocess.run([sys.executable, "-c", code, str(SRC)],
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
     return done.stdout.strip()
 
 
+_SCIPY_MODULES = ("sorted(m for m in sys.modules "
+                  "if m.partition('.')[0] == 'scipy')")
+
+
 class TestImport:
     def test_package_loads_no_scipy(self):
-        assert _scipy_modules_after("import carlesonlab, carlesonlab.cli") \
-            == "[]"
+        assert _after("import carlesonlab, carlesonlab.cli",
+                      _SCIPY_MODULES) == "[]"
 
     def test_the_check_sees_scipy(self):
-        assert "'scipy.fft'" in _scipy_modules_after(
-            "import carlesonlab, scipy.fft")
+        assert "'scipy.fft'" in _after("import carlesonlab, scipy.fft",
+                                       _SCIPY_MODULES)
+
+    def test_package_loads_no_psi_hat_table(self):
+        assert _after("import carlesonlab, carlesonlab.cli",
+                      "carlesonlab.oscillatory._psi_hat_table"
+                      ".cache_info().currsize") == "0"
+
+
+if __name__ == "__main__":
+    # writes the shipped table from the transform above
+    np.save(SRC / "carlesonlab" / "_psi_hat.npy",
+            _shipped_entries(_psi_hat_fft()))

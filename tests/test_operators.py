@@ -14,11 +14,14 @@ from carlesonlab.multiplier import _frac_lam_msq
 from carlesonlab.operators import (
     Signal,
     _bourgain_multipliers,
+    _bourgain_size,
     _chirp,
     _dyadic_lambdas,
     _oscillatory_multipliers,
+    _oscillatory_size,
     _pointwise_sup,
     _separated_theta,
+    _single_l_size,
     _sup_ratio,
     apply_kernel,
     bourgain_growth_report,
@@ -508,6 +511,25 @@ def test_growth_reports_record_their_fixed_grids():
     assert (bg["per_octave"], bg["lam_max"]) == (8, 1024.0)
     assert og["per_octave"] == 8
     assert (sl["per_octave"], sl["k_lo"], sl["k_hi"]) == (8, 4, 8)
+
+
+@pytest.mark.parametrize("report, size, args", [
+    (bourgain_growth_report, _bourgain_size, ([16], 2048, 50)),
+    (oscillatory_growth_report, _oscillatory_size, ([1], 1024, 3, 2)),
+    (single_l_report, _single_l_size, ([0, 6], 4096, 2)),
+], ids=["bourgain", "oscillatory", "single-l"])
+def test_size_bounds_the_largest_array(report, size, args):
+    # the traced peak holds an array of the size (16 bytes an entry) and
+    # at most a few of the size or of one batch
+    entries = size(*args)
+    tracemalloc.start()
+    try:
+        report(*args, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 16 * entries <= peak \
+        <= 4 * 16 * max(entries, oscillatory._BLOCK_POINTS)
 
 
 def test_signal_validation():
