@@ -1,7 +1,7 @@
 """Byte-bounded memos of read-only numpy arrays.
 
-The harnesses evaluate the same quadrature nodes, bump weights and exact
-phase reductions many times over; these memos keep the most recent ones.
+The harnesses evaluate the same quadrature nodes and bump weights many
+times over; these memos keep the most recent ones.
 Cached values are the arrays the uncached code computes, frozen, so a
 cache hit returns the same bits as a recomputation.  Each memo bounds the
 bytes of the arrays it retains: a value larger than the bound is returned

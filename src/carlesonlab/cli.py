@@ -177,7 +177,7 @@ def _cells(column) -> list:
     return list(map(str, column))
 
 
-_CSV_ROWS = 2 ** 16
+_CSV_ROWS = 2 ** 12
 
 
 def _write_csv(fh, header: list, columns) -> None:

@@ -47,14 +47,8 @@ __all__ = [
 
 J_CAP = 24
 _MASK26 = (1 << 26) - 1
-# per-j support and psi_j weights (up to j = 21), and the exact phase
-# reductions lam m^2 and beta m over that support, shared by the points
-# of a box that repeat a lam or a beta; a box walks all of its P betas
-# inside each lam row, so the beta memo holds up to 64 of them (its byte
-# bound governs from j = 15 on)
+# per-j support and psi_j weights (up to j = 21)
 _SUPPORT = BoundedCache(max_bytes=32 * 2 ** 20, max_entries=1)
-_LAM_PHASES = BoundedCache(max_bytes=8 * 2 ** 20, max_entries=8)
-_BETA_PHASES = BoundedCache(max_bytes=8 * 2 ** 20, max_entries=64)
 
 
 def _limbs(x: float):
@@ -127,13 +121,18 @@ def _support(j: int):
     return _SUPPORT.get(j, build)
 
 
-def m_j(j: int, lam: float, beta: float) -> complex:
-    """Dyadic Weyl-sum piece by direct summation with exact phase reduction."""
+def m_j(j: int, lam: float, beta: float, *, phases=None) -> complex:
+    """Dyadic Weyl-sum piece by direct summation with exact phase reduction.
+
+    ``phases``, when given, is the pair (_frac_lam_msq(lam, m),
+    frac_part_exact(beta, m)) over the support m of j.
+    """
     if not 0 <= j <= J_CAP:
         raise ValueError(f"j must lie in [0, {J_CAP}], got {j}")
     m, w = _support(j)
-    fl = _LAM_PHASES.get((j, lam), lambda: _frac_lam_msq(lam, m))
-    fb = _BETA_PHASES.get((j, beta), lambda: frac_part_exact(beta, m))
+    if phases is None:
+        phases = _frac_lam_msq(lam, m), frac_part_exact(beta, m)
+    fl, fb = phases
     # psi_j is odd: the m < 0 half contributes -e(lam m^2 + beta m) psi_j(m)
     pos = _expi(2 * np.pi * _frac1(fl - fb))
     neg = _expi(2 * np.pi * _frac1(fl + fb))
@@ -426,6 +425,7 @@ def _box_stage(j: int, epsilon: float, centers: list[ReducedRational],
     (sup |M_j - S H_j|, argmax)); an argmax is None while its sup is 0.
     """
     dec = {r for shell in shells.values() for r in shell}
+    m, _ = _support(j)
     sup_e, arg_e = 0.0, None
     sup_uncovered = 0.0
     sup_major, arg_major = 0.0, None
@@ -435,9 +435,12 @@ def _box_stage(j: int, epsilon: float, centers: list[ReducedRational],
         dls = torus_delta(lams - r.A / r.Q).tolist()
         dbs = torus_delta(betas - r.B / r.Q).tolist()
         sgs = gauss_sum(r)
+        # each sample lam and beta of the box is reduced once
+        fbs = [frac_part_exact(beta, m) for beta in betas.tolist()]
         for lam, dl in zip(lams.tolist(), dls):
-            for beta, db in zip(betas.tolist(), dbs):
-                mv = m_j(j, lam, beta)
+            fl = _frac_lam_msq(lam, m)
+            for beta, db, fb in zip(betas.tolist(), dbs, fbs):
+                mv = m_j(j, lam, beta, phases=(fl, fb))
                 ev = abs(mv - _l_j(j, lam, beta, shells, tol))
                 err = abs(mv - sgs * _h_at_offset(j, dl, db, tol))
                 if err > sup_major:
@@ -454,10 +457,13 @@ def _box_stage(j: int, epsilon: float, centers: list[ReducedRational],
 def _derivative_stage(j: int, shells: dict, points, tol: float) -> float:
     """Stage 4: max |dE_j/dlam| / 4**j by central differences at ``points``."""
     hstep = 2.0 ** (-2 * j - 8)
+    m, _ = _support(j)
     dmax = 0.0
     for lam, beta in points:
         b = float(beta)
-        ep, em = (m_j(j, x, b) - _l_j(j, x, b, shells, tol)
+        fb = frac_part_exact(b, m)   # shared by lam + h and lam - h
+        ep, em = (m_j(j, x, b, phases=(_frac_lam_msq(x, m), fb))
+                  - _l_j(j, x, b, shells, tol)
                   for x in (float(lam + hstep), float(lam - hstep)))
         dmax = max(dmax, abs(ep - em) / (2 * hstep))
     return dmax / 4.0 ** j

@@ -56,9 +56,10 @@ _H_ROW_OVERSAMPLE = 8         # h_row's chirp samples per bandwidth unit
 # blocks and operators' multiplier, table and trial blocks, cut by _blocks
 _BLOCK_POINTS = 2 ** 17
 # panel rules of both quadrature paths, keyed by the exact panel count
-# (rounding counts up would change the quadrature's bits); a rule over the
-# bound, above ~52k dual panels, is computed and not kept
-_PANEL_RULES = BoundedCache(max_bytes=16 * 2 ** 20, max_entries=64)
+# (rounding counts up would change the quadrature's bits); 1.5 MB holds
+# the dual pair (p, 2p) of the last dual value at the decay harness's
+# scales (1.29 MB at p = 1406), and a larger rule is not kept
+_PANEL_RULES = BoundedCache(max_bytes=3 * 2 ** 19, max_entries=64)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,23 @@
-"""The package's memos: bit-identical values, read-only arrays, bounds."""
+"""The package's memos and working set.
+
+Two byte-bounded memos remain: the m_j support and psi_j weights of the
+last j, and the h_j panel rules; beside them, the H_j symmetry-class
+memo.  A memo hit gives the same bits as a recomputation, cached arrays
+are read-only, and each memo stays under its bounds.  The phase
+reductions of the decay harness are not memos: each box and derivative
+point reduces its samples once and hands them to m_j.  tracemalloc
+bounds what the decay harness and ``gauss`` hold and peak at.
+"""
 
 import importlib
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import carlesonlab
+from carlesonlab import cli
 from carlesonlab import multiplier as mult
 from carlesonlab import oscillatory as osc
 from carlesonlab._memo import BoundedCache
@@ -107,8 +118,7 @@ class TestMemoBounds:
     def test_discovery_finds_exactly_the_known_memos(self):
         # a memo added later falls under the tests below; this list is
         # changed on purpose when one is added or removed
-        known = (osc._PANEL_RULES, mult._SUPPORT, mult._LAM_PHASES,
-                 mult._BETA_PHASES)
+        known = (osc._PANEL_RULES, mult._SUPPORT)
         assert len(MEMOS) == len(known)
         assert all(any(m is k for k in known) for m in MEMOS)
 
@@ -125,18 +135,18 @@ class TestMemoBounds:
             w[0] = 1.0
 
     def test_retained_bytes_stay_under_each_bound(self):
-        # j = 22 support (50 MB) and phases (25 MB each), and a 2^17-panel
-        # dual rule (42 MB), all exceed their memos' bounds
-        mult.m_j(22, 0.3, 0.4)
+        # the j = 22 support (50 MB) and a 2^17-panel dual rule (42 MB)
+        # exceed their memos' bounds; the supports of j = 8..19 and eight
+        # dual rules of 0.43 MB each overfill them
+        mult._support(22)
         for p in (1398, 2 ** 17):
             osc._dual_scaled(5000.0, 30.0, p)
         assert 22 not in mult._SUPPORT._data
-        assert (22, 0.3) not in mult._LAM_PHASES._data
-        assert (22, 0.4) not in mult._BETA_PHASES._data
         assert ("dual", 2 ** 17) not in osc._PANEL_RULES._data
         for j in range(8, 20):
-            for k in range(10):
-                mult.m_j(j, 0.1 * k, 0.07 * k)
+            mult._support(j)
+        for p in range(1398, 1406):
+            osc._dual_rule(p)
         for cache in MEMOS:
             assert stored_bytes(cache) == cache.nbytes <= cache.max_bytes
             assert len(cache._data) <= cache.max_entries
@@ -156,3 +166,40 @@ class TestMemoBounds:
             osc.h_j(12, 0.0, ys[0], 1e-10)
         info = mult._h_class.cache_info()
         assert (info.currsize, info.misses) == (cap, cap + 2)
+
+
+class TestWorkingSet:
+    """tracemalloc bounds, each the measured value plus a margin."""
+
+    def test_decay_ops_hold_little_and_peak_low(self):
+        # one warm-up op (lazy tables, first-call costs), then nine decay
+        # ops of the benchmark's shape with every memo cold; measured
+        # 1.73 MB held at most and a 4.48 MB peak
+        kw = dict(grid=mult.GridSpec(G=128, strata=3), n_derivative_samples=10,
+                  boxes_per_shell=1)
+        mult.decay_report([11], seed=1, **kw)
+        clear_all()
+        held = []
+        tracemalloc.start()
+        try:
+            for seed in (2, 3, 4):
+                for j in (11, 13, 15):
+                    mult.decay_report([j], seed=seed, **kw)
+                    held.append(tracemalloc.get_traced_memory()[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(held) <= 3 * 2 ** 20
+        assert peak <= 7 * 2 ** 20
+
+    def test_gauss_csv_peaks_low(self, tmp_path):
+        # after a warm-up run, measured 6.87 MB above what was held before
+        assert cli.main(["gauss", "--qmax", "8", "-o", str(tmp_path / "w")]) == 0
+        tracemalloc.start()
+        try:
+            assert cli.main(["gauss", "--qmax", "64",
+                             "-o", str(tmp_path / "g")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2 ** 20

@@ -91,11 +91,18 @@ class TestCommands:
             assert base.with_suffix(".csv").read_text() \
                 == _gauss_csv_by_rows(qmax), qmax
 
-    @pytest.mark.parametrize("block", [1, 7, 1000])
+    @pytest.mark.parametrize("block", [1, 7, 480, 1000, 2 ** 12])
     def test_csv_blocks_join_to_the_whole(self, tmp_path, monkeypatch, block):
+        # 2^12 is the default; it and 480 end their first block inside one
+        # Q's rows (Q = 25's rows are 4032..4631, Q = 12's 432..527)
+        qmax = 25 if block == 2 ** 12 else 12
         monkeypatch.setattr(cli, "_CSV_ROWS", block)
-        assert run(["gauss", "--qmax", "12", "-o", str(tmp_path / "g")]) == 0
-        assert (tmp_path / "g.csv").read_text() == _gauss_csv_by_rows(12)
+        assert run(["gauss", "--qmax", str(qmax), "-o", str(tmp_path / "g")]) == 0
+        text = (tmp_path / "g.csv").read_text()
+        assert text == _gauss_csv_by_rows(qmax)
+        if block in (480, 2 ** 12):
+            lines = text.splitlines()
+            assert lines[block].split(",")[0] == lines[block + 1].split(",")[0]
 
     def test_zero_row_csv_is_its_header(self, tmp_path):
         assert _csv_text(tmp_path, ["x", "y"], [[], np.array([])]) == "x,y\n"

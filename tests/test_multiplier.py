@@ -183,6 +183,18 @@ class TestMj:
         with pytest.raises(ValueError):
             m_j(25, 0.1, 0.1)
 
+    @pytest.mark.parametrize("j", range(6, 17))
+    def test_given_phases_are_the_pointwise_reductions(self, j):
+        # the box and derivative stages hand m_j the reductions it would
+        # make itself, at the edges of the phase range among others
+        m, _ = _support(j)
+        edge = (0.0, 2.0 ** -1074, -2.0 ** -1074, 0.5, 1.0 - 2.0 ** -52)
+        for lam in edge:
+            fl = _frac_lam_msq(lam, m)
+            for beta in edge:
+                given = m_j(j, lam, beta, phases=(fl, frac_part_exact(beta, m)))
+                assert _bits(given) == _bits(m_j(j, lam, beta)), (lam, beta)
+
     @pytest.mark.parametrize("lam, beta", [(np.inf, 0.1), (0.1, -np.inf),
                                            (np.nan, 0.1)])
     def test_non_finite_point_is_rejected(self, lam, beta):
@@ -441,8 +453,7 @@ class TestDecayStages:
             self, monkeypatch):
         # a box reduces each of its sample lams and betas once, and a
         # derivative point reduces lam + h, lam - h and beta once each; at
-        # strata 9 and 12 the P betas a box walks inside each lam row stay
-        # in the beta memo, so a box still reduces P of them, not P^2
+        # strata 5, 9 and 12 a box reduces P betas, not P^2
         j, eps, tol = 12, 0.1, 1e-10
         shells = {1: enumerate_shell(1)}
         centers = [ReducedRational(1, 0, 0), ReducedRational(3, 1, 1),
@@ -452,8 +463,6 @@ class TestDecayStages:
         for P in (5, 9, 12):
             samples = [_box_samples(j, eps, r, P if r.Q == 1 else 3)
                        for r in centers]
-            multiplier._LAM_PHASES.cache_clear()
-            multiplier._BETA_PHASES.cache_clear()
             del lam_calls[:], beta_calls[:]
             _box_stage(j, eps, centers, shells, P, 3, tol)
             assert [a[0] for a in lam_calls] == \
@@ -477,6 +486,17 @@ class TestDecayStages:
         decay_report([10, 11], grid=GridSpec(G=64, strata=3),
                      n_derivative_samples=3, boxes_per_shell=1)
         assert calls == [(1,), (1,)]
+
+    def test_report_equals_pointwise_phases(self, monkeypatch):
+        # every stage, with m_j reducing each point itself instead of
+        # taking the reductions of its box or derivative point, gives the
+        # same report to the last bit
+        kw = dict(epsilon=0.1, grid=GridSpec(G=128, strata=4),
+                  n_derivative_samples=4, boxes_per_shell=1, seed=11)
+        shared = decay_report(range(10, 13), **kw)
+        monkeypatch.setattr(multiplier, "m_j",
+                            lambda j, lam, beta, phases: m_j(j, lam, beta))
+        assert repr(decay_report(range(10, 13), **kw)) == repr(shared)
 
     def test_report_equals_pointwise_h_j(self, monkeypatch):
         # every stage, with H_j evaluated at each offset instead of read
