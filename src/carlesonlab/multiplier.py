@@ -28,7 +28,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._memo import BoundedCache
 from .arithmetic import (ReducedRational, _check_epsilon, _collected_qmax,
                          _frac1, _half_widths, enumerate_shell, gauss_sum,
                          torus_delta)
@@ -47,8 +46,6 @@ __all__ = [
 
 J_CAP = 24
 _MASK26 = (1 << 26) - 1
-# per-j support and psi_j weights (up to j = 21)
-_SUPPORT = BoundedCache(max_bytes=32 * 2 ** 20, max_entries=1)
 
 
 def _limbs(x: float):
@@ -114,25 +111,23 @@ def _frac_lam_msq(x: float, m: np.ndarray) -> np.ndarray:
 
 
 def _support(j: int):
-    """Read-only (m, psi_j(m)) over 2**(j-2) <= m <= 2**j."""
-    def build():
-        m = np.arange(2 ** (j - 2), 2 ** j + 1, dtype=np.int64)
-        return m, psi_k(j, m.astype(float))
-    return _SUPPORT.get(j, build)
+    """(m, psi_j(m)) over 2**(j-2) <= m <= 2**j."""
+    m = np.arange(2 ** (j - 2), 2 ** j + 1, dtype=np.int64)
+    return m, psi_k(j, m.astype(float))
 
 
-def m_j(j: int, lam: float, beta: float, *, phases=None) -> complex:
+def m_j(j: int, lam: float, beta: float, *, terms=None) -> complex:
     """Dyadic Weyl-sum piece by direct summation with exact phase reduction.
 
-    ``phases``, when given, is the pair (_frac_lam_msq(lam, m),
-    frac_part_exact(beta, m)) over the support m of j.
+    ``terms``, when given, is the triple (w, _frac_lam_msq(lam, m),
+    frac_part_exact(beta, m)) over the support (m, w) = _support(j).
     """
     if not 0 <= j <= J_CAP:
         raise ValueError(f"j must lie in [0, {J_CAP}], got {j}")
-    m, w = _support(j)
-    if phases is None:
-        phases = _frac_lam_msq(lam, m), frac_part_exact(beta, m)
-    fl, fb = phases
+    if terms is None:
+        m, w = _support(j)
+        terms = w, _frac_lam_msq(lam, m), frac_part_exact(beta, m)
+    w, fl, fb = terms
     # psi_j is odd: the m < 0 half contributes -e(lam m^2 + beta m) psi_j(m)
     pos = _expi(2 * np.pi * _frac1(fl - fb))
     neg = _expi(2 * np.pi * _frac1(fl + fb))
@@ -407,9 +402,11 @@ def _grid_stage(j: int, epsilon: float, G: int, shells: dict, tol: float):
     return e, sup_e, sup_l_off
 
 
-def _box_stage(j: int, epsilon: float, centers: list[ReducedRational],
-               shells: dict, P: int, major_strata: int, tol: float):
-    """Stage 3: sup |E_j| and sup |M_j - S H_j| over the box strata.
+def _box_stage(j: int, support, epsilon: float,
+               centers: list[ReducedRational], shells: dict, P: int,
+               major_strata: int, tol: float):
+    """Stage 3: sup |E_j| and sup |M_j - S H_j| over the box strata, with
+    M_j summed over ``support`` = _support(j).
 
     A decomposition center's box carries P x P samples and adds to
     sup |E_j|; any other center's box carries major_strata x major_strata
@@ -425,7 +422,7 @@ def _box_stage(j: int, epsilon: float, centers: list[ReducedRational],
     (sup |M_j - S H_j|, argmax)); an argmax is None while its sup is 0.
     """
     dec = {r for shell in shells.values() for r in shell}
-    m, _ = _support(j)
+    m, w = support
     sup_e, arg_e = 0.0, None
     sup_uncovered = 0.0
     sup_major, arg_major = 0.0, None
@@ -440,7 +437,7 @@ def _box_stage(j: int, epsilon: float, centers: list[ReducedRational],
         for lam, dl in zip(lams.tolist(), dls):
             fl = _frac_lam_msq(lam, m)
             for beta, db, fb in zip(betas.tolist(), dbs, fbs):
-                mv = m_j(j, lam, beta, phases=(fl, fb))
+                mv = m_j(j, lam, beta, terms=(w, fl, fb))
                 ev = abs(mv - _l_j(j, lam, beta, shells, tol))
                 err = abs(mv - sgs * _h_at_offset(j, dl, db, tol))
                 if err > sup_major:
@@ -454,15 +451,17 @@ def _box_stage(j: int, epsilon: float, centers: list[ReducedRational],
     return (sup_e, arg_e), sup_uncovered, (sup_major, arg_major)
 
 
-def _derivative_stage(j: int, shells: dict, points, tol: float) -> float:
-    """Stage 4: max |dE_j/dlam| / 4**j by central differences at ``points``."""
+def _derivative_stage(j: int, support, shells: dict, points,
+                      tol: float) -> float:
+    """Stage 4: max |dE_j/dlam| / 4**j by central differences at ``points``,
+    with M_j summed over ``support`` = _support(j)."""
     hstep = 2.0 ** (-2 * j - 8)
-    m, _ = _support(j)
+    m, w = support
     dmax = 0.0
     for lam, beta in points:
         b = float(beta)
         fb = frac_part_exact(b, m)   # shared by lam + h and lam - h
-        ep, em = (m_j(j, x, b, phases=(_frac_lam_msq(x, m), fb))
+        ep, em = (m_j(j, x, b, terms=(w, _frac_lam_msq(x, m), fb))
                   - _l_j(j, x, b, shells, tol)
                   for x in (float(lam + hstep), float(lam - hstep)))
         dmax = max(dmax, abs(ep - em) / (2 * hstep))
@@ -509,8 +508,9 @@ def decay_report(j_list, epsilon: float = 0.1, grid: GridSpec | None = None,
         shells = _shells(j, epsilon)
         sampled = _sampled_centers(j, epsilon, shells, boxes_per_shell, rng)
         _, grid_sup, sup_l_off = _grid_stage(j, epsilon, G, shells, tol)
+        support = _support(j)
         box_sup, sup_e_uncovered, (sup_major, arg_major) = _box_stage(
-            j, epsilon, sampled, shells, P, major_strata, tol)
+            j, support, epsilon, sampled, shells, P, major_strata, tol)
         # ties keep the grid point
         sup_e, arg_e = max(grid_sup, box_sup, key=lambda pair: pair[0])
         per_j.append({
@@ -522,7 +522,8 @@ def decay_report(j_list, epsilon: float = 0.1, grid: GridSpec | None = None,
             "argmax_major": arg_major,
             "sup_abs_Lj_off_boxes": sup_l_off,
             "n_boxes_sampled": len(sampled),
-            "derivative_ratio": _derivative_stage(j, shells, der_points, tol),
+            "derivative_ratio": _derivative_stage(j, support, shells,
+                                                  der_points, tol),
         })
     out = {
         "epsilon": epsilon,

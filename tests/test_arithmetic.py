@@ -237,6 +237,7 @@ def same_bits(got, ref) -> bool:
 
 # the edges of the wrap: signed zeros, subnormals, integers and one ulp to
 # either side, halves, the largest floats, infinities and NaN
+# the five points of tests/test_multiplier.py's _SPECIAL are among them
 _EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.5, -0.5,
           1.0 - 2.0 ** -53, -1.0 + 2.0 ** -53, 2.0 ** 52 + 0.5, 2.0 ** 53,
           1.7976931348623157e308, -1.7976931348623157e308, math.inf,

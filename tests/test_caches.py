@@ -1,12 +1,14 @@
 """The package's memos and working set.
 
-Two byte-bounded memos remain: the m_j support and psi_j weights of the
-last j, and the h_j panel rules; beside them, the H_j symmetry-class
-memo.  A memo hit gives the same bits as a recomputation, cached arrays
-are read-only, and each memo stays under its bounds.  The phase
-reductions of the decay harness are not memos: each box and derivative
-point reduces its samples once and hands them to m_j.  tracemalloc
-bounds what the decay harness and ``gauss`` hold and peak at.
+One byte-bounded memo remains, the h_j panel rules; beside it, the H_j
+symmetry-class memo, a functools.lru_cache, and the functools caches of
+one table each.  A memo hit gives the same bits as a recomputation,
+cached arrays are read-only, and each memo stays under its bounds.  The
+m_j support and the phase reductions of the decay harness are not
+memos: decay_report builds the support once per j, each box and
+derivative point reduces its samples once, and both are handed down to
+m_j.  tracemalloc bounds what the decay harness and ``gauss`` hold and
+peak at.
 """
 
 import importlib
@@ -23,20 +25,23 @@ from carlesonlab import oscillatory as osc
 from carlesonlab._memo import BoundedCache
 
 
-def discover_memos() -> list[BoundedCache]:
-    """Every BoundedCache bound at module level in a carlesonlab module."""
-    found = []
+def discover_memos() -> dict:
+    """Every BoundedCache and functools cache (anything with
+    ``cache_info``) bound at module level in a carlesonlab module, by
+    qualified name."""
+    found = {}
     for info in pkgutil.iter_modules(carlesonlab.__path__):
         mod = importlib.import_module(f"carlesonlab.{info.name}")
-        for v in vars(mod).values():
-            if isinstance(v, BoundedCache) and not any(v is f for f in found):
-                found.append(v)
+        for name, v in vars(mod).items():
+            if (isinstance(v, BoundedCache) or hasattr(v, "cache_info")) \
+                    and not any(v is f for f in found.values()):
+                found[f"{info.name}.{name}"] = v
     return found
 
 
-MEMOS = discover_memos()
+MEMOS = [v for v in discover_memos().values() if isinstance(v, BoundedCache)]
 
-# (j, lam, beta) with alternating j, so the one-entry support memo evicts
+# (j, lam, beta) with alternating j
 POINTS = [(j, lam, beta) for lam, beta in ((0.3, 0.7), (0.25 + 1e-7, 0.5 - 3e-5))
           for j in (9, 12, 9, 12)] + [(12, 0.3, 0.1), (12, 0.3, 0.7)]
 
@@ -116,35 +121,27 @@ class TestBitIdentity:
 
 class TestMemoBounds:
     def test_discovery_finds_exactly_the_known_memos(self):
-        # a memo added later falls under the tests below; this list is
-        # changed on purpose when one is added or removed
-        known = (osc._PANEL_RULES, mult._SUPPORT)
-        assert len(MEMOS) == len(known)
-        assert all(any(m is k for k in known) for m in MEMOS)
+        # a memo added later fails this test until it is named here and
+        # bounded by a test below
+        assert sorted(discover_memos()) == [
+            "multiplier._h_class", "operators._fast_lengths",
+            "oscillatory._PANEL_RULES", "oscillatory._gl_nodes",
+            "oscillatory._psi_hat_table"]
 
     def test_cached_arrays_are_read_only(self):
-        mult.m_j(10, 0.3, 0.4)
         osc._dual_scaled(5000.0, 30.0, 1398)
         for cache in MEMOS:
             assert cache._data
             for val, _ in cache._data.values():
                 for a in val if isinstance(val, tuple) else (val,):
                     assert not a.flags.writeable
-        m, w = mult._support(10)
-        with pytest.raises(ValueError):
-            w[0] = 1.0
 
     def test_retained_bytes_stay_under_each_bound(self):
-        # the j = 22 support (50 MB) and a 2^17-panel dual rule (42 MB)
-        # exceed their memos' bounds; the supports of j = 8..19 and eight
-        # dual rules of 0.43 MB each overfill them
-        mult._support(22)
+        # a 2^17-panel dual rule (42 MB) exceeds the panel-rule memo's
+        # bound; eight dual rules of 0.43 MB each overfill it
         for p in (1398, 2 ** 17):
             osc._dual_scaled(5000.0, 30.0, p)
-        assert 22 not in mult._SUPPORT._data
         assert ("dual", 2 ** 17) not in osc._PANEL_RULES._data
-        for j in range(8, 20):
-            mult._support(j)
         for p in range(1398, 1406):
             osc._dual_rule(p)
         for cache in MEMOS:
@@ -174,7 +171,7 @@ class TestWorkingSet:
     def test_decay_ops_hold_little_and_peak_low(self):
         # one warm-up op (lazy tables, first-call costs), then nine decay
         # ops of the benchmark's shape with every memo cold; measured
-        # 1.73 MB held at most and a 4.48 MB peak
+        # 1.35 MB held at most and a 4.39 MB peak
         kw = dict(grid=mult.GridSpec(G=128, strata=3), n_derivative_samples=10,
                   boxes_per_shell=1)
         mult.decay_report([11], seed=1, **kw)

@@ -86,6 +86,9 @@ class TestExactPhases:
 
 # The phase reductions and m_j as written with numpy's x % 1.0, before the
 # wrap became x - floor(x); the kernels must reproduce them bit for bit.
+# TestWrap and TestExpi check _frac1 and _expi at the _SPECIAL points
+# themselves; only these pins check them at the sums the kernels form over
+# each support.
 def _old_frac_terms(k_limbs, e, operands):
     total = np.zeros(operands[0][0].shape, dtype=float)
     for i, ki in enumerate(k_limbs):
@@ -187,12 +190,13 @@ class TestMj:
     def test_given_phases_are_the_pointwise_reductions(self, j):
         # the box and derivative stages hand m_j the reductions it would
         # make itself, at the edges of the phase range among others
-        m, _ = _support(j)
+        m, w = _support(j)
         edge = (0.0, 2.0 ** -1074, -2.0 ** -1074, 0.5, 1.0 - 2.0 ** -52)
         for lam in edge:
             fl = _frac_lam_msq(lam, m)
             for beta in edge:
-                given = m_j(j, lam, beta, phases=(fl, frac_part_exact(beta, m)))
+                given = m_j(j, lam, beta,
+                            terms=(w, fl, frac_part_exact(beta, m)))
                 assert _bits(given) == _bits(m_j(j, lam, beta)), (lam, beta)
 
     @pytest.mark.parametrize("lam, beta", [(np.inf, 0.1), (0.1, -np.inf),
@@ -401,7 +405,7 @@ class TestDecayStages:
         # L_j sums share the classes (|dl|, |db|) of the sample offsets
         j, eps, tol = 12, 0.1, 1e-10
         r = ReducedRational(1, 0, 0)
-        args = (j, eps, [r], {1: enumerate_shell(1)}, 3, 3, tol)
+        args = (j, _support(j), eps, [r], {1: enumerate_shell(1)}, 3, 3, tol)
         plain = _box_stage(*args)
         lams, betas = _box_samples(j, eps, r, 3)
         classes = {(abs(float(dl)), abs(float(db)))
@@ -441,12 +445,14 @@ class TestDecayStages:
                         mv - big_l_j(j, lam, beta, eps, tol)))
         multiplier._h_class.cache_clear()
         calls = _count_calls(monkeypatch, "h_j")
-        got = _box_stage(j, eps, centers, shells, 5, strata, tol)
+        support = _support(j)
+        got = _box_stage(j, support, eps, centers, shells, 5, strata, tol)
         assert sorted(calls) == sorted((j, x, y, tol) for x, y in classes)
         assert len(classes) == 6
         assert got == ((0.0, None), sup_uncovered, (sup_major, arg_major))
         del calls[:]
-        assert _box_stage(j, eps, centers, shells, 5, strata, tol) == got
+        assert _box_stage(j, support, eps, centers, shells, 5, strata,
+                          tol) == got
         assert calls == []
 
     def test_phase_reductions_once_per_box_and_derivative_point(
@@ -458,13 +464,14 @@ class TestDecayStages:
         shells = {1: enumerate_shell(1)}
         centers = [ReducedRational(1, 0, 0), ReducedRational(3, 1, 1),
                    ReducedRational(5, 2, 3)]
+        support = _support(j)
         lam_calls = _count_calls(monkeypatch, "_frac_lam_msq")
         beta_calls = _count_calls(monkeypatch, "frac_part_exact")
         for P in (5, 9, 12):
             samples = [_box_samples(j, eps, r, P if r.Q == 1 else 3)
                        for r in centers]
             del lam_calls[:], beta_calls[:]
-            _box_stage(j, eps, centers, shells, P, 3, tol)
+            _box_stage(j, support, eps, centers, shells, P, 3, tol)
             assert [a[0] for a in lam_calls] == \
                 [x for lams, _ in samples for x in lams.tolist()]
             assert len(beta_calls) == P + 3 + 3, P
@@ -473,10 +480,25 @@ class TestDecayStages:
         points = np.random.default_rng(3).random((4, 2))
         hstep = 2.0 ** (-2 * j - 8)
         del lam_calls[:], beta_calls[:]
-        _derivative_stage(j, shells, points, tol)
+        _derivative_stage(j, support, shells, points, tol)
         assert [a[0] for a in lam_calls] == \
             [float(lam + s * hstep) for lam, _ in points for s in (1, -1)]
         assert [a[0] for a in beta_calls] == [float(b) for _, b in points]
+
+    def test_box_and_derivative_stages_build_no_support(self, monkeypatch):
+        # decay_report builds the support of a j once and hands it down
+        j, eps, tol = 12, 0.1, 1e-10
+        shells = {1: enumerate_shell(1)}
+        centers = [ReducedRational(1, 0, 0), ReducedRational(3, 1, 1)]
+        points = np.random.default_rng(3).random((2, 2))
+        support = _support(j)
+
+        def no_support(j):
+            raise AssertionError("a stage built its own support")
+
+        monkeypatch.setattr(multiplier, "_support", no_support)
+        _box_stage(j, support, eps, centers, shells, 3, 3, tol)
+        _derivative_stage(j, support, shells, points, tol)
 
     def test_decay_report_enumerates_each_shell_once_per_j(self,
                                                             monkeypatch):
@@ -495,7 +517,7 @@ class TestDecayStages:
                   n_derivative_samples=4, boxes_per_shell=1, seed=11)
         shared = decay_report(range(10, 13), **kw)
         monkeypatch.setattr(multiplier, "m_j",
-                            lambda j, lam, beta, phases: m_j(j, lam, beta))
+                            lambda j, lam, beta, terms: m_j(j, lam, beta))
         assert repr(decay_report(range(10, 13), **kw)) == repr(shared)
 
     def test_report_equals_pointwise_h_j(self, monkeypatch):

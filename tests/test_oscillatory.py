@@ -198,8 +198,10 @@ class TestBlocks:
 
 class TestExpi:
     def test_unit_interval_phases(self):
-        # m_j's phases: 2 pi x for x = frac(...) in [0, 1), 0 included
-        x = np.concatenate([[0.0, 0.5, 0.25, 0.75, np.nextafter(1.0, 0.0)],
+        # m_j's phases: 2 pi x for x = frac(...) in [0, 1), 0 included,
+        # and the points of tests/test_multiplier.py's _SPECIAL
+        x = np.concatenate([[0.0, 0.5, 0.25, 0.75, np.nextafter(1.0, 0.0),
+                             -0.5, -np.nextafter(1.0, 0.0)],
                             np.random.default_rng(21).random(200_000)])
         assert _expi(2 * np.pi * x).tobytes() \
             == np.exp(2j * np.pi * x).tobytes()
