@@ -94,12 +94,6 @@ class TestBitIdentity:
         clear_all()
         assert [mult.m_j(*p) for p in reversed(POINTS)] == cold[::-1]
 
-    def test_m_j_grid_unchanged_by_a_warm_support(self):
-        clear_all()
-        cold = mult.m_j_grid(9, 64)
-        mult.m_j(9, 0.3, 0.2)
-        np.testing.assert_array_equal(mult.m_j_grid(9, 64), cold)
-
     def test_dual_and_direct_warm_equal_cold(self):
         cases = [(osc._dual_scaled, 5000.0, 30.0, 1398),
                  (osc._dual_scaled, 1e5, -400.0, 2796),

@@ -48,6 +48,21 @@ def _ratio(mults, f):
     return float(_sup_ratio(mults, sfft.fft(f)[None])[0] / np.linalg.norm(f))
 
 
+def _one_ratio(mult, f):
+    """||F^-1(mult * f^)||_2 / ||f||_2 for one multiplier, by scipy.fft."""
+    return np.linalg.norm(np.abs(sfft.ifft(mult * sfft.fft(f)))) \
+        / np.linalg.norm(f)
+
+
+def _low_modes(seed):
+    """A signal of 1024 points whose spectrum is three random modes at
+    |xi| <= 2/1024."""
+    rng = np.random.default_rng(seed)
+    spec = np.zeros(1024, dtype=complex)
+    spec[:3] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    return sfft.ifft(spec)
+
+
 class TestApplyKernel:
     def test_impulse_response_is_kernel(self):
         f = Signal(np.array([1.0 + 0j]))
@@ -250,40 +265,21 @@ class TestPointwiseSup:
             assert blocks == want
 
 
-def _norm_probe_per_trial(lam_values, lengths, trials, seed,
-                          radius_factor=4):
-    """norm_probe's rows with one _pointwise_sup call per trial signal."""
-    lams = operators._lambda_floats(lam_values)
-    rng = np.random.default_rng(seed)
-    rows = []
-    for L in lengths:
-        R = radius_factor * L
-        out_len, n = operators._conv_size(L, R)
-        kernel_hats = [sfft.fft(kernel_taps(float(lam), R), n) for lam in lams]
-        best, best_family = 0.0, None
-        for family, sig in operators._trial_signals(L, lams, trials, rng):
-            sup = _pointwise_sup(kernel_hats, sfft.fft(sig, n)[None, :],
-                                 out_len)[0]
-            ratio = float(np.linalg.norm(sup) / np.linalg.norm(sig))
-            if ratio > best:
-                best, best_family = ratio, family
-        rows.append({"length": L, "radius": R, "max_ratio": best,
-                     "argmax_family": best_family})
-    return rows
-
-
 class TestNormProbe:
     @pytest.mark.parametrize("block_points", [2 ** 17, 2000])
     def test_batched_rows_equal_one_call_per_trial(self, monkeypatch,
                                                    block_points):
         # 2000 points put the 64-length trials (n = 576) in blocks of 3
-        # rows and the 128-length ones (n = 1152) in blocks of one
-        monkeypatch.setattr(oscillatory, "_BLOCK_POINTS", block_points)
+        # rows and the 128-length ones (n = 1152) in blocks of one; a
+        # budget of one point makes one _pointwise_sup call per trial
         for lam_values, lengths, trials in [
                 (cantor_set(3, 3), [64, 128], 6), ([0.0, 0.1], [64], 11)]:
-            rep = norm_probe(lam_values, lengths, trials=trials, seed=12)
-            assert repr(rep["rows"]) == repr(_norm_probe_per_trial(
-                lam_values, lengths, trials, seed=12))
+            rows = []
+            for points in (block_points, 1):
+                monkeypatch.setattr(oscillatory, "_BLOCK_POINTS", points)
+                rows.append(repr(norm_probe(lam_values, lengths,
+                                            trials=trials, seed=12)["rows"]))
+            assert rows[0] == rows[1]
 
     def test_first_maximum_keeps_its_family(self, monkeypatch):
         # equal signals tie; the first of them names the row, within a
@@ -331,24 +327,17 @@ class TestNormProbe:
 
 class TestBourgainProbe:
     def test_single_frequency_ratio_one(self):
-        G = 1024
-        rng = np.random.default_rng(12)
-        spec = np.zeros(G, dtype=complex)
-        spec[:3] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        f = sfft.ifft(spec)  # spectrum inside |xi| <= 2/G << 1/(8 lam_max)
+        f = _low_modes(12)    # |xi| <= 2/G << 1/(8 lam_max)
         ratio = _ratio(_bourgain_multipliers(np.array([0.0]), [2.0, 4.0, 8.0],
-                                             G), f)
+                                             1024), f)
         assert abs(ratio - 1.0) <= 1e-10
 
     def test_far_mode_is_invisible(self):
-        G = 1024
-        rng = np.random.default_rng(13)
-        spec = np.zeros(G, dtype=complex)
-        spec[:3] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        f = sfft.ifft(spec)
-        one = _ratio(_bourgain_multipliers(np.array([0.0]), [8.0, 16.0], G), f)
+        f = _low_modes(13)
+        one = _ratio(_bourgain_multipliers(np.array([0.0]), [8.0, 16.0],
+                                           1024), f)
         two = _ratio(_bourgain_multipliers(np.array([0.0, 0.5]), [8.0, 16.0],
-                                           G), f)
+                                           1024), f)
         assert abs(one - two) <= 1e-12
 
     def test_table_is_the_pointwise_sum_at_nonzero_shifts(self):
@@ -408,9 +397,7 @@ class TestOscillatoryProbe:
         xi = sfft.fftfreq(G)
         mult = sum(h_row(k, lam, G) for k in range(3, k_max + 1)) \
             * phi_hat(tau * xi)
-        ref = np.linalg.norm(np.abs(sfft.ifft(mult * sfft.fft(f)))) \
-            / np.linalg.norm(f)
-        assert abs(got - ref) <= 1e-12
+        assert abs(got - _one_ratio(mult, f)) <= 1e-12
 
     def test_small_lambda_matches_hilbert_type_symbol(self):
         G = 512
@@ -422,9 +409,7 @@ class TestOscillatoryProbe:
                                               [lam], G), f)
         xi = sfft.fftfreq(G)
         sym = sum(psi_hat(2.0 ** k * xi) for k in range(3, 8)) * phi_hat(tau * xi)
-        ref = np.linalg.norm(np.abs(sfft.ifft(sym * sfft.fft(f)))) \
-            / np.linalg.norm(f)
-        assert abs(got - ref) <= 1e-5
+        assert abs(got - _one_ratio(sym, f)) <= 1e-5
         assert got <= HILBERT_SYMBOL_RATIO_CAP
 
     def test_table_is_the_pointwise_sum_at_nonzero_shifts(self):

@@ -3,13 +3,18 @@
 ``ROWS`` holds one row per pair of a fast path (or the fast paths that
 share an oracle) and its oracle: a hypothesis strategy over the valid
 domain, and a bound on max |fast - oracle| above the error measured there
-(0.0: bit for bit).  ``test_fast_path_meets_its_oracle`` draws each row;
-the points the module tests name go through the same row by
-``check_row``, and ``test_exports.py`` asks for a row for each fast path
-an ``oracle`` export names.  A case known to miss its bound is a strict
-xfail naming the ROADMAP item that mends it.
+(0.0: bit for bit).  ``test_fast_path_meets_its_oracle`` draws each row,
+and runs the fixed ``examples`` a row lists besides; the points the
+module tests name go through the same row by ``check_row``, and
+``test_exports.py`` asks for a row for each fast path an ``oracle``
+export names.  A case known to miss its bound is a strict xfail naming
+the ROADMAP item that mends it.  Private fast paths have rows too: the
+exact phase reductions against ``Fraction``, ``_h_rows`` against the
+chirp sampled on its full grid, and the CLI's one-walk JSON writer
+against the two-pass walk it replaced.
 """
 
+import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -19,25 +24,28 @@ from typing import Callable
 import numpy as np
 import pytest
 import scipy.fft as sfft
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from carlesonlab import cli
 from carlesonlab.arithmetic import (MajorBox, ReducedRational, _collected_qmax,
                                     _half_widths, enumerate_shell,
                                     find_box_overlaps, gauss_rows, gauss_sum,
                                     shell_size, square_class_reps,
                                     torus_delta, torus_dist)
-from carlesonlab.bumps import chi_s, phi_hat, psi
+from carlesonlab.bumps import chi_s, phi_hat, psi, psi_k
 from carlesonlab.lambda_sets import (LambdaSet, cantor_set, cover,
                                      verify_certificate)
-from carlesonlab.multiplier import (_grid_point_in_major_boxes, _h_at_offset,
-                                    _l_j, _shell_sum, _shells, big_l_j, m_j,
-                                    m_j_grid, m_j_rational_oracle)
+from carlesonlab.multiplier import (_frac_lam_msq, _grid_point_in_major_boxes,
+                                    _h_at_offset, _l_j, _shell_sum, _shells,
+                                    big_l_j, frac_part_exact, m_j, m_j_grid,
+                                    m_j_rational_oracle)
 from carlesonlab.operators import (Signal, _bourgain_multipliers,
                                    _oscillatory_multipliers, _pointwise_sup,
                                    apply_kernel, apply_kernel_brute,
                                    carleson_max)
-from carlesonlab.oscillatory import h_j, h_row, h_scaled
+from carlesonlab.oscillatory import _h_rows, h_j, h_row, h_scaled
 
 
 @dataclass(frozen=True)
@@ -48,6 +56,7 @@ class Row:
     domain: st.SearchStrategy
     tol: float          # bound on max |fast - oracle|; 0.0: bit for bit
     draws: int          # cases drawn per run
+    examples: tuple = ()    # cases run at every run, besides the draws
 
 
 _SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -89,6 +98,48 @@ def _h_row_pair(case):
     xi = np.fft.fftfreq(G)
     return h_row(k, lam, G)[list(bins)], [
         h_scaled(lam * 4.0 ** k, xi[g] * 2.0 ** k, 1e-12) for g in bins]
+
+
+def h_row_log2_step(k, lam):
+    """h_row's p: the chirp is sampled at step 2^-p, the FFT is G * 2^p."""
+    bandwidth = 2.0 * lam * 2.0 ** k + 0.5
+    return max(0, math.ceil(math.log2(8 * bandwidth)), 5 - (k - 2))
+
+
+def h_row_full_grid(k, lam, G):
+    """h_row with the chirp sampled at every n = -half..half."""
+    p = h_row_log2_step(k, lam)
+    h = 2.0 ** (-p)
+    nfft = G * 2 ** p
+    half = int(round(2 ** k / h))
+    n = np.arange(-half, half + 1, dtype=np.int64)
+    t = n * h
+    vals = np.exp(2j * np.pi * (lam * t * t)) * psi_k(k, t) * h
+    buf = np.zeros(nfft, dtype=complex)
+    buf[n % nfft] = vals
+    spec = sfft.fft(buf)
+    out = np.empty(G, dtype=complex)
+    out[:G // 2] = spec[:G // 2]
+    out[G // 2:] = spec[nfft - G + G // 2:]
+    return out
+
+
+def _h_rows_pair(case):
+    # h_row(k, lam, G) is _h_rows(k, [lam], G)[0]: a case of one lam is h_row
+    k, lams, G = case
+    return _h_rows(k, lams, G), [h_row_full_grid(k, lam, G) for lam in lams]
+
+
+@st.composite
+def _h_rows_cases(draw):
+    # every k with 2^(k+1) <= G, where n = +-half share one FFT index, and
+    # lams whose FFT has at most 2^19 points: lams near zero share a
+    # sampling step, larger ones spread over several
+    e = draw(st.integers(6, 12))
+    k = draw(st.integers(0, e - 1))
+    lam_max = (2.0 ** (14 - e) - 0.5) / 2.0 ** (k + 1)
+    lams = st.just(0.0) | st.floats(0.0, 1e-5) | st.floats(0.0, lam_max)
+    return k, draw(st.lists(lams, min_size=1, max_size=12)), 2 ** e
 
 
 def _gauss_pair(case):
@@ -400,6 +451,106 @@ def _covers(draw):
             draw(_T.filter(lambda t: t >= Fraction(2, 10 ** 6))))
 
 
+def _phase_pair(reduce, power):
+    # the distance on the circle of (x m^power) mod 1 from its exact value
+    def pair(case):
+        x, m = case
+        d = np.abs(reduce(x, np.array(m, dtype=np.int64))
+                   - [float(Fraction(x) * v ** power % 1) for v in m])
+        return np.minimum(d, 1 - d), np.zeros(len(m))
+    return pair
+
+
+def _near(limit: int):
+    # m at and inside the limit of the 26-bit limb products: |m| < 2^25 for
+    # beta m, |m| <= 2^24 for lam m^2
+    edge = st.integers(limit - 2 ** 10, limit)
+    return st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                     st.lists(st.one_of(edge, edge.map(lambda v: -v),
+                                        st.integers(-limit, limit)),
+                              min_size=1, max_size=8))
+
+
+def _two_pass_to_native(obj):
+    """The two-pass report walk's first pass: convert, checking nothing."""
+    if isinstance(obj, dict):
+        return {str(k): _two_pass_to_native(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_two_pass_to_native(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_two_pass_to_native(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.complexfloating, complex)):
+        return {"re": float(obj.real), "im": float(obj.imag)}
+    if isinstance(obj, Fraction):
+        return float(obj)
+    return obj
+
+
+def _non_finite_path(obj, path="report"):
+    """Key path of the first NaN or infinity in converted ``obj``."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return path
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, val in items:
+        found = _non_finite_path(val, f"{path}[{key!r}]")
+        if found is not None:
+            return found
+    return None
+
+
+def _two_pass_json(payload):
+    """The oracle of cli._json_text: convert, dump, and only when the dump
+    refuses a value walk the converted report again for its key path."""
+    native = _two_pass_to_native(payload)
+    try:
+        return json.dumps(native, indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
+    except ValueError:
+        path = _non_finite_path(native)
+        if path is None:
+            raise
+        raise cli.NonFiniteReport(f"{path} is not finite") from None
+
+
+def _json_pair(payload):
+    # the text, or the NonFiniteReport message, of each walk
+    def outcome(to_json):
+        try:
+            return to_json(payload)
+        except cli.NonFiniteReport as exc:
+            return f"NonFiniteReport: {exc}"
+
+    return outcome(cli._json_text), outcome(_two_pass_json)
+
+
+# NaN and +-inf are planted, and floats and complex numbers draw them too;
+# a key is text without digits or a small int, so keys stay distinct after
+# str(), as a report's do
+_REPORT_LEAVES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(), st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32), st.complex_numbers(),
+    st.complex_numbers().map(np.complex128), st.integers(),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                 max_denominator=10 ** 6),
+    st.booleans(), st.none(), st.text(max_size=3),
+    hnp.arrays(st.sampled_from([np.float64, np.int64, np.complex128]),
+               hnp.array_shapes(min_dims=1, max_dims=2, max_side=3)))
+_REPORT_KEYS = st.one_of(st.text(alphabet="ab'\"", max_size=3),
+                         st.integers(0, 9))
+_REPORTS = st.dictionaries(_REPORT_KEYS, st.recursive(
+    _REPORT_LEAVES, lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_REPORT_KEYS, inner, max_size=3)),
+    max_leaves=12), max_size=4)
+
+
 # each tolerance is that of the module tests the row serves, or tighter;
 # the comment gives the largest error measured over the row's domain
 ROWS = [
@@ -466,11 +617,25 @@ ROWS = [
         _oscillatory_pair, _oscillatory_cases(), 1e-12, 2),
     Row(("multiplier._l_j",), "_pointwise_shell_sum", _l_j_pair,
         _window_points(), 0.0, 10),
+    # the signed zeros, x = -0 on the table, the direct and dual conjugates
+    # at y = 0 and -0, and the table beyond its cut
     Row(("multiplier._h_at_offset",), "oscillatory.h_j", _h_class_pair,
-        _scaled_points(), 0.0, 150),
+        _scaled_points(), 0.0, 150,
+        examples=((12, 0.0, -0.0), (12, -0.0, 3.0), (12, -100.0, 0.0),
+                  (12, -1e5, -0.0), (12, 0.0, -400.0))),
     Row(("lambda_sets.cover",), "lambda_sets.verify_certificate",
         lambda c: (verify_certificate(c[0], cover(*c))["ok"], True),
         _covers(), 0.0, 10),
+    Row(("multiplier.frac_part_exact",), "fractions.Fraction",
+        _phase_pair(frac_part_exact, 1), _near(2 ** 25 - 1), 2.0 ** -50, 200),
+    Row(("multiplier._frac_lam_msq",), "fractions.Fraction",
+        _phase_pair(_frac_lam_msq, 2), _near(2 ** 24), 2.0 ** -50, 200),
+    Row(("oscillatory._h_rows",), "h_row_full_grid", _h_rows_pair,
+        _h_rows_cases(), 0.0, 2),
+    Row(("cli._json_text",), "_two_pass_json", _json_pair, _REPORTS, 0.0, 300,
+        examples=({"a": [(1, {"b": np.array([[0.5, np.inf]])})], 2: math.nan},
+                  {"z": np.complex128(complex(1.0, -math.inf)),
+                   "x": Fraction(1, 3)})),
     Row(("arithmetic.square_class_reps",), "covered_set_reps",
         lambda qs: (repr([square_class_reps(q) for q in qs]),
                     repr([covered_set_reps(q) for q in qs])),
@@ -515,5 +680,7 @@ def _cases():
 
 @pytest.mark.parametrize("row", _cases())
 def test_fast_path_meets_its_oracle(row):
-    settings(max_examples=row.draws, deadline=None, database=None)(
-        given(row.domain)(lambda case: check_row(row.fast[0], case)))()
+    test = given(row.domain)(lambda case: check_row(row.fast[0], case))
+    for case in row.examples:
+        test = example(case)(test)
+    settings(max_examples=row.draws, deadline=None, database=None)(test)()

@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
-import scipy.fft as sfft
-from test_oracles import H_ROW_BINS, H_ROW_MISSES, check_row
+from test_oracles import H_ROW_BINS, H_ROW_MISSES, check_row, h_row_log2_step
 
-from carlesonlab.bumps import phi_hat, psi_k
+from carlesonlab.bumps import phi_hat
 from carlesonlab.oscillatory import h_j, h_row, h_scaled, psi_hat
 from carlesonlab.oscillatory import (_BLOCK_POINTS, _blocks, _direct_scaled,
                                      _direct_rule, _dual_rule, _dual_scaled,
@@ -42,6 +41,18 @@ def _phi_kl_hat(l, lam, k, xi, tol=1e-10):
     k_l = k if l <= 0 else k - l
     val = h_scaled(lam * 4.0 ** k, xi * 2.0 ** k, tol)
     return val - _mu(lam, k, tol) * complex(phi_hat(math.ldexp(xi, k_l)))
+
+
+def _phi_kl_envelope(l, k, xi):
+    """The envelope of _phi_kl_hat: min(z, 1/z) at z = 2^k |xi| for l <= 0;
+    for l > 0, 2^(k - 2l) xi below the stationary band |xi| ~ 2^(l-k),
+    2^(-l/2) in it and 1/z above it."""
+    z = 2.0 ** k * xi
+    if l <= 0:
+        return min(z, 1.0 / z)
+    zz = xi / 2.0 ** (l - k)
+    return (2.0 ** (k - 2 * l) * xi if zz <= 0.5 else
+            2.0 ** (-l / 2.0) if zz <= 2.0 else 1.0 / z)
 
 
 class TestHj:
@@ -105,41 +116,14 @@ class TestHRow:
 
     @pytest.mark.parametrize("G", [64, 256, 1024, 4096])
     def test_half_grid_chirp_is_the_full_grid_formula(self, G):
-        # every k up to 2^(k+1) = G, where n = +-half share one FFT index
-        compared = 0
-        for k in range(int(math.log2(G))):
-            for lam in (0.0, 1e-6, 3.7e-4, 2.0 ** -10, 0.004, 0.03, 0.1,
-                        0.3, 0.7, 1.0):
-                if G * 2 ** _h_row_log2_step(k, lam) > 2 ** 20:
-                    continue  # an FFT of gigabytes at large lam and k
-                assert h_row(k, lam, G).tobytes() \
-                    == _h_row_full_grid(k, lam, G).tobytes(), (k, lam)
-                compared += 1
-        assert compared >= 4 * int(math.log2(G))
-
-
-def _h_row_log2_step(k, lam):
-    """h_row's p: the chirp is sampled at step 2^-p, the FFT is G * 2^p."""
-    bandwidth = 2.0 * lam * 2.0 ** k + 0.5
-    return max(0, math.ceil(math.log2(8 * bandwidth)), 5 - (k - 2))
-
-
-def _h_row_full_grid(k, lam, G):
-    """h_row with the chirp sampled at every n = -half..half."""
-    p = _h_row_log2_step(k, lam)
-    h = 2.0 ** (-p)
-    nfft = G * 2 ** p
-    half = int(round(2 ** k / h))
-    n = np.arange(-half, half + 1, dtype=np.int64)
-    t = n * h
-    vals = np.exp(2j * np.pi * (lam * t * t)) * psi_k(k, t) * h
-    buf = np.zeros(nfft, dtype=complex)
-    buf[n % nfft] = vals
-    spec = sfft.fft(buf)
-    out = np.empty(G, dtype=complex)
-    out[:G // 2] = spec[:G // 2]
-    out[G // 2:] = spec[nfft - G + G // 2:]
-    return out
+        # every k up to 2^(k+1) = G, where n = +-half share one FFT index,
+        # but not an FFT of gigabytes at large lam and k
+        cases = [(k, [lam], G) for k in range(int(math.log2(G)))
+                 for lam in (0.0, 1e-6, 3.7e-4, 2.0 ** -10, 0.004, 0.03, 0.1,
+                             0.3, 0.7, 1.0)
+                 if G * 2 ** h_row_log2_step(k, lam) <= 2 ** 20]
+        check_row("oscillatory._h_rows", *cases)
+        assert len(cases) >= 4 * int(math.log2(G))
 
 
 class TestBatchedRows:
@@ -150,17 +134,11 @@ class TestBatchedRows:
         # step's FFT has 2^14 points), then lams spread over several steps,
         # in no particular order
         spread = [lam for lam in np.geomspace(1.0, 1e-4, 13)
-                  if G * 2 ** _h_row_log2_step(k, lam) <= 2 ** 19]
+                  if G * 2 ** h_row_log2_step(k, lam) <= 2 ** 19]
         lams = [1e-6 * (1.0 + i / 64) for i in range(12)] + spread \
             + [0.0, 2.0 ** -10]
-        steps = {_h_row_log2_step(k, lam) for lam in lams}
-        assert len(steps) >= 3
-        rows = _h_rows(k, lams, G)
-        assert rows.shape == (len(lams), G)
-        for lam, row in zip(lams, rows):
-            ref = _h_row_full_grid(k, lam, G)
-            assert row.tobytes() == ref.tobytes(), lam
-            assert h_row(k, lam, G).tobytes() == ref.tobytes(), lam
+        assert len({h_row_log2_step(k, lam) for lam in lams}) >= 3
+        check_row("oscillatory._h_rows", (k, lams, G))
 
     def test_rejects_what_h_row_rejects(self):
         with pytest.raises(ValueError, match="does not fit"):
@@ -294,18 +272,8 @@ class TestPhiKlHat:
                 lam = 2.0 ** (l - 2 * k) * 1.4
                 for _ in range(10):
                     xi = (10.0 ** rng.uniform(-3, 1)) * 2.0 ** -k
-                    z = 2.0 ** k * xi
-                    if l <= 0:
-                        env = min(z, 1.0 / z)
-                    else:
-                        zz = xi / 2.0 ** (l - k)
-                        if zz <= 0.5:
-                            env = 2.0 ** (k - 2 * l) * xi
-                        elif zz <= 2.0:
-                            env = 2.0 ** (-l / 2.0)
-                        else:
-                            env = 1.0 / z
-                    worst = max(worst, abs(_phi_kl_hat(l, lam, k, xi)) / env)
+                    worst = max(worst, abs(_phi_kl_hat(l, lam, k, xi))
+                                / _phi_kl_envelope(l, k, xi))
         assert worst <= EST_VALUE_CAP
 
     def test_lambda_derivative_variant(self):
@@ -319,14 +287,7 @@ class TestPhiKlHat:
                 vp = _phi_kl_hat(l, lam + h, k, xi, 1e-11)
                 vm = _phi_kl_hat(l, lam - h, k, xi, 1e-11)
                 dv = abs(vp - vm) / (2 * h) / 4.0 ** k
-                z = 2.0 ** k * xi
-                if l <= 0:
-                    env = min(z, 1.0 / z)
-                else:
-                    zz = xi / 2.0 ** (l - k)
-                    env = (2.0 ** (k - 2 * l) * xi if zz <= 0.5 else
-                           2.0 ** (-l / 2.0) if zz <= 2.0 else 1.0 / z)
-                worst = max(worst, dv / env)
+                worst = max(worst, dv / _phi_kl_envelope(l, k, xi))
         assert worst <= EST_DERIVATIVE_CAP
 
 
